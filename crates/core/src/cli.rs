@@ -19,7 +19,7 @@ USAGE:
     mist-cli tune --model <NAME> --platform <l4|a100> --gpus <N> --batch <B>
                   [--space <mist|mist-fine|megatron|deepspeed|aceso|alpa|uniform>]
                   [--seq <LEN>] [--seed <N>] [--threads <N>] [--no-flash]
-                  [--no-mono-prune] [--no-compiled-eval] [--execute]
+                  [--no-mono-prune] [--execute]
                   [--trace <FILE>] [--metrics]
                   [--json] [--journal <FILE>]
     mist-cli explain [--json] [--top <K>] <FILE>
@@ -59,12 +59,6 @@ OPTIONS:
                    disable the proof-licensed monotone pruning of
                    provably-OOM sweep rows (results are byte-identical
                    either way; this exists to demonstrate that)
-    --no-compiled-eval
-                   evaluate sweeps through the chunked interpreter
-                   instead of the compiled direct-threaded backend with
-                   its memory-first filtered sweep (results are
-                   byte-identical either way; this exists to demonstrate
-                   that)
     --execute      run the tuned plan on the cluster simulator and report
                    the measured throughput
     --trace <FILE> write a Chrome Trace Event JSON (open in Perfetto or
@@ -182,7 +176,6 @@ struct Args {
     json: bool,
     journal: Option<String>,
     mono_prune: bool,
-    compiled_eval: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -202,7 +195,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: false,
         journal: None,
         mono_prune: true,
-        compiled_eval: true,
     };
     let mut it = argv.iter();
     let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
@@ -256,7 +248,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--no-flash" => args.flash = false,
             "--no-mono-prune" => args.mono_prune = false,
-            "--no-compiled-eval" => args.compiled_eval = false,
             "--execute" => args.execute = true,
             "--trace" => args.trace = Some(need(&mut it, "--trace")?),
             "--metrics" => args.metrics = true,
@@ -323,8 +314,7 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
     let model = parse_model(&args.model, seq, args.flash)?;
     let mut builder = MistSession::builder(model.clone(), args.platform, args.gpus)
         .space(args.space.clone())
-        .monotone_prune(args.mono_prune)
-        .compiled_eval(args.compiled_eval);
+        .monotone_prune(args.mono_prune);
     if let Some(seed) = args.seed {
         builder = builder.seed(seed);
     }
@@ -379,7 +369,13 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
             "batch": args.batch,
             "seq": seq,
         });
-        crate::explain::write_journal_file(path, header, &outcome.stats, &spans)?;
+        crate::explain::write_journal_file(
+            path,
+            header,
+            &outcome.stats,
+            &outcome.telemetry,
+            &spans,
+        )?;
     }
     let metrics_snapshot = if telemetry_on {
         collector.snapshot()
@@ -1377,23 +1373,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(!a.mono_prune);
-        assert!(a.compiled_eval, "compiled backend defaults on");
-    }
-
-    #[test]
-    fn parse_args_accepts_no_compiled_eval() {
-        let a = parse_args(&sv(&[
-            "--model",
-            "gpt3-1.3b",
-            "--gpus",
-            "2",
-            "--batch",
-            "8",
-            "--no-compiled-eval",
-        ]))
-        .unwrap();
-        assert!(!a.compiled_eval);
-        assert!(a.mono_prune, "pruning stays on by default");
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub struct SessionBuilder {
     max_grad_accum: u32,
     seed: u64,
     mono_prune: bool,
-    compiled_eval: bool,
 }
 
 impl SessionBuilder {
@@ -53,15 +52,6 @@ impl SessionBuilder {
     /// (on by default; results are byte-identical either way).
     pub fn monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
-        self
-    }
-
-    /// Enables or disables the tuner's compiled evaluation backend —
-    /// superinstruction-fused, direct-threaded kernels and the
-    /// memory-first filtered sweep (on by default; results are
-    /// byte-identical either way).
-    pub fn compiled_eval(mut self, enabled: bool) -> Self {
-        self.compiled_eval = enabled;
         self
     }
 
@@ -99,7 +89,6 @@ impl SessionBuilder {
             interference,
             max_grad_accum: self.max_grad_accum,
             mono_prune: self.mono_prune,
-            compiled_eval: self.compiled_eval,
         }
     }
 }
@@ -113,7 +102,6 @@ pub struct MistSession {
     interference: InterferenceModel,
     max_grad_accum: u32,
     mono_prune: bool,
-    compiled_eval: bool,
 }
 
 impl MistSession {
@@ -134,7 +122,6 @@ impl MistSession {
             max_grad_accum: 256,
             seed: 0xAB5EED,
             mono_prune: true,
-            compiled_eval: true,
         }
     }
 
@@ -174,7 +161,6 @@ impl MistSession {
         )
         .with_max_grad_accum(self.max_grad_accum)
         .with_monotone_prune(self.mono_prune)
-        .with_compiled_eval(self.compiled_eval)
         .tune(global_batch)
     }
 

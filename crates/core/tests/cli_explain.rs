@@ -158,6 +158,65 @@ fn explain_digest_accounts_every_config_and_names_killing_constraints() {
     assert_eq!(u64_of(get(&digest, "journal").unwrap(), "dropped"), 0);
 }
 
+/// The sweep's phase split renders as children of `intra.frontier` in
+/// the self-time tree (under `timing` only), and at one thread — where
+/// frontier time is wall time — the phases sum to `intra_secs` within
+/// 5%.
+#[test]
+fn explain_splits_intra_frontier_into_sweep_phases() {
+    let journal_path =
+        std::env::temp_dir().join(format!("mist_cli_phases_{}.jsonl", std::process::id()));
+    let mut args = tune_args(Some(&journal_path));
+    let threads = args.iter().position(|a| a == "--threads").unwrap() + 1;
+    args[threads] = "1".into();
+    run_cli(&args);
+    let digest_out = run_cli(&[
+        "explain".into(),
+        "--json".into(),
+        journal_path.to_str().unwrap().into(),
+    ]);
+    std::fs::remove_file(&journal_path).ok();
+    let digest: Value = serde_json::from_str(&digest_out).expect("explain emits JSON");
+
+    let timing = get(&digest, "timing").expect("timing");
+    let Some(Value::Array(tree)) = get(timing, "self_time") else {
+        panic!("self_time array missing");
+    };
+    let mut phases = Vec::new();
+    for node in tree {
+        let Some(Value::Str(path)) = get(node, "path") else {
+            panic!("node without path: {node:?}");
+        };
+        if let Some((parent, name)) = path.rsplit_once('/') {
+            if name.starts_with("phase.") {
+                assert!(parent.ends_with("intra.frontier"), "{path}");
+                phases.push((name.to_owned(), f64_of(node, "total_s")));
+            }
+        }
+    }
+    for name in mist_tuner::SWEEP_PHASES {
+        assert!(
+            phases.iter().any(|(p, _)| *p == format!("phase.{name}")),
+            "phase {name} missing from {phases:?}"
+        );
+    }
+    let phase_sum: f64 = phases.iter().map(|(_, secs)| secs).sum();
+    let intra = f64_of(timing, "intra_secs");
+    assert!(
+        (phase_sum - intra).abs() <= 0.05 * intra,
+        "phases sum to {phase_sum}s vs intra_secs {intra}s"
+    );
+    let without_timing: Vec<String> = match &digest {
+        Value::Object(fields) => fields
+            .iter()
+            .filter(|(k, _)| k != "timing")
+            .map(|(_, v)| serde_json::to_string(v).unwrap())
+            .collect(),
+        _ => unreachable!(),
+    };
+    assert!(without_timing.iter().all(|v| !v.contains("phase.")));
+}
+
 #[test]
 fn journal_does_not_perturb_the_tune_outcome() {
     let journal_path =

@@ -365,6 +365,25 @@ pub struct StagePoint {
 }
 
 impl StagePoint {
+    /// Assembles a point from per-root values, `root(i)` being the value
+    /// of the root at [`stage_roots`] index `i` — e.g. one row of a batch
+    /// evaluation's output columns.
+    pub fn from_roots(root: impl Fn(usize) -> f64) -> StagePoint {
+        let quad = |base: usize| [root(base), root(base + 1), root(base + 2), root(base + 3)];
+        StagePoint {
+            mem_fwd: root(stage_roots::MEM_FWD),
+            mem_bwd: root(stage_roots::MEM_BWD),
+            mem_resident: root(stage_roots::MEM_RESIDENT),
+            mem_act_per_mb: root(stage_roots::MEM_ACT_PER_MB),
+            mem_transient_fwd: root(stage_roots::MEM_TRANSIENT_FWD),
+            mem_transient_bwd: root(stage_roots::MEM_TRANSIENT_BWD),
+            fwd: quad(stage_roots::FWD),
+            bwd: quad(stage_roots::BWD),
+            first_extra: quad(stage_roots::FIRST_EXTRA),
+            last_extra: quad(stage_roots::LAST_EXTRA),
+        }
+    }
+
     /// Peak memory over both passes (the Eq. 4 constraint quantity).
     pub fn mem_peak(&self) -> f64 {
         self.mem_fwd.max(self.mem_bwd)
@@ -755,25 +774,13 @@ impl StageTapes {
         self.program
             .eval_scalar(&inputs, &mut out)
             .expect("stage program");
-        let quad = |base: usize| [out[base], out[base + 1], out[base + 2], out[base + 3]];
-        StagePoint {
-            mem_fwd: out[stage_roots::MEM_FWD],
-            mem_bwd: out[stage_roots::MEM_BWD],
-            mem_resident: out[stage_roots::MEM_RESIDENT],
-            mem_act_per_mb: out[stage_roots::MEM_ACT_PER_MB],
-            mem_transient_fwd: out[stage_roots::MEM_TRANSIENT_FWD],
-            mem_transient_bwd: out[stage_roots::MEM_TRANSIENT_BWD],
-            fwd: quad(stage_roots::FWD),
-            bwd: quad(stage_roots::BWD),
-            first_extra: quad(stage_roots::FIRST_EXTRA),
-            last_extra: quad(stage_roots::LAST_EXTRA),
-        }
+        StagePoint::from_roots(|root| out[root])
     }
 
     /// Evaluates all 22 roots over a batch in one fused pass.
     ///
     /// Output columns land in `ws` at the [`stage_roots`] indices; read
-    /// rows back with [`StageTapes::point_at`]. The workspace is reused
+    /// rows back with [`StagePoint::from_roots`]. The workspace is reused
     /// across calls, so steady-state evaluation performs no
     /// per-instruction allocation.
     ///
@@ -789,43 +796,17 @@ impl StageTapes {
         self.program.eval_batch(batch, ws)
     }
 
-    /// Assembles row `i` of a fused batch evaluation into a [`StagePoint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ws` was not filled by [`StageTapes::eval_batch_fused`]
-    /// or `i` is out of range.
-    pub fn point_at(&self, ws: &EvalWorkspace, i: usize) -> StagePoint {
-        Self::assemble_point(&|root| ws.output(root)[i])
-    }
-
     /// Assembles row `i` of a compiled-backend batch evaluation into a
     /// [`StagePoint`]. The compiled backend is bit-identical to the
-    /// interpreter, so the assembled point is byte-for-byte the one
-    /// [`StageTapes::point_at`] would produce for the same row.
+    /// interpreter and to [`StageTapes::eval_point`], so the assembled
+    /// point is byte-for-byte the scalar one for the same row.
     ///
     /// # Panics
     ///
     /// Panics if `ws` was not filled by evaluating the fused stage
     /// program's compiled form, or `i` is out of range.
     pub fn point_at_compiled(&self, ws: &CompiledWorkspace, i: usize) -> StagePoint {
-        Self::assemble_point(&|root| ws.output(root)[i])
-    }
-
-    fn assemble_point(s: &dyn Fn(usize) -> f64) -> StagePoint {
-        let quad = |base: usize| [s(base), s(base + 1), s(base + 2), s(base + 3)];
-        StagePoint {
-            mem_fwd: s(stage_roots::MEM_FWD),
-            mem_bwd: s(stage_roots::MEM_BWD),
-            mem_resident: s(stage_roots::MEM_RESIDENT),
-            mem_act_per_mb: s(stage_roots::MEM_ACT_PER_MB),
-            mem_transient_fwd: s(stage_roots::MEM_TRANSIENT_FWD),
-            mem_transient_bwd: s(stage_roots::MEM_TRANSIENT_BWD),
-            fwd: quad(stage_roots::FWD),
-            bwd: quad(stage_roots::BWD),
-            first_extra: quad(stage_roots::FIRST_EXTRA),
-            last_extra: quad(stage_roots::LAST_EXTRA),
-        }
+        StagePoint::from_roots(|root| ws.output(root)[i])
     }
 
     /// Evaluates the two-root `mem_pair` program and returns the per-row
@@ -1151,8 +1132,8 @@ mod tests {
             }
         }
 
-        // point_at reads the same rows back, and the scalar path agrees.
-        let p1 = t.point_at(&ws, 1);
+        // Row 1 read back as a point agrees with the scalar path.
+        let p1 = StagePoint::from_roots(|root| ws.output(root)[1]);
         let cfg = StageConfigValues {
             layers: 8,
             ckpt: 4,

@@ -323,3 +323,69 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One busy time: zero, around the `1e-15` clamp, ordinary, or large.
+    fn busy_time() -> BoxedStrategy<f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1e-15),
+            1e-16f64..1e-14,
+            1e-6f64..10.0,
+            1e6f64..1e15,
+        ]
+        .boxed()
+    }
+
+    /// A `[compute, nccl, h2d, d2h]` row in which any stream may reuse a
+    /// shared value, so exact ties between streams are common.
+    fn row() -> BoxedStrategy<[f64; NUM_STREAMS]> {
+        (
+            (busy_time(), busy_time(), busy_time(), busy_time()),
+            busy_time(),
+            (0u8..3, 0u8..3, 0u8..3, 0u8..3),
+        )
+            .prop_map(|((a, b, c, d), shared, (pa, pb, pc, pd))| {
+                let pick = |fresh: f64, p: u8| if p == 0 { shared } else { fresh };
+                [pick(a, pa), pick(b, pb), pick(c, pc), pick(d, pd)]
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The batched Algorithm 1 applies the same update sequence to
+        /// every row as the scalar loop, so the two agree bit for bit —
+        /// the contract a columnar interference pass relies on.
+        #[test]
+        fn predict_batch_equals_predict_bitwise(
+            rows in prop::collection::vec(row(), 1..48),
+            nvlink in 0u8..2,
+        ) {
+            let model = if nvlink == 1 {
+                InterferenceModel::nvlink_defaults()
+            } else {
+                InterferenceModel::pcie_defaults()
+            };
+            let batch = model.predict_batch(&rows);
+            prop_assert_eq!(batch.len(), rows.len());
+            for (i, row) in rows.iter().enumerate() {
+                let scalar = model.predict(*row);
+                prop_assert_eq!(
+                    batch[i].to_bits(),
+                    scalar.to_bits(),
+                    "row {} {:?}: batch {} vs scalar {}",
+                    i,
+                    row,
+                    batch[i],
+                    scalar
+                );
+            }
+        }
+    }
+}

@@ -45,9 +45,8 @@
 //!   bits — deterministic operations on equal inputs give equal
 //!   results.
 //!
-//! Compilation is skipped (callers stay on the interpreter) only when
-//! the caller opts out — e.g. the tuner's `--no-compiled-eval` A/B
-//! flag; there is no program shape the backend cannot lower.
+//! There is no program shape the backend cannot lower: the tuner's
+//! intra-stage sweep runs every batch through it.
 
 use std::collections::HashMap;
 

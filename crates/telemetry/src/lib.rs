@@ -20,6 +20,9 @@
 //!   node fates, specializer cache traffic), each stamped with the
 //!   enclosing span id. Disabled by default with the same
 //!   one-atomic-load cost model as `span!`; see [`journal_event`].
+//! - Phase accounting ([`PhaseClock`], [`PhaseTotals`]): lap timers that
+//!   split a hot loop's wall time into contiguous phases without one
+//!   span per iteration, gated by the same flag.
 //!
 //! ```
 //! let collector = mist_telemetry::global();
@@ -39,6 +42,7 @@ mod chrome;
 mod collector;
 pub mod journal;
 mod metrics;
+mod phase;
 
 pub use chrome::TraceBuilder;
 pub use collector::{
@@ -49,3 +53,4 @@ pub use journal::{
     global_journal, journal_event, Journal, JournalEvent, JournalRecord, MilpNodeKind, OuterOutcome,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot};
+pub use phase::{PhaseClock, PhaseTotals};

@@ -86,7 +86,6 @@ pub struct Tuner<'a> {
     budget: Option<f64>,
     seed: Option<Arc<FrontierExport>>,
     mono_prune: bool,
-    compiled_eval: bool,
 }
 
 impl<'a> Tuner<'a> {
@@ -109,7 +108,6 @@ impl<'a> Tuner<'a> {
             budget: None,
             seed: None,
             mono_prune: true,
-            compiled_eval: true,
         }
     }
 
@@ -148,16 +146,6 @@ impl<'a> Tuner<'a> {
     /// — so the toggle exists for A/B studies and byte-identity tests.
     pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
-        self
-    }
-
-    /// Enables or disables the compiled evaluation backend (default on):
-    /// superinstruction-fused, direct-threaded kernels and the
-    /// memory-first filtered sweep. The backend is bit-identical to the
-    /// interpreter, so the plan never changes — the toggle exists for
-    /// A/B studies and byte-identity tests.
-    pub fn with_compiled_eval(mut self, enabled: bool) -> Self {
-        self.compiled_eval = enabled;
         self
     }
 
@@ -229,9 +217,7 @@ impl<'a> Tuner<'a> {
         if let Some(seed) = &self.seed {
             intra = intra.with_seed(Arc::clone(seed));
         }
-        intra
-            .with_monotone_prune(self.mono_prune)
-            .with_compiled_eval(self.compiled_eval)
+        intra.with_monotone_prune(self.mono_prune)
     }
 
     /// Runs the full hierarchical tuning loop.
@@ -474,10 +460,8 @@ impl<'a> Tuner<'a> {
         collector.counter_add("specializer.cache_hits", spec_hits);
         collector.counter_add("specializer.cache_misses", spec_misses);
         if compile_hits + compile_misses > 0 {
-            // Published only when the compiled backend actually ran, so
-            // `--no-compiled-eval` telemetry stays byte-identical to
-            // older builds (the same cold-stability rule as seeding and
-            // monotone pruning above).
+            // Published only when a sweep actually compiled or reused a
+            // program (a fully seeded warm start sweeps nothing).
             collector.counter_add("tuner.compile.hits", compile_hits);
             collector.counter_add("tuner.compile.misses", compile_misses);
         }
@@ -487,6 +471,19 @@ impl<'a> Tuner<'a> {
         collector.gauge_set("tuner.elapsed_secs", stats.elapsed_secs);
         collector.gauge_set("tuner.intra_secs", stats.intra_secs);
         collector.gauge_set("tuner.inter_secs", stats.inter_secs);
+        // The sweep's phase split: wall-clock like `tuner.intra_secs`,
+        // and only measured while the collector is on.
+        let phase_secs: Vec<(String, f64)> = if collector.is_enabled() {
+            intra
+                .phase_secs()
+                .map(|(name, secs)| (format!("intra.phase_secs.{name}"), secs))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for (name, secs) in &phase_secs {
+            collector.gauge_set(name, *secs);
+        }
         // `pool.workers` is set when a pool is constructed, which can
         // predate the collector being enabled — refresh it here.
         // (`pool.tasks_stolen` is published by the pool itself as steals
@@ -577,6 +574,9 @@ impl<'a> Tuner<'a> {
             .gauges
             .entry("tuner.inter_secs".to_owned())
             .or_insert(stats.inter_secs);
+        for (name, secs) in phase_secs {
+            telemetry.gauges.entry(name).or_insert(secs);
+        }
         // Pool stats are scheduling-dependent (like the wall-clocks above,
         // they vary run to run and with --threads): consumers comparing
         // outcomes for determinism must strip them alongside the timing
@@ -765,8 +765,8 @@ mod tests {
             out.telemetry.counter("tuner.outer_candidates"),
             out.stats.outer_candidates as u64
         );
-        // The default sweep runs through the compiled backend — step
-        // tables get built, residual specialization sees no traffic —
+        // The sweep runs through the compiled backend — step tables
+        // get built, residual specialization sees no traffic —
         // and both caches' activity is part of the self-contained
         // telemetry.
         assert!(out
@@ -957,92 +957,6 @@ mod tests {
                 .contains_key("tuner.rejections.mono_pruned"),
             "unpruned runs must not grow new telemetry keys"
         );
-    }
-
-    /// The compiled backend must be invisible in the output: plan,
-    /// Pareto samples, predicted numbers, rejection attribution and the
-    /// `configs_evaluated` accounting are all byte-identical with the
-    /// backend on and off — the memory-first filter changes which rows
-    /// pay for the 22-root program, never how rows are counted. The
-    /// tight budget forces real OOM rejections through both the `∞`
-    /// marker path and the mem-first filter.
-    #[test]
-    fn compiled_eval_is_byte_identical() {
-        let model = gpt3(ModelSize::B6_7, 2048, AttentionImpl::Flash);
-        let cluster = ClusterSpec::for_gpu_count(Platform::GcpL4, 4);
-        let db = OpCostDb::new(GpuSpec::l4());
-        let intf = InterferenceModel::pcie_defaults();
-        let space = SearchSpace::mist();
-        let run = |compiled: bool| {
-            Tuner::new(&model, &cluster, &db, &space, &intf)
-                .with_max_grad_accum(8)
-                .with_budget(3e9)
-                .with_compiled_eval(compiled)
-                .tune(16)
-                .expect("6.7B at a 3 GB budget must still be tunable")
-        };
-        let off = run(false);
-        let on = run(true);
-
-        assert_eq!(
-            serde_json::to_string(&off.plan).unwrap(),
-            serde_json::to_string(&on.plan).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&off.stage_points).unwrap(),
-            serde_json::to_string(&on.stage_points).unwrap()
-        );
-        assert_eq!(
-            off.predicted_iteration.to_bits(),
-            on.predicted_iteration.to_bits()
-        );
-        assert_eq!(
-            off.predicted_throughput.to_bits(),
-            on.predicted_throughput.to_bits()
-        );
-        // The filter never changes accounting: every enumerated row is
-        // attributed to exactly the same bucket under both backends.
-        assert_eq!(off.stats.configs_evaluated, on.stats.configs_evaluated);
-        for key in [
-            "tuner.rejections.oom",
-            "tuner.rejections.nonfinite",
-            "tuner.rejections.dominated",
-        ] {
-            assert_eq!(
-                off.telemetry.counter(key),
-                on.telemetry.counter(key),
-                "{key} must not change under the compiled backend"
-            );
-        }
-        assert!(
-            on.telemetry.counter("tuner.rejections.oom") > 0,
-            "the tight budget must reject rows through the mem-first filter"
-        );
-        // Cache telemetry: compiled runs surface the step-table cache,
-        // interpreter-only runs must not grow new keys.
-        assert!(
-            on.telemetry.counter("tuner.compile.misses") > 0,
-            "compiled runs must build at least one step table"
-        );
-        assert!(
-            on.telemetry.counter("tuner.compile.hits") > 0,
-            "the mem_pair residual recurs within each group, so the \
-             compile cache must hit"
-        );
-        assert!(
-            on.telemetry.gauge("symbolic.program.superinstrs") > 0.0,
-            "real sweep programs must contain fusible op pairs"
-        );
-        for key in ["tuner.compile.hits", "tuner.compile.misses"] {
-            assert!(
-                !off.telemetry.counters.contains_key(key),
-                "interpreter-only runs must not grow new telemetry keys"
-            );
-        }
-        assert!(!off
-            .telemetry
-            .gauges
-            .contains_key("symbolic.program.superinstrs"));
     }
 
     /// An exact-batch re-tune from the export skips every sweep.

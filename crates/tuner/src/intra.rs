@@ -23,12 +23,23 @@
 //! * Layer count `l` enters the tapes as a plain symbol, so all layer
 //!   counts share one batch — the frontier for every `l` falls out of a
 //!   single evaluation pass.
+//!
+//! Each `(dp, tp, b)` candidate is swept as **one columnar batch**: its
+//! rows are the retained layer counts × ZeRO levels × offload combos,
+//! with every knob a value column. Rows are group-major and layer-minor
+//! (`(zero, offload)` outer, `L` inner), so appending feasible rows to
+//! each layer count's list reproduces the order of a row-by-row sweep
+//! over `(zero, offload)` groups exactly — Pareto reduction, and with it
+//! every sampled frontier, sees a byte-identical input sequence. The
+//! sweep keeps only a small `FeasibleRow` per feasible row plus the
+//! survivors' output columns; Pareto reduction runs on the `(t, d)`
+//! columns and materializes a [`ParetoPoint`] only for sampled rows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use mist_graph::{
-    sweep_frozen_symbols, StageAnalyzer, StageCandidate, StageConfigValues, StagePoint, StageRole,
+    stage_roots, StageAnalyzer, StageCandidate, StageConfigValues, StagePoint, StageRole,
     StageTapes,
 };
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
@@ -37,7 +48,8 @@ use mist_irlint::{monotonicity, root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
 use mist_schedule::stage_times;
-use mist_symbolic::{BatchBindings, CompiledWorkspace, EvalWorkspace};
+use mist_symbolic::{BatchBindings, CompiledWorkspace};
+use mist_telemetry::{PhaseClock, PhaseTotals};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +90,86 @@ pub struct FrontierKey {
 }
 
 type TapeKey = (DeviceMesh, u32, u32, u64, StageRole);
+
+/// The intra-stage sweep's phases, in lap order: published as
+/// `intra.phase_secs.<name>` gauges when the telemetry collector is on.
+/// They tile every `intra.frontier` span (each lap charges the time
+/// since the previous one), so they sum to the sweep's wall time.
+pub const SWEEP_PHASES: [&str; 8] = [
+    "tapes",
+    "analyses",
+    "ckpt_resolve",
+    "mem_filter",
+    "full_eval",
+    "interference",
+    "walk",
+    "pareto",
+];
+
+/// Lap indices into [`SWEEP_PHASES`].
+mod phase {
+    pub const TAPES: usize = 0;
+    pub const ANALYSES: usize = 1;
+    pub const CKPT_RESOLVE: usize = 2;
+    pub const MEM_FILTER: usize = 3;
+    pub const FULL_EVAL: usize = 4;
+    pub const INTERFERENCE: usize = 5;
+    pub const WALK: usize = 6;
+    pub const PARETO: usize = 7;
+}
+
+type SweepClock = PhaseClock<{ SWEEP_PHASES.len() }>;
+
+/// The four offloading-ratio symbols, in `SearchSpace::offload_combos`
+/// element order.
+const OFFLOAD_SYMS: [&str; 4] = ["wo", "go", "oo", "ao"];
+
+/// One feasible sweep row, kept small until Pareto reduction decides
+/// whether it becomes a [`ParetoPoint`].
+#[derive(Debug, Clone, Copy)]
+struct FeasibleRow {
+    t: f64,
+    d: f64,
+    mem_peak: f64,
+    config: StageConfigValues,
+    /// Column of this row in its candidate's survivor outputs.
+    surv: u32,
+}
+
+/// The sweep of one `(dp, tp, b)` candidate: feasible rows per layer
+/// count (in `per_l` append order) and the 22 stage-root output columns
+/// of the rows that survived the memory filter, which
+/// [`FeasibleRow::surv`] indexes.
+struct CandidateSweep {
+    candidate: StageCandidate,
+    per_l: Vec<Vec<FeasibleRow>>,
+    outputs: Vec<Vec<f64>>,
+    tally: SweepTally,
+}
+
+impl CandidateSweep {
+    /// Materializes feasible row `row` of layer count index `l`.
+    fn point(&self, l: usize, row: usize) -> ParetoPoint {
+        let r = &self.per_l[l][row];
+        let j = r.surv as usize;
+        ParetoPoint {
+            t: r.t,
+            d: r.d,
+            mem_peak: r.mem_peak,
+            candidate: self.candidate,
+            config: r.config,
+            point: StagePoint::from_roots(|root| self.outputs[root][j]),
+        }
+    }
+}
+
+/// One evaluation workspace per compiled program, so alternating
+/// between `mem_pair` and the stage program never re-prepares either.
+#[derive(Default)]
+struct SweepWorkspaces {
+    mem: CompiledWorkspace,
+    stage: CompiledWorkspace,
+}
 
 /// Per-sweep rejection tally, accumulated while a candidate's rows are
 /// evaluated and merged across candidates. Plain sums (and an
@@ -202,11 +294,11 @@ pub struct IntraStageTuner<'a> {
     // inflight) — the `BudgetProof::StaticFit` derivation, cached
     // because candidates recur across frontier keys.
     mem_hi_cache: Mutex<HashMap<(usize, u32), f64>>,
-    // Per-sweep program specialization: residual programs per
-    // (program, frozen-group) pair plus the sweep-domain guard facts.
+    // Content-addressed compile cache of the stage programs, shared by
+    // every frontier key that sweeps the same tapes.
     specializer: Specializer,
-    // The exact symbol ranges this tuner's space sweeps — the soundness
-    // domain of the specializer's guard facts.
+    // The exact symbol ranges this tuner's space sweeps — the domain of
+    // the monotonicity and interval analyses.
     domains: DomainMap,
     // Per-instance telemetry counter (not the global registry): cache-hit
     // semantics are part of this type's contract and tests compare exact
@@ -217,17 +309,13 @@ pub struct IntraStageTuner<'a> {
     rejections: RejectionCounters,
     // High-water sampled frontier size across all (key, layer) families.
     frontier_size: mist_telemetry::Gauge,
-    // Direct-threaded evaluation through the compiled backend, with the
-    // memory-first filtered sweep (default on). Bit-identical to the
-    // interpreter, so this toggle exists for A/B studies and the
-    // byte-identity tests — mirroring `mono_prune`.
-    compiled_eval: bool,
-    // Reused across batch evaluations: register and output columns are
+    // Wall time per sweep phase, accumulated only while the telemetry
+    // collector is enabled.
+    phases: PhaseTotals<{ SWEEP_PHASES.len() }>,
+    // Reused across candidates: register and output columns are
     // allocated once per concurrent evaluator and recycled for the whole
-    // search. Tasks check a workspace out, use it, and return it.
-    workspaces: Mutex<Vec<EvalWorkspace>>,
-    // Same pooling for the compiled backend's block-register scratch.
-    compiled_workspaces: Mutex<Vec<CompiledWorkspace>>,
+    // search. Tasks check a workspace pair out, use it, and return it.
+    workspaces: Mutex<Vec<SweepWorkspaces>>,
 }
 
 impl<'a> IntraStageTuner<'a> {
@@ -265,9 +353,8 @@ impl<'a> IntraStageTuner<'a> {
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
             frontier_size: mist_telemetry::Gauge::new(),
-            compiled_eval: true,
+            phases: PhaseTotals::new(),
             workspaces: Mutex::new(Vec::new()),
-            compiled_workspaces: Mutex::new(Vec::new()),
         }
     }
 
@@ -283,17 +370,6 @@ impl<'a> IntraStageTuner<'a> {
     /// studies and the byte-identity tests.
     pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
-        self
-    }
-
-    /// Enables or disables the compiled evaluation backend (default on):
-    /// superinstruction-fused, direct-threaded kernels plus the
-    /// memory-first filtered sweep. The backend is bit-identical to the
-    /// interpreter on every root and row, so frontiers, accounting and
-    /// journal order never change — the toggle exists for A/B studies
-    /// and the byte-identity tests.
-    pub fn with_compiled_eval(mut self, enabled: bool) -> Self {
-        self.compiled_eval = enabled;
         self
     }
 
@@ -318,26 +394,6 @@ impl<'a> IntraStageTuner<'a> {
         &self.pool
     }
 
-    /// Checks a reusable evaluation workspace out of the pool.
-    fn take_workspace(&self) -> EvalWorkspace {
-        self.workspaces.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a workspace for the next task to reuse.
-    fn put_workspace(&self, ws: EvalWorkspace) {
-        self.workspaces.lock().push(ws);
-    }
-
-    /// Checks a compiled-backend workspace out of the pool.
-    fn take_compiled_workspace(&self) -> CompiledWorkspace {
-        self.compiled_workspaces.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a compiled-backend workspace for the next task to reuse.
-    fn put_compiled_workspace(&self, ws: CompiledWorkspace) {
-        self.compiled_workspaces.lock().push(ws);
-    }
-
     /// Number of configurations evaluated so far (tuning-time studies).
     pub fn configs_evaluated(&self) -> u64 {
         self.configs_evaluated.value()
@@ -348,7 +404,7 @@ impl<'a> IntraStageTuner<'a> {
         self.seeded.value()
     }
 
-    /// The per-sweep program specialization cache (telemetry surfacing).
+    /// The stage-program compile cache (telemetry surfacing).
     pub fn specializer(&self) -> &Specializer {
         &self.specializer
     }
@@ -356,6 +412,12 @@ impl<'a> IntraStageTuner<'a> {
     /// Rejection attribution counters (driver publication).
     pub(crate) fn rejections(&self) -> &RejectionCounters {
         &self.rejections
+    }
+
+    /// Seconds spent per sweep phase, as `(name, secs)` in lap order —
+    /// all zero unless the telemetry collector was enabled.
+    pub(crate) fn phase_secs(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        SWEEP_PHASES.into_iter().zip(self.phases.secs())
     }
 
     /// Largest sampled per-layer frontier seen so far.
@@ -598,8 +660,23 @@ impl<'a> IntraStageTuner<'a> {
         self.configs_evaluated.inc();
         let tapes = self.tapes(cand);
         let point = tapes.eval_point(cfg);
-        let (t, d) = if self.space.overlap_aware {
-            let st = stage_times(&point, self.interference);
+        let (t, d) = self.stage_td(&point);
+        ParetoPoint {
+            t,
+            d,
+            mem_peak: point.mem_peak(),
+            candidate: *cand,
+            config: *cfg,
+            point,
+        }
+    }
+
+    /// The stable microbatch time `t` and first/last delta `d` of one
+    /// evaluated point: through the interference model, or as serial
+    /// stream sums when the space is not overlap-aware (shortcoming #1).
+    fn stage_td(&self, point: &StagePoint) -> (f64, f64) {
+        if self.space.overlap_aware {
+            let st = stage_times(point, self.interference);
             (st.t, st.d)
         } else {
             let sum = |s: [f64; 4]| s.iter().sum::<f64>();
@@ -607,14 +684,6 @@ impl<'a> IntraStageTuner<'a> {
                 sum(point.fwd) + sum(point.bwd),
                 sum(point.first_extra) + sum(point.last_extra),
             )
-        };
-        ParetoPoint {
-            t,
-            d,
-            mem_peak: point.mem_fwd.max(point.mem_bwd),
-            candidate: *cand,
-            config: *cfg,
-            point,
         }
     }
 
@@ -680,59 +749,64 @@ impl<'a> IntraStageTuner<'a> {
             .collect();
 
         // Fan the candidates out over the pool. Merging the per-candidate
-        // partials in submission order keeps the pareto input sequence —
+        // sweeps in submission order keeps the pareto input sequence —
         // and therefore the sampled frontier — byte-identical to a
         // sequential sweep at any thread count.
-        let partials = self.pool.map_ordered(cands, |cand| {
-            let tapes = self.tapes(&cand);
-            let mut ws = self.take_workspace();
-            let mut cws = self.take_compiled_workspace();
-            let mut partial: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
-            let mut tally = SweepTally {
-                mem_hi: self.static_mem_hi(&tapes, key.inflight),
-                ..SweepTally::default()
-            };
-            self.evaluate_candidate(
-                &cand,
-                &tapes,
-                key,
-                max_layers,
-                &mut partial,
-                &mut ws,
-                &mut cws,
-                &mut tally,
-            );
-            self.put_workspace(ws);
-            self.put_compiled_workspace(cws);
-            (partial, tally)
+        let sweeps = self.pool.map_ordered(cands, |cand| {
+            let mut clock = SweepClock::start();
+            let mut ws = self.workspaces.lock().pop().unwrap_or_default();
+            let sweep = self.sweep_candidate(cand, key, max_layers, &mut ws, &mut clock);
+            self.workspaces.lock().push(ws);
+            self.phases.add(&clock);
+            sweep
         });
-        let mut per_l: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
+        let mut clock = SweepClock::start();
         let mut tally = SweepTally::default();
-        for (partial, part_tally) in partials {
-            tally.merge(&part_tally);
-            for (dst, src) in per_l.iter_mut().zip(partial) {
-                dst.extend(src);
-            }
+        for sweep in &sweeps {
+            tally.merge(&sweep.tally);
         }
-        let feasible: u64 = per_l.iter().map(|p| p.len() as u64).sum();
+        let feasible: u64 = sweeps
+            .iter()
+            .flat_map(|s| &s.per_l)
+            .map(|rows| rows.len() as u64)
+            .sum();
         debug_assert_eq!(
             tally.enumerated,
             tally.oom + tally.nonfinite + feasible + tally.mono_pruned,
             "every enumerated row must be attributed to exactly one outcome"
         );
 
-        // Pareto-reduce and sample each layer count.
-        for points in per_l.iter_mut() {
-            if points.is_empty() {
-                continue;
-            }
-            let td: Vec<(f64, f64)> = points.iter().map(|p| (p.t, p.d)).collect();
-            let frontier = pareto_frontier(&td);
-            let sampled = sample_frontier(&frontier, self.space.pareto_samples);
-            let mut kept: Vec<ParetoPoint> = sampled.iter().map(|&i| points[i].clone()).collect();
-            kept.sort_by(|a, b| a.t.total_cmp(&b.t));
-            *points = kept;
-        }
+        // Pareto-reduce and sample each layer count in `(t, d)` column
+        // space; only sampled rows become `ParetoPoint`s.
+        let mut td: Vec<(f64, f64)> = Vec::new();
+        let mut src: Vec<(usize, usize)> = Vec::new();
+        let per_l: Vec<Vec<ParetoPoint>> = (0..max_layers as usize)
+            .map(|l| {
+                td.clear();
+                src.clear();
+                for (c, sweep) in sweeps.iter().enumerate() {
+                    for (row, r) in sweep.per_l[l].iter().enumerate() {
+                        td.push((r.t, r.d));
+                        src.push((c, row));
+                    }
+                }
+                if td.is_empty() {
+                    return Vec::new();
+                }
+                let frontier = pareto_frontier(&td);
+                let sampled = sample_frontier(&frontier, self.space.pareto_samples);
+                let mut kept: Vec<ParetoPoint> = sampled
+                    .iter()
+                    .map(|&i| {
+                        let (c, row) = src[i];
+                        sweeps[c].point(l, row)
+                    })
+                    .collect();
+                kept.sort_by(|a, b| a.t.total_cmp(&b.t));
+                kept
+            })
+            .collect();
+        drop(sweeps);
 
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
         let survived: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -772,49 +846,54 @@ impl<'a> IntraStageTuner<'a> {
             mono_pruned: tally.mono_pruned,
             sizes: sizes.clone(),
         });
+        clock.lap(phase::PARETO);
+        self.phases.add(&clock);
         per_l
     }
 
-    /// Batch-evaluates one `(dp, tp, b)` candidate over all layer counts,
-    /// ZeRO levels and offload combos, appending feasible points.
+    /// Sweeps one `(dp, tp, b)` candidate over all layer counts, ZeRO
+    /// levels and offload combos as a single columnar batch.
     ///
-    /// The sweep is grouped by `(zero, offload)`: within a group those
-    /// knobs — plus `inflight`, and `ckpt` under [`CkptMode::None`] — are
-    /// constant and the batch only varies `L`/`ckpt`. Groups iterate
-    /// ZeRO-outer/offload-inner, which appends points to each `per_l[l]`
-    /// in exactly the order the ungrouped `(l, zero, offload)` row sweep
-    /// produced — downstream Pareto reduction sees a byte-identical
-    /// input sequence.
+    /// Rows are group-major and layer-minor: `(zero, offload)` groups in
+    /// ZeRO-outer/offload-inner order, and within a group one row per
+    /// retained layer count. Walking rows in that order appends feasible
+    /// rows to each layer count's list in exactly the order a row-by-row
+    /// `(l, zero, offload)` sweep produced, so downstream Pareto
+    /// reduction sees a byte-identical input sequence.
     ///
-    /// Under the interpreter (`--no-compiled-eval`) the 22-root stage
-    /// program is specialized once per group via the shared
-    /// [`Specializer`] cache and the group knobs vanish from the
-    /// residual. Under the compiled backend (default on) the *generic*
-    /// programs are compiled once per candidate instead — group knobs
-    /// stay bound as batch scalars — and each group runs as a
-    /// *memory-first filtered sweep*: the two-root `mem_pair` is
-    /// evaluated over every row, rows that fail the budget check are
-    /// rejected without ever running the 22-root program, and the
-    /// survivors are compacted into a smaller batch. Both backends are
-    /// bit-identical per row and the survivor compaction preserves row
-    /// order, so frontiers, tallies and journal order never differ.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate(
+    /// Evaluation is memory-first: `ckpt` is resolved by three
+    /// `mem_pair` passes over the whole batch, one more `mem_pair` pass
+    /// at the resolved counts rejects every row whose peak memory busts
+    /// the budget, and only the survivors — compacted in row order — run
+    /// the 22-root stage program.
+    fn sweep_candidate(
         &self,
-        cand: &StageCandidate,
-        tapes: &StageTapes,
+        cand: StageCandidate,
         key: FrontierKey,
         max_layers: u32,
-        per_l: &mut [Vec<ParetoPoint>],
-        ws: &mut EvalWorkspace,
-        cws: &mut CompiledWorkspace,
-        tally: &mut SweepTally,
-    ) {
+        ws: &mut SweepWorkspaces,
+        clock: &mut SweepClock,
+    ) -> CandidateSweep {
+        let nl = max_layers as usize;
+        let tapes = self.tapes(&cand);
+        let stage = self.specializer.compiled(&tapes.program);
+        let mem = self.specializer.compiled(&tapes.mem_pair);
+        clock.lap(phase::TAPES);
+
+        let mut sweep = CandidateSweep {
+            candidate: cand,
+            per_l: vec![Vec::new(); nl],
+            outputs: Vec::new(),
+            tally: SweepTally {
+                mem_hi: self.static_mem_hi(&tapes, key.inflight),
+                ..SweepTally::default()
+            },
+        };
+        let tally = &mut sweep.tally;
         let combos = self.space.offload_combos();
         let zeros = self.space.zero_levels();
-        let rows_per_l = (zeros.len() * combos.len()) as u64;
-        let nl = max_layers as usize;
-        tally.enumerated += nl as u64 * rows_per_l;
+        let groups = zeros.len() * combos.len();
+        tally.enumerated += (nl * groups) as u64;
 
         // Proof-licensed monotone pruning: a layer count whose rows
         // *all* ran out of memory at a smaller in-flight count is
@@ -823,7 +902,7 @@ impl<'a> IntraStageTuner<'a> {
         // again and contribute nothing. The frontier is unchanged by
         // construction; only the evaluated-row count shrinks.
         let tape_key: TapeKey = (cand.mesh, cand.dp, cand.tp, cand.micro_batch, cand.role);
-        let licensed = self.mono_prune && rows_per_l > 0 && self.mono_licensed(tapes);
+        let licensed = self.mono_prune && groups > 0 && self.mono_licensed(&tapes);
         let mut retained: Vec<u32> = Vec::with_capacity(nl);
         let mut skipped: Vec<u32> = Vec::new();
         let mut skip_floor = 0u32;
@@ -841,8 +920,10 @@ impl<'a> IntraStageTuner<'a> {
         } else {
             retained.extend(1..=max_layers);
         }
+        clock.lap(phase::ANALYSES);
         if !skipped.is_empty() {
-            tally.mono_pruned += skipped.len() as u64 * rows_per_l;
+            let rows = (skipped.len() * groups) as u64;
+            tally.mono_pruned += rows;
             // Extrapolated OOMs: the budget shaped the sweep outcome.
             tally.budget_bound = true;
             mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::MonotonePrune {
@@ -852,238 +933,199 @@ impl<'a> IntraStageTuner<'a> {
                 inflight: key.inflight,
                 floor: skip_floor,
                 layers: skipped.clone(),
-                rows: skipped.len() as u64 * rows_per_l,
+                rows,
             });
         }
-        if retained.is_empty() {
-            return;
+        if retained.is_empty() || groups == 0 {
+            return sweep;
         }
-        self.configs_evaluated
-            .add(retained.len() as u64 * rows_per_l);
-
         let nr = retained.len();
-        let ls: Vec<f64> = retained.iter().map(|&l| f64::from(l)).collect();
-        // Per retained layer count, across all (zero, offload) groups:
-        // whether any row was feasible or non-finite, and whether any
-        // OOM came from the conservative post-evaluation recheck rather
-        // than the analytic `ckpt = ∞` path. An all-OOM layer count
-        // becomes a floor for larger in-flight counts — except under
-        // tuned checkpointing with a recheck OOM, where the resolved
-        // `ckpt` changes with `inflight` and the outcome is not
-        // directly extrapolatable.
-        let mut any_feasible = vec![false; nr];
-        let mut any_nonfinite = vec![false; nr];
-        let mut recheck_oom = vec![false; nr];
-        let frozen_ckpt = match self.space.ckpt {
-            CkptMode::None => Some(0),
-            CkptMode::Full | CkptMode::Tuned => None,
-        };
+        let n = groups * nr;
+        self.configs_evaluated.add(n as u64);
 
-        // The compiled backend lowers the *generic* stage programs —
-        // not the per-group residuals. A group's batch is ~30 rows, far
-        // too small to amortize a fresh specialize + compile (the
-        // residual is used exactly once), while `tapes.program` and
-        // `tapes.mem_pair` are shared by every `(zero, offload)` group
-        // of this candidate and by every frontier key that reuses its
-        // tapes — so the content-addressed compile cache hits almost
-        // always. The frozen knobs are bound as batch scalars instead,
-        // which the specializer's own contract proves byte-identical to
-        // evaluating the residual.
-        let compiled = self.compiled_eval.then(|| {
-            (
-                self.specializer.compiled(&tapes.program),
-                self.specializer.compiled(&tapes.mem_pair),
-            )
-        });
-
+        // The candidate's rows as columns, group-major and layer-minor.
+        let mut l_col = Vec::with_capacity(n);
+        let mut zero_col = Vec::with_capacity(n);
+        let mut off_cols: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
         for &z in zeros {
-            for &off in &combos {
-                let frozen = sweep_frozen_symbols(z, off, key.inflight, frozen_ckpt);
-                // One row per retained layer count. The frozen symbols
-                // are bound too: specialization removes them from the
-                // residual table, but an extra binding is free and
-                // keeps the batch valid for any residual shape.
-                let mut batch = BatchBindings::new(nr);
-                batch.set_values("L", ls.clone());
-                batch.set_scalar("zero", f64::from(z));
-                batch.set_scalar("wo", off[0]);
-                batch.set_scalar("go", off[1]);
-                batch.set_scalar("oo", off[2]);
-                batch.set_scalar("ao", off[3]);
-                batch.set_scalar("inflight", f64::from(key.inflight));
-
-                // The two-root `mem_pair` residual backing the
-                // interpreter's tuned-checkpoint probes. The compiled
-                // backend uses the generic compiled `mem_pair` instead
-                // (hoisted above), so it never pays the per-group
-                // specialization pass.
-                let mem = (!self.compiled_eval && self.space.ckpt == CkptMode::Tuned).then(|| {
-                    self.specializer
-                        .specialized(&tapes.mem_pair, &frozen, &self.domains)
-                });
-
-                // Resolve the checkpoint count per row through the
-                // two-root `mem_pair` program (peak memory only — no
-                // need to evaluate all 22 roots for the feasibility
-                // probes).
-                let ckpt_col: Vec<f64> = match self.space.ckpt {
-                    CkptMode::None => vec![0.0; nr],
-                    CkptMode::Full => ls.clone(),
-                    CkptMode::Tuned => {
-                        let mut mem_at = |ckpt_of: &dyn Fn(f64) -> f64| -> Vec<f64> {
-                            batch.set_values("ckpt", ls.iter().map(|&l| ckpt_of(l)).collect());
-                            match &compiled {
-                                Some((_, cmem)) => {
-                                    cmem.eval_batch(&batch, cws).expect("mem_pair program");
-                                    cws.output(0)
-                                        .iter()
-                                        .zip(cws.output(1))
-                                        .map(|(&f, &b)| f.max(b))
-                                        .collect()
-                                }
-                                None => {
-                                    let mem =
-                                        mem.as_ref().expect("mem_pair residual exists under Tuned");
-                                    mem.eval_batch(&batch, ws).expect("mem_pair program");
-                                    ws.output(0)
-                                        .iter()
-                                        .zip(ws.output(1))
-                                        .map(|(&f, &b)| f.max(b))
-                                        .collect()
-                                }
-                            }
-                        };
-                        let m0 = mem_at(&|_| 0.0);
-                        let m1 = mem_at(&|_| 1.0);
-                        let ml = mem_at(&|l| l);
-                        retained
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &l)| minimal_ckpt(m0[i], m1[i], ml[i], l, self.budget))
-                            .collect()
-                    }
-                };
-                // A nonzero tuned checkpoint count (incl. the `∞`
-                // infeasibility marker) means the budget shaped this
-                // row — the sweep is not reusable under other budgets.
-                if self.space.ckpt == CkptMode::Tuned && ckpt_col.iter().any(|&c| c != 0.0) {
-                    tally.budget_bound = true;
-                }
-                batch.set_values("ckpt", ckpt_col.clone());
-
-                // One pass over all 22 roots at the resolved checkpoint
-                // counts. Rows whose `ckpt` is the `∞` infeasibility
-                // marker are out of the guard-fact domain; they are
-                // discarded below, never read back.
-                if let Some((cprog, cmem)) = &compiled {
-                    // Memory-first filtered sweep: the two-root
-                    // `mem_pair` runs over every row first; rows whose
-                    // resolved `ckpt` is `∞` or whose peak memory busts
-                    // the budget are rejected without ever paying for
-                    // the 22-root program. Survivors keep their sweep
-                    // order, so the compacted outputs read back in
-                    // exactly the order the unfiltered loop visits them.
-                    cmem.eval_batch(&batch, cws).expect("mem_pair program");
-                    let mem_peaks: Vec<f64> = cws
-                        .output(0)
-                        .iter()
-                        .zip(cws.output(1))
-                        .map(|(&f, &b)| f.max(b))
-                        .collect();
-                    // The survivor predicate must be the exact
-                    // complement of the rejection tests in the walk
-                    // below, or a NaN peak (never > budget, never
-                    // <= budget) would desynchronize the cursor.
-                    let mut surv_ls: Vec<f64> = Vec::with_capacity(nr);
-                    let mut surv_ckpts: Vec<f64> = Vec::with_capacity(nr);
-                    for (i, &l) in retained.iter().enumerate() {
-                        // `!(a > b)` rather than `a <= b`: the walk
-                        // rejects on `> budget`, and a NaN peak must
-                        // land on the same side here.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        if !ckpt_col[i].is_infinite() && !(mem_peaks[i] > self.budget) {
-                            surv_ls.push(f64::from(l));
-                            surv_ckpts.push(ckpt_col[i]);
-                        }
-                    }
-                    if !surv_ls.is_empty() {
-                        let mut surv = BatchBindings::new(surv_ls.len());
-                        surv.set_values("L", surv_ls);
-                        surv.set_values("ckpt", surv_ckpts);
-                        surv.set_scalar("zero", f64::from(z));
-                        surv.set_scalar("wo", off[0]);
-                        surv.set_scalar("go", off[1]);
-                        surv.set_scalar("oo", off[2]);
-                        surv.set_scalar("ao", off[3]);
-                        surv.set_scalar("inflight", f64::from(key.inflight));
-                        cprog
-                            .eval_batch(&surv, cws)
-                            .expect("compiled stage program");
-                    }
-                    // Walk the ORIGINAL row order; `cursor` tracks the
-                    // next survivor column in the compacted outputs.
-                    let mut cursor = 0usize;
-                    for (i, &l) in retained.iter().enumerate() {
-                        let ckpt = ckpt_col[i];
-                        if ckpt.is_infinite() {
-                            tally.oom += 1;
-                            continue; // No feasible checkpoint count.
-                        }
-                        if mem_peaks[i] > self.budget {
-                            tally.oom += 1;
-                            tally.budget_bound = true;
-                            recheck_oom[i] = true;
-                            continue; // Rejected by the mem-first pre-pass.
-                        }
-                        let point = tapes.point_at_compiled(cws, cursor);
-                        cursor += 1;
-                        self.classify_row(
-                            cand,
-                            key,
-                            i,
-                            l,
-                            z,
-                            off,
-                            ckpt,
-                            point,
-                            per_l,
-                            tally,
-                            &mut any_feasible,
-                            &mut any_nonfinite,
-                            &mut recheck_oom,
-                        );
-                    }
-                } else {
-                    let spec = self
-                        .specializer
-                        .specialized(&tapes.program, &frozen, &self.domains);
-                    spec.eval_batch(&batch, ws)
-                        .expect("specialized stage program");
-                    for (i, &l) in retained.iter().enumerate() {
-                        let ckpt = ckpt_col[i];
-                        if ckpt.is_infinite() {
-                            tally.oom += 1;
-                            continue; // No feasible checkpoint count.
-                        }
-                        let point = tapes.point_at(ws, i);
-                        self.classify_row(
-                            cand,
-                            key,
-                            i,
-                            l,
-                            z,
-                            off,
-                            ckpt,
-                            point,
-                            per_l,
-                            tally,
-                            &mut any_feasible,
-                            &mut any_nonfinite,
-                            &mut recheck_oom,
-                        );
+            for off in &combos {
+                for &l in &retained {
+                    l_col.push(f64::from(l));
+                    zero_col.push(f64::from(z));
+                    for (col, &v) in off_cols.iter_mut().zip(off) {
+                        col.push(v);
                     }
                 }
             }
+        }
+        let mut batch = BatchBindings::new(n);
+        batch.set_values("L", l_col.clone());
+        batch.set_values("zero", zero_col.clone());
+        for (name, col) in OFFLOAD_SYMS.iter().zip(&off_cols) {
+            batch.set_values(name, col.clone());
+        }
+        batch.set_scalar("inflight", f64::from(key.inflight));
+        let peaks = |ws: &CompiledWorkspace| -> Vec<f64> {
+            ws.output(0)
+                .iter()
+                .zip(ws.output(1))
+                .map(|(&f, &b)| f.max(b))
+                .collect()
+        };
+
+        // Resolve the checkpoint count per row through the two-root
+        // `mem_pair` program (peak memory only — the feasibility probes
+        // do not need all 22 roots).
+        let ckpt_col: Vec<f64> = match self.space.ckpt {
+            CkptMode::None => vec![0.0; n],
+            CkptMode::Full => l_col.clone(),
+            CkptMode::Tuned => {
+                let mut peaks_at = |ckpt: Vec<f64>| {
+                    batch.set_values("ckpt", ckpt);
+                    mem.eval_batch(&batch, &mut ws.mem)
+                        .expect("mem_pair program");
+                    peaks(&ws.mem)
+                };
+                let m0 = peaks_at(vec![0.0; n]);
+                let m1 = peaks_at(vec![1.0; n]);
+                let ml = peaks_at(l_col.clone());
+                (0..n)
+                    .map(|r| minimal_ckpt(m0[r], m1[r], ml[r], retained[r % nr], self.budget))
+                    .collect()
+            }
+        };
+        // A nonzero tuned checkpoint count (incl. the `∞` infeasibility
+        // marker) means the budget shaped this row — the sweep is not
+        // reusable under other budgets.
+        if self.space.ckpt == CkptMode::Tuned && ckpt_col.iter().any(|&c| c != 0.0) {
+            tally.budget_bound = true;
+        }
+        clock.lap(phase::CKPT_RESOLVE);
+
+        // Memory-first filter: rows whose resolved `ckpt` is the `∞`
+        // marker or whose peak memory busts the budget are rejected
+        // without ever paying for the 22-root program. Rows with the
+        // marker are out of the program's domain; their outputs are
+        // never read.
+        batch.set_values("ckpt", ckpt_col.clone());
+        mem.eval_batch(&batch, &mut ws.mem)
+            .expect("mem_pair program");
+        let mem_peaks = peaks(&ws.mem);
+        drop(batch);
+        // The survivor predicate must be the exact complement of the
+        // rejection tests in the walk below, or a NaN peak (never
+        // > budget, never <= budget) would desynchronize the cursor:
+        // `!(a > b)` rather than `a <= b`.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let survivors: Vec<usize> = (0..n)
+            .filter(|&r| !ckpt_col[r].is_infinite() && !(mem_peaks[r] > self.budget))
+            .collect();
+        clock.lap(phase::MEM_FILTER);
+
+        // One 22-root pass over the survivors, compacted in row order.
+        if !survivors.is_empty() {
+            let gather = |col: &[f64]| survivors.iter().map(|&r| col[r]).collect::<Vec<f64>>();
+            let mut surv = BatchBindings::new(survivors.len());
+            surv.set_values("L", gather(&l_col));
+            surv.set_values("ckpt", gather(&ckpt_col));
+            surv.set_values("zero", gather(&zero_col));
+            for (name, col) in OFFLOAD_SYMS.iter().zip(&off_cols) {
+                surv.set_values(name, gather(col));
+            }
+            surv.set_scalar("inflight", f64::from(key.inflight));
+            stage
+                .eval_batch(&surv, &mut ws.stage)
+                .expect("compiled stage program");
+        }
+        clock.lap(phase::FULL_EVAL);
+
+        // Time and imbalance of every survivor that passes the
+        // conservative re-check of the linear checkpoint solve.
+        let td: Vec<(f64, f64)> = (0..survivors.len())
+            .map(|j| {
+                let point = tapes.point_at_compiled(&ws.stage, j);
+                if point.mem_peak() > self.budget {
+                    (f64::NAN, f64::NAN) // Rejected by the walk's re-check.
+                } else {
+                    self.stage_td(&point)
+                }
+            })
+            .collect();
+        clock.lap(phase::INTERFERENCE);
+
+        // Classify every row in sweep order. Per retained layer count:
+        // whether any row was feasible or non-finite, and whether any
+        // OOM came from a budget recheck rather than the analytic
+        // `ckpt = ∞` path. An all-OOM layer count becomes a floor for
+        // larger in-flight counts — except under tuned checkpointing
+        // with a recheck OOM, where the resolved `ckpt` changes with
+        // `inflight` and the outcome is not directly extrapolatable.
+        let mut any_feasible = vec![false; nr];
+        let mut any_nonfinite = vec![false; nr];
+        let mut recheck_oom = vec![false; nr];
+        let (mem_fwd, mem_bwd) = if survivors.is_empty() {
+            (&[][..], &[][..])
+        } else {
+            (
+                ws.stage.output(stage_roots::MEM_FWD),
+                ws.stage.output(stage_roots::MEM_BWD),
+            )
+        };
+        let mut cursor = 0usize;
+        for r in 0..n {
+            let i = r % nr;
+            let ckpt = ckpt_col[r];
+            if ckpt.is_infinite() {
+                tally.oom += 1;
+                continue; // No feasible checkpoint count.
+            }
+            if mem_peaks[r] > self.budget {
+                tally.oom += 1;
+                tally.budget_bound = true;
+                recheck_oom[i] = true;
+                continue; // Rejected by the memory-first filter.
+            }
+            let j = cursor;
+            cursor += 1;
+            let mem_peak = mem_fwd[j].max(mem_bwd[j]);
+            if mem_peak > self.budget {
+                tally.oom += 1;
+                tally.budget_bound = true;
+                recheck_oom[i] = true;
+                continue; // Conservative re-check of the linear solve.
+            }
+            let (t, d) = td[j];
+            if !t.is_finite() {
+                tally.nonfinite += 1;
+                any_nonfinite[i] = true;
+                continue;
+            }
+            any_feasible[i] = true;
+            let group = r / nr;
+            let off = combos[group % combos.len()];
+            let l = retained[i];
+            sweep.per_l[(l - 1) as usize].push(FeasibleRow {
+                t,
+                d,
+                mem_peak,
+                config: StageConfigValues {
+                    layers: l,
+                    ckpt: ckpt as u32,
+                    zero: zeros[group / combos.len()],
+                    wo: off[0],
+                    go: off[1],
+                    oo: off[2],
+                    ao: off[3],
+                    inflight: key.inflight,
+                },
+                surv: j as u32,
+            });
+        }
+        debug_assert_eq!(cursor, survivors.len(), "survivor cursor desynchronized");
+        if any_feasible.iter().any(|&f| f) {
+            sweep.outputs = (0..stage_roots::COUNT)
+                .map(|root| ws.stage.output(root).to_vec())
+                .collect();
         }
 
         // Record new all-OOM floors for larger in-flight counts. Only
@@ -1098,70 +1140,8 @@ impl<'a> IntraStageTuner<'a> {
                 }
             }
         }
-    }
-
-    /// The shared tail of both evaluation backends for one evaluated
-    /// sweep row: the conservative budget re-check, the time/imbalance
-    /// predictor, and the feasible-point append. `i` indexes the
-    /// retained layer counts (for the per-layer outcome flags), `l` is
-    /// the layer count itself.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_row(
-        &self,
-        cand: &StageCandidate,
-        key: FrontierKey,
-        i: usize,
-        l: u32,
-        z: u8,
-        off: [f64; 4],
-        ckpt: f64,
-        point: StagePoint,
-        per_l: &mut [Vec<ParetoPoint>],
-        tally: &mut SweepTally,
-        any_feasible: &mut [bool],
-        any_nonfinite: &mut [bool],
-        recheck_oom: &mut [bool],
-    ) {
-        let mem_peak = point.mem_fwd.max(point.mem_bwd);
-        if mem_peak > self.budget {
-            tally.oom += 1;
-            tally.budget_bound = true;
-            recheck_oom[i] = true;
-            return; // Conservative re-check of the linear solve.
-        }
-        let (t, d) = if self.space.overlap_aware {
-            let st = stage_times(&point, self.interference);
-            (st.t, st.d)
-        } else {
-            // Shortcoming #1: serial predictor.
-            let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-            let t = sum(point.fwd) + sum(point.bwd);
-            (t, sum(point.first_extra) + sum(point.last_extra))
-        };
-        if !t.is_finite() {
-            tally.nonfinite += 1;
-            any_nonfinite[i] = true;
-            return;
-        }
-        any_feasible[i] = true;
-        let config = StageConfigValues {
-            layers: l,
-            ckpt: ckpt as u32,
-            zero: z,
-            wo: off[0],
-            go: off[1],
-            oo: off[2],
-            ao: off[3],
-            inflight: key.inflight,
-        };
-        per_l[(l - 1) as usize].push(ParetoPoint {
-            t,
-            d,
-            mem_peak,
-            candidate: *cand,
-            config,
-            point,
-        });
+        clock.lap(phase::WALK);
+        sweep
     }
 }
 
@@ -1309,8 +1289,8 @@ mod tests {
         assert!(Arc::ptr_eq(&f1, &f2));
     }
 
-    /// End-to-end exactness of the specialized grouped sweep: every
-    /// frontier point's evaluated [`StagePoint`] must be bit-identical
+    /// End-to-end exactness of the columnar sweep: every frontier
+    /// point's evaluated [`StagePoint`] must be bit-identical
     /// to re-evaluating its configuration through the *original* fused
     /// program's scalar path.
     #[test]
@@ -1332,41 +1312,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn specializer_cache_is_shared_across_frontier_keys() {
-        let c = ctx();
-        let space = SearchSpace::mist();
-        // Residual specialization is the interpreter backend's
-        // evaluation strategy (the compiled backend runs the generic
-        // programs and never requests residuals), so pin the
-        // interpreter to test the residual cache's semantics.
-        let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8)
-            .with_compiled_eval(false);
-        let k = key(DeviceMesh::new(1, 4), 4);
-        tuner.frontiers(k, 16);
-        let misses_one_key = tuner.specializer().cache_misses();
-        assert!(
-            misses_one_key > 0,
-            "frontier sweep must build residual programs"
-        );
-        assert_eq!(tuner.specializer().cache_hits(), 0);
-        // Growing `max_layers` misses the *frontier* cache and re-runs
-        // the sweep over the same tapes and the same (zero, offload)
-        // groups — every residual program must come out of the
-        // specializer cache instead of being rebuilt.
-        tuner.frontiers(k, 32);
-        assert_eq!(
-            tuner.specializer().cache_misses(),
-            misses_one_key,
-            "recomputation over identical groups must not rebuild residuals"
-        );
-        assert!(tuner.specializer().cache_hits() >= misses_one_key);
-    }
-
-    /// The compiled backend's analog: step tables are content-addressed
-    /// by generic program id, so re-sweeping the same tapes — whether
-    /// for a larger layer cap or another frontier key — never
-    /// recompiles, and the residual cache sees no traffic at all.
+    /// Step tables are content-addressed by generic program id, so
+    /// re-sweeping the same tapes — whether for a larger layer cap or
+    /// another frontier key — never recompiles, and the residual cache
+    /// sees no traffic at all.
     #[test]
     fn compile_cache_is_shared_across_frontier_keys() {
         let c = ctx();
@@ -1390,66 +1339,179 @@ mod tests {
         assert!(tuner.specializer().compile_hits() >= misses_one_key);
     }
 
-    /// Survivor compaction must be invisible: with a budget tight enough
-    /// that whole rows OOM (so the memory-first filter actually compacts
-    /// the batch), the frontiers, the row-to-bucket attribution and the
-    /// `configs_evaluated` accounting are byte-identical across the
-    /// compiled and interpreted backends. The `enumerated = oom +
-    /// nonfinite + feasible + mono_pruned` balance itself is enforced by
-    /// a debug assertion inside `compute_frontiers` on every test run.
-    #[test]
-    fn survivor_compaction_preserves_row_order_and_buckets() {
-        let c = ctx();
-        // Tuned ckpt (mist) exercises the `∞`-marker path + the filter;
-        // Full ckpt (megatron) exercises the pure filter path.
-        for space in [SearchSpace::mist(), SearchSpace::megatron()] {
-            let budget = 8e9; // Tight: some rows OOM, some survive.
-            let mk = |compiled: bool| {
-                IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8)
-                    .with_budget(budget)
-                    .with_compiled_eval(compiled)
+    /// Row outcome tally of the scalar reference sweep.
+    #[derive(Debug, Default, PartialEq)]
+    struct OracleTally {
+        enumerated: u64,
+        oom: u64,
+        nonfinite: u64,
+        dominated: u64,
+    }
+
+    /// The slow, obviously-correct reference for one frontier key: every
+    /// `(candidate, l, zero, offload)` row goes through the scalar
+    /// `eval_scalar` path one at a time, `ckpt` is resolved from scalar
+    /// probes at `ckpt ∈ {0, 1, L}`, every feasible row becomes a full
+    /// `ParetoPoint`, and each layer count is reduced with
+    /// `pareto_frontier` + `sample_frontier`. No memory-first filter, no
+    /// survivor compaction, no monotone pruning.
+    fn oracle_frontiers(
+        tuner: &IntraStageTuner<'_>,
+        key: FrontierKey,
+        max_layers: u32,
+        tally: &mut OracleTally,
+    ) -> Vec<Vec<ParetoPoint>> {
+        let space = tuner.space;
+        let budget = tuner.budget();
+        let mut per_l: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
+        for (dp, tp, b) in tuner.parallelism_options(key.mesh, key.grad_accum) {
+            let cand = StageCandidate {
+                mesh: key.mesh,
+                dp,
+                tp,
+                micro_batch: b,
+                role: key.role,
             };
-            let t_off = mk(false);
-            let t_on = mk(true);
-            let k = key(DeviceMesh::new(1, 4), 4);
-            let f_off = t_off.frontiers(k, c.model.num_layers);
-            let f_on = t_on.frontiers(k, c.model.num_layers);
-            assert_eq!(
-                serde_json::to_string(f_off.as_ref()).unwrap(),
-                serde_json::to_string(f_on.as_ref()).unwrap(),
-                "space {}: frontiers must be byte-identical across backends",
-                space.name
-            );
-            assert_eq!(t_off.configs_evaluated(), t_on.configs_evaluated());
-            assert_eq!(
-                t_off.rejections().oom.value(),
-                t_on.rejections().oom.value(),
-                "space {}: OOM attribution must not move between buckets",
-                space.name
-            );
-            assert_eq!(
-                t_off.rejections().nonfinite.value(),
-                t_on.rejections().nonfinite.value()
-            );
-            assert_eq!(
-                t_off.rejections().dominated.value(),
-                t_on.rejections().dominated.value()
-            );
-            assert!(
-                t_on.rejections().oom.value() > 0,
-                "space {}: the tight budget must make the filter compact rows",
-                space.name
-            );
-            assert!(
-                t_on.specializer().compile_misses() > 0,
-                "compiled sweeps must build step tables"
-            );
-            assert_eq!(
-                t_off.specializer().compile_misses(),
-                0,
-                "interpreted sweeps must never touch the compiled backend"
-            );
+            let tapes = tuner.tapes(&cand);
+            for l in 1..=max_layers {
+                for &zero in space.zero_levels() {
+                    for off in space.offload_combos() {
+                        tally.enumerated += 1;
+                        let cfg = |ckpt: u32| StageConfigValues {
+                            layers: l,
+                            ckpt,
+                            zero,
+                            wo: off[0],
+                            go: off[1],
+                            oo: off[2],
+                            ao: off[3],
+                            inflight: key.inflight,
+                        };
+                        let peak = |ckpt: u32| tapes.eval_point(&cfg(ckpt)).mem_peak();
+                        let ckpt = match space.ckpt {
+                            CkptMode::None => 0.0,
+                            CkptMode::Full => f64::from(l),
+                            CkptMode::Tuned => minimal_ckpt(peak(0), peak(1), peak(l), l, budget),
+                        };
+                        if ckpt.is_infinite() {
+                            tally.oom += 1;
+                            continue;
+                        }
+                        let config = cfg(ckpt as u32);
+                        let point = tapes.eval_point(&config);
+                        if point.mem_peak() > budget {
+                            tally.oom += 1;
+                            continue;
+                        }
+                        let (t, d) = if space.overlap_aware {
+                            let st = stage_times(&point, tuner.interference);
+                            (st.t, st.d)
+                        } else {
+                            let sum = |s: [f64; 4]| s.iter().sum::<f64>();
+                            (
+                                sum(point.fwd) + sum(point.bwd),
+                                sum(point.first_extra) + sum(point.last_extra),
+                            )
+                        };
+                        if !t.is_finite() {
+                            tally.nonfinite += 1;
+                            continue;
+                        }
+                        per_l[(l - 1) as usize].push(ParetoPoint {
+                            t,
+                            d,
+                            mem_peak: point.mem_peak(),
+                            candidate: cand,
+                            config,
+                            point,
+                        });
+                    }
+                }
+            }
         }
+        for points in per_l.iter_mut() {
+            let td: Vec<(f64, f64)> = points.iter().map(|p| (p.t, p.d)).collect();
+            let sampled = sample_frontier(&pareto_frontier(&td), space.pareto_samples);
+            let mut kept: Vec<ParetoPoint> = sampled.iter().map(|&i| points[i].clone()).collect();
+            kept.sort_by(|a, b| a.t.total_cmp(&b.t));
+            tally.dominated += (points.len() - kept.len()) as u64;
+            *points = kept;
+        }
+        per_l
+    }
+
+    /// The columnar sweep must reproduce the scalar reference sweep
+    /// exactly: byte-identical serialized frontiers, and every
+    /// enumerated row in the same outcome bucket. Monotone pruning skips
+    /// rows the reference evaluates, so its rows must all be reference
+    /// OOMs. Covers tuned (`mist`, `aceso` with its serial predictor),
+    /// full (`megatron`) and disabled checkpointing, tight to default
+    /// budgets, two in-flight levels (so pruning floors commit between
+    /// them) and 1 and 2 pool threads.
+    #[test]
+    fn columnar_sweep_matches_scalar_oracle() {
+        let c = ctx();
+        let no_ckpt = SearchSpace {
+            name: "mist-no-ckpt".into(),
+            ckpt: CkptMode::None,
+            ..SearchSpace::mist()
+        };
+        let spaces = [
+            SearchSpace::mist(),
+            SearchSpace::megatron(),
+            SearchSpace::aceso(),
+            no_ckpt,
+        ];
+        let max_layers = 8;
+        let keys: Vec<FrontierKey> = [1, 2]
+            .into_iter()
+            .map(|inflight| FrontierKey {
+                mesh: DeviceMesh::new(1, 4),
+                role: StageRole::First,
+                inflight,
+                grad_accum: 4,
+            })
+            .collect();
+        let mut pruned_somewhere = false;
+        let mut oom_somewhere = false;
+        for space in &spaces {
+            for budget in [3e9, 8e9, 16e9, c.cluster.gpu.memory_bytes] {
+                let mk = || {
+                    IntraStageTuner::new(&c.model, &c.cluster, &c.db, space, &c.interference, 8)
+                        .with_budget(budget)
+                };
+                let reference = mk();
+                let mut want = OracleTally::default();
+                let want_frontiers: Vec<String> = keys
+                    .iter()
+                    .map(|&k| {
+                        let f = oracle_frontiers(&reference, k, max_layers, &mut want);
+                        serde_json::to_string(&f).unwrap()
+                    })
+                    .collect();
+                for threads in [1, 2] {
+                    let tuner = mk().with_pool(Arc::new(ThreadPool::new(threads)));
+                    let got = tuner.frontiers_batch(&keys, max_layers);
+                    let ctx = format!("space {} budget {budget:e} threads {threads}", space.name);
+                    for (g, w) in got.iter().zip(&want_frontiers) {
+                        assert_eq!(&serde_json::to_string(g.as_ref()).unwrap(), w, "{ctx}");
+                    }
+                    let rej = tuner.rejections();
+                    let pruned = rej.mono_pruned.value();
+                    assert_eq!(tuner.configs_evaluated() + pruned, want.enumerated, "{ctx}");
+                    assert_eq!(rej.oom.value() + pruned, want.oom, "{ctx}");
+                    assert_eq!(rej.nonfinite.value(), want.nonfinite, "{ctx}");
+                    assert_eq!(rej.dominated.value(), want.dominated, "{ctx}");
+                    pruned_somewhere |= pruned > 0;
+                    oom_somewhere |= rej.oom.value() > 0;
+                }
+            }
+        }
+        assert!(oom_somewhere, "some budget must reject rows as OOM");
+        assert!(
+            pruned_somewhere,
+            "some budget must exercise monotone pruning"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use inter::{
     enumerate_inter_stage, solve_inter_stage, solve_inter_stage_dp, solve_inter_stage_milp,
     solve_inter_stage_with_cutoff, InterStageSolution, StageChoice,
 };
-pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint};
+pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint, SWEEP_PHASES};
 pub use pareto::{pareto_frontier, sample_frontier};
 pub use seed::{BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 pub use space::{CkptMode, SearchSpace};

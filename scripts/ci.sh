@@ -21,7 +21,10 @@
 #      against the committed results/explain_gpt3_6_7b.json snapshot
 #      (the `timing` subtree is stripped; everything else — coverage
 #      accounting, rejection histogram, runner-ups, frontier digests —
-#      is deterministic at any thread count)
+#      is deterministic at any thread count); then tune the fig16
+#      GPT-3 22B / 32-GPU workload at --threads 1 and --threads 2 and
+#      require byte-identical outcomes (pool fan-out of the columnar
+#      sweep over many pipeline shapes)
 #   7. IR lint: run the mist-irlint static analyzer over the fused stage
 #      programs of every model preset, plus the per-sweep specialized
 #      residuals at the corner (zero, offload) groups; any
@@ -140,6 +143,19 @@ if python3 scripts/golden_diff.py results/explain_gpt3_6_7b.json \
 else
     echo "provenance digest drift — if intentional, regenerate" >&2
     echo "results/explain_gpt3_6_7b.json and commit it with the change" >&2
+    exit 1
+fi
+# Thread-count determinism on the many-shape workload (the determinism
+# integration test covers GPT-3 6.7B only).
+for t in 1 2; do
+    target/release/mist-cli tune --model gpt3-22b --platform l4 --gpus 32 \
+        --batch 256 --threads "$t" --json > "$tmpdir/tune_22b_t$t.json"
+done
+if python3 scripts/golden_diff.py "$tmpdir/tune_22b_t1.json" \
+        "$tmpdir/tune_22b_t2.json"; then
+    echo "    gpt3-22b tune: byte-identical at --threads 1 and 2"
+else
+    echo "gpt3-22b tune differs between --threads 1 and 2" >&2
     exit 1
 fi
 

@@ -54,6 +54,16 @@ TIMING_FIELDS = {
     "tuner.elapsed_secs",
     "tuner.intra_secs",
     "tuner.inter_secs",
+    # The intra-stage sweep's phase split (recorded only while the
+    # telemetry collector is on).
+    "intra.phase_secs.tapes",
+    "intra.phase_secs.analyses",
+    "intra.phase_secs.ckpt_resolve",
+    "intra.phase_secs.mem_filter",
+    "intra.phase_secs.full_eval",
+    "intra.phase_secs.interference",
+    "intra.phase_secs.walk",
+    "intra.phase_secs.pareto",
     "pool.workers",
     "pool.tasks_stolen",
     "pool.tasks_executed",

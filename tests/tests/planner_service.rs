@@ -193,3 +193,69 @@ fn cache_survives_restart_with_byte_identical_plans() {
 
     fs::remove_dir_all(&dir).ok();
 }
+
+// --- hostile and large inputs ---------------------------------------------
+
+fn response_ok(line: &str) -> bool {
+    let v: Value = serde_json::from_str(line).expect("responses are JSON");
+    let Value::Object(fields) = v else {
+        panic!("response must be an object: {line}")
+    };
+    match serde::get_field(&fields, "ok") {
+        Ok(Value::Bool(ok)) => *ok,
+        other => panic!("ok must be a bool: {other:?}"),
+    }
+}
+
+/// A ~400 KB line of `[` used to overflow the parser's stack and abort
+/// the whole daemon; it must now cost one error response, after which
+/// the daemon keeps answering.
+#[test]
+fn deeply_nested_request_is_an_error_not_an_abort() {
+    let planner = PlannerService::new(PlanCache::in_memory());
+    let (response, _) = planner.handle_line(&"[".repeat(400_000));
+    assert!(!response_ok(&response), "nested junk must fail: {response}");
+    assert!(response.contains("nesting too deep"), "{response}");
+    let (pong, _) = planner.handle_line(r#"{"cmd":"ping"}"#);
+    assert!(response_ok(&pong), "daemon must still answer: {pong}");
+}
+
+/// A real multi-megabyte cache entry reopens quickly and round-trips:
+/// string parsing is linear in the input, so a daemon restart over a
+/// saved cache does not stall.
+#[test]
+fn saved_cache_with_a_real_entry_reopens_and_round_trips() {
+    let dir = std::env::temp_dir().join(format!("mist-planner-big-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    let cache_path = dir.join("plans.jsonl");
+    let req = PlanRequest {
+        model: "gpt3-2.6b".to_owned(),
+        gpus: 4,
+        batch: 16,
+        max_grad_accum: 8,
+        ..PlanRequest::default()
+    };
+    let cold = PlannerService::new(PlanCache::open(&cache_path).unwrap()).plan(&req);
+    assert_eq!(work_source(&cold), "cold");
+    let saved = fs::read_to_string(&cache_path).unwrap();
+    assert!(
+        saved.len() > 1_000_000,
+        "entry is only {} bytes",
+        saved.len()
+    );
+
+    let start = std::time::Instant::now();
+    let reopened = PlanCache::open(&cache_path).unwrap();
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(20),
+        "reopening took {:?}",
+        start.elapsed()
+    );
+    assert_eq!(reopened.len(), 1);
+    reopened.save().unwrap();
+    assert_eq!(fs::read_to_string(&cache_path).unwrap(), saved);
+    let hit = PlannerService::new(PlanCache::open(&cache_path).unwrap()).plan(&req);
+    assert_eq!(work_source(&hit), "hit");
+    assert_eq!(result_json(&cold), result_json(&hit));
+    fs::remove_dir_all(&dir).ok();
+}
