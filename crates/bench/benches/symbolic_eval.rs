@@ -8,9 +8,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use mist::presets::{gpt3, AttentionImpl, ModelSize};
 use mist::{
     ClusterSpec, DeviceMesh, GpuSpec, OpCostDb, Platform, StageAnalyzer, StageCandidate,
-    StageConfigValues, StageRole, StageTapes,
+    StageConfigValues, StageRole,
 };
-use mist_symbolic::{BatchBindings, CompiledWorkspace, EvalWorkspace};
+use mist_symbolic::{BatchBindings, CompiledWorkspace};
 
 fn setup() -> (mist::presets::ModelSpec, ClusterSpec, OpCostDb) {
     (
@@ -66,27 +66,22 @@ fn bench_substitution(c: &mut Criterion) {
     });
 }
 
-/// Batched substitution: the amortized per-configuration cost.
+/// Batched substitution: the amortized per-configuration cost, through
+/// the compiled 22-root stage program the tuner's sweep runs.
 fn bench_batched(c: &mut Criterion) {
     let (model, cluster, db) = setup();
     let analyzer = StageAnalyzer::new(&model, &cluster, &db);
     let tapes = analyzer.analyze(&candidate());
+    let (program, _) = tapes.compiled();
+    let mut ws = CompiledWorkspace::new();
     let mut group = c.benchmark_group("mist/batched_substitution");
     for n in [100usize, 1000, 10000] {
-        let mut batch = BatchBindings::new(n);
-        batch.set_values("L", (0..n).map(|i| 1.0 + (i % 32) as f64).collect());
-        batch.set_values("ckpt", (0..n).map(|i| (i % 8) as f64).collect());
-        batch.set_values("zero", (0..n).map(|i| (i % 4) as f64).collect());
-        batch.set_values("wo", (0..n).map(|i| (i % 2) as f64 * 0.5).collect());
-        batch.set_values("go", (0..n).map(|i| (i % 3) as f64 * 0.5).collect());
-        batch.set_values("oo", (0..n).map(|i| (i % 5) as f64 * 0.25).collect());
-        batch.set_values("ao", (0..n).map(|i| (i % 4) as f64 * 0.25).collect());
-        batch.set_scalar("inflight", 2.0);
+        let batch = grid_batch(n);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                black_box(tapes.mem_fwd.eval_batch(black_box(&batch)).unwrap());
-                black_box(tapes.fwd.eval_batch(black_box(&batch)));
+                program.eval_batch(black_box(&batch), &mut ws).unwrap();
+                black_box(ws.output(0));
             })
         });
     }
@@ -107,159 +102,5 @@ fn grid_batch(n: usize) -> BatchBindings {
     batch
 }
 
-/// Evaluates all 22 stage roots through the 22 individual tapes (the
-/// pre-fusion evaluation strategy).
-fn eval_separate_tapes(tapes: &StageTapes, batch: &BatchBindings) {
-    black_box(tapes.mem_fwd.eval_batch(batch).unwrap());
-    black_box(tapes.mem_bwd.eval_batch(batch).unwrap());
-    black_box(tapes.mem_resident.eval_batch(batch).unwrap());
-    black_box(tapes.mem_act_per_mb.eval_batch(batch).unwrap());
-    black_box(tapes.mem_transient_fwd.eval_batch(batch).unwrap());
-    black_box(tapes.mem_transient_bwd.eval_batch(batch).unwrap());
-    black_box(tapes.fwd.eval_batch(batch));
-    black_box(tapes.bwd.eval_batch(batch));
-    black_box(tapes.first_extra.eval_batch(batch));
-    black_box(tapes.last_extra.eval_batch(batch));
-}
-
-/// Fused multi-root program vs 22 separate tapes over the full stage
-/// model at batch 10 000 — the tentpole comparison. The fused side reuses
-/// one workspace across iterations (zero steady-state allocation).
-fn bench_fused_vs_separate(c: &mut Criterion) {
-    let (model, cluster, db) = setup();
-    let analyzer = StageAnalyzer::new(&model, &cluster, &db);
-    let tapes = analyzer.analyze(&candidate());
-    let mut group = c.benchmark_group("fused_vs_separate");
-    let n = 10_000usize;
-    let batch = grid_batch(n);
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function(BenchmarkId::new("separate_22_tapes", n), |b| {
-        b.iter(|| eval_separate_tapes(&tapes, black_box(&batch)))
-    });
-    let mut ws = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("fused_program", n), |b| {
-        b.iter(|| {
-            tapes.eval_batch_fused(black_box(&batch), &mut ws).unwrap();
-            black_box(ws.output(0));
-        })
-    });
-    group.finish();
-}
-
-/// Per-sweep specialized residual vs the fused program at batch 10 000:
-/// one `(zero, offload)` tuner group frozen, only `L` and `ckpt` varying
-/// (with `ckpt <= L`, keeping every row inside the sweep domain the
-/// residual's interval facts assume).
-fn bench_specialized_vs_fused(c: &mut Criterion) {
-    let (model, cluster, db) = setup();
-    let analyzer = StageAnalyzer::new(&model, &cluster, &db);
-    let tapes = analyzer.analyze(&candidate());
-    let space = mist::SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = mist_graph::sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = mist_tuner::Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-
-    let n = 10_000usize;
-    let mut batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    batch.set_values("L", ls);
-    batch.set_values("ckpt", ckpts);
-    batch.set_scalar("zero", 0.0);
-    batch.set_scalar("wo", 0.0);
-    batch.set_scalar("go", 0.0);
-    batch.set_scalar("oo", 0.0);
-    batch.set_scalar("ao", 0.0);
-    batch.set_scalar("inflight", 2.0);
-
-    let mut group = c.benchmark_group("specialized_vs_fused");
-    group.throughput(Throughput::Elements(n as u64));
-    let mut ws = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("fused_program", n), |b| {
-        b.iter(|| {
-            tapes.eval_batch_fused(black_box(&batch), &mut ws).unwrap();
-            black_box(ws.output(0));
-        })
-    });
-    let mut ws_spec = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("specialized_residual", n), |b| {
-        b.iter(|| {
-            specialized
-                .eval_batch(black_box(&batch), &mut ws_spec)
-                .unwrap();
-            black_box(ws_spec.output(0));
-        })
-    });
-    group.finish();
-}
-
-/// Compiled direct-threaded backend vs the interpreted residual at batch
-/// 10 000 — the same residual program, lowered to superinstruction-fused
-/// kernel step tables. Bit-identical outputs; only the evaluation engine
-/// differs.
-fn bench_compiled_vs_specialized(c: &mut Criterion) {
-    let (model, cluster, db) = setup();
-    let analyzer = StageAnalyzer::new(&model, &cluster, &db);
-    let tapes = analyzer.analyze(&candidate());
-    let space = mist::SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = mist_graph::sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = mist_tuner::Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-    let compiled = specializer.compiled(&specialized);
-
-    let n = 10_000usize;
-    let mut batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    batch.set_values("L", ls);
-    batch.set_values("ckpt", ckpts);
-    batch.set_scalar("zero", 0.0);
-    batch.set_scalar("wo", 0.0);
-    batch.set_scalar("go", 0.0);
-    batch.set_scalar("oo", 0.0);
-    batch.set_scalar("ao", 0.0);
-    batch.set_scalar("inflight", 2.0);
-
-    let mut group = c.benchmark_group("compiled_vs_specialized");
-    group.throughput(Throughput::Elements(n as u64));
-    let mut ws_spec = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("specialized_residual", n), |b| {
-        b.iter(|| {
-            specialized
-                .eval_batch(black_box(&batch), &mut ws_spec)
-                .unwrap();
-            black_box(ws_spec.output(0));
-        })
-    });
-    let mut ws_comp = CompiledWorkspace::new();
-    group.bench_function(BenchmarkId::new("compiled_program", n), |b| {
-        b.iter(|| {
-            compiled
-                .eval_batch(black_box(&batch), &mut ws_comp)
-                .unwrap();
-            black_box(ws_comp.output(0));
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_reanalysis,
-    bench_substitution,
-    bench_batched,
-    bench_fused_vs_separate,
-    bench_specialized_vs_fused,
-    bench_compiled_vs_specialized
-);
+criterion_group!(benches, bench_reanalysis, bench_substitution, bench_batched);
 criterion_main!(benches);

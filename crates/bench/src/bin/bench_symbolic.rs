@@ -1,62 +1,102 @@
 //! Smoke-run of the symbolic-evaluation benchmark (paper Fig. 16's
-//! substrate): times the fused 22-root stage program against the 22
-//! separate per-expression tapes at batch 10 000, then the per-sweep
-//! specialized residual against the fused program, and records both
-//! speedups in `results/bench_symbolic.json`.
+//! substrate): times what the tuner's intra-stage sweep actually runs —
+//! the compiled generic 22-root stage program and the compiled two-root
+//! `mem_pair` — over one candidate-shaped batch, and records both
+//! throughputs in `results/bench_symbolic.json`.
+//!
+//! The batch has the shape `IntraStageTuner::sweep_candidate` builds for
+//! one `(dp, tp, b)` candidate of the `mist` space: 324 `(zero, offload)`
+//! groups × 31 layer counts, group-major and layer-minor, with the knobs
+//! as value columns and `inflight` as a broadcast scalar.
 //!
 //! This is the cheap, always-runnable counterpart of the Criterion bench
 //! in `benches/symbolic_eval.rs`; the verify recipe and the CI golden
-//! gate run it to catch regressions of the fusion and specialization
-//! speedups (`scripts/golden_diff.py` fails on a >10% rows/sec drop).
+//! gate run it to catch evaluator regressions (`scripts/golden_diff.py`
+//! fails on a >10% rows/sec drop).
 
 use std::time::Instant;
 
 use mist::presets::{gpt3, AttentionImpl, ModelSize};
 use mist::{
     ClusterSpec, DeviceMesh, GpuSpec, OpCostDb, Platform, SearchSpace, StageAnalyzer,
-    StageCandidate, StageRole, StageTapes,
+    StageCandidate, StageRole,
 };
 use mist_bench::write_json;
-use mist_graph::sweep_frozen_symbols;
-use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, EvalWorkspace};
-use mist_tuner::Specializer;
+use mist_symbolic::{BatchBindings, Column, CompiledProgram, CompiledWorkspace, Program};
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct BenchResult {
     batch_size: usize,
     iterations: usize,
-    separate_tapes_ns_per_batch: f64,
-    fused_program_ns_per_batch: f64,
-    fused_speedup: f64,
-    fused_rows_per_sec: f64,
-    specialized_ns_per_batch: f64,
-    specialized_speedup: f64,
-    specialized_rows_per_sec: f64,
-    compiled_ns_per_batch: f64,
-    compiled_speedup: f64,
-    compiled_rows_per_sec: f64,
+    stage_ns_per_batch: f64,
+    stage_rows_per_sec: f64,
+    mem_pair_ns_per_batch: f64,
+    mem_pair_rows_per_sec: f64,
     program_instructions: usize,
-    separate_instructions: usize,
-    specialized_instructions: usize,
-    program_registers: usize,
-    specialized_registers: usize,
+    mem_pair_instructions: usize,
     compiled_steps: usize,
+    mem_pair_steps: usize,
     compiled_superinstrs: usize,
     compiled_tier: &'static str,
 }
 
-fn grid_batch(n: usize) -> BatchBindings {
-    let mut batch = BatchBindings::new(n);
-    batch.set_values("L", (0..n).map(|i| 1.0 + (i % 32) as f64).collect());
-    batch.set_values("ckpt", (0..n).map(|i| (i % 8) as f64).collect());
-    batch.set_values("zero", (0..n).map(|i| (i % 4) as f64).collect());
-    batch.set_values("wo", (0..n).map(|i| (i % 2) as f64 * 0.5).collect());
-    batch.set_values("go", (0..n).map(|i| (i % 3) as f64 * 0.5).collect());
-    batch.set_values("oo", (0..n).map(|i| (i % 5) as f64 * 0.25).collect());
-    batch.set_values("ao", (0..n).map(|i| (i % 4) as f64 * 0.25).collect());
+/// Layer counts per `(zero, offload)` group: 324 groups × 31 ≈ 10k rows.
+const LAYERS: u32 = 31;
+
+/// One candidate's sweep rows as columns, in the sweep's row order.
+/// `ckpt` stays inside the declared domain (`ckpt <= L`).
+fn candidate_batch(space: &SearchSpace) -> BatchBindings {
+    let mut cols: [Vec<f64>; 7] = Default::default();
+    for &zero in space.zero_levels() {
+        for off in space.offload_combos() {
+            for l in 1..=LAYERS {
+                let row = cols[0].len() as u32;
+                cols[0].push(f64::from(l));
+                cols[1].push(f64::from((row % 8).min(l)));
+                cols[2].push(f64::from(zero));
+                for (col, &v) in cols[3..].iter_mut().zip(&off) {
+                    col.push(v);
+                }
+            }
+        }
+    }
+    let mut batch = BatchBindings::new(cols[0].len());
+    for (name, col) in ["L", "ckpt", "zero", "wo", "go", "oo", "ao"]
+        .into_iter()
+        .zip(cols)
+    {
+        batch.set_values(name, col);
+    }
     batch.set_scalar("inflight", 2.0);
     batch
+}
+
+/// Checks every 97th row of `compiled`'s outputs against the scalar
+/// reference `Program::eval_scalar`, bit for bit.
+fn spot_check(program: &Program, compiled: &CompiledProgram, batch: &BatchBindings) {
+    let mut ws = CompiledWorkspace::new();
+    compiled.eval_batch(batch, &mut ws).unwrap();
+    let mut out = Vec::new();
+    for row in (0..batch.len()).step_by(97) {
+        let inputs: Vec<f64> = program
+            .symbols()
+            .names()
+            .iter()
+            .map(|name| match batch.column(name).expect("bound symbol") {
+                Column::Scalar(v) => *v,
+                Column::Values(v) => v[row],
+            })
+            .collect();
+        program.eval_scalar(&inputs, &mut out).unwrap();
+        for (root, want) in out.iter().enumerate() {
+            assert_eq!(
+                ws.output(root)[row].to_bits(),
+                want.to_bits(),
+                "compiled drifted from eval_scalar at root {root} row {row}"
+            );
+        }
+    }
 }
 
 /// Times `f` once per iteration and returns the fastest observed
@@ -75,19 +115,17 @@ fn min_time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     best
 }
 
-fn eval_separate(tapes: &StageTapes, batch: &BatchBindings) -> f64 {
-    let mut acc = 0.0;
-    acc += tapes.mem_fwd.eval_batch(batch).unwrap()[0];
-    acc += tapes.mem_bwd.eval_batch(batch).unwrap()[0];
-    acc += tapes.mem_resident.eval_batch(batch).unwrap()[0];
-    acc += tapes.mem_act_per_mb.eval_batch(batch).unwrap()[0];
-    acc += tapes.mem_transient_fwd.eval_batch(batch).unwrap()[0];
-    acc += tapes.mem_transient_bwd.eval_batch(batch).unwrap()[0];
-    acc += tapes.fwd.eval_batch(batch)[0][0];
-    acc += tapes.bwd.eval_batch(batch)[0][0];
-    acc += tapes.first_extra.eval_batch(batch)[0][0];
-    acc += tapes.last_extra.eval_batch(batch)[0][0];
-    acc
+/// Fastest of `iters` evaluations of `compiled` over `batch`, after a
+/// warm-up call that sizes the workspace.
+fn time_eval(compiled: &CompiledProgram, batch: &BatchBindings, iters: usize) -> f64 {
+    let mut ws = CompiledWorkspace::new();
+    compiled.eval_batch(batch, &mut ws).unwrap();
+    min_time_ns(iters, || {
+        compiled
+            .eval_batch(std::hint::black_box(batch), &mut ws)
+            .unwrap();
+        std::hint::black_box(ws.output(0)[0]);
+    })
 }
 
 fn main() {
@@ -102,187 +140,47 @@ fn main() {
         micro_batch: 2,
         role: StageRole::Only,
     });
+    let (stage, mem_pair) = tapes.compiled();
 
-    let n = 10_000usize;
     let iters = 40usize;
-    let batch = grid_batch(n);
-    let mut ws = EvalWorkspace::new();
+    let batch = candidate_batch(&SearchSpace::mist());
+    let n = batch.len();
+    spot_check(&tapes.program, stage, &batch);
+    spot_check(&tapes.mem_pair, mem_pair, &batch);
 
-    // Warm-up: populate the workspace's register/output pools and fault
-    // in the tapes, then time.
-    tapes.eval_batch_fused(&batch, &mut ws).unwrap();
-    std::hint::black_box(eval_separate(&tapes, &batch));
-
-    let separate_ns = min_time_ns(iters, || {
-        std::hint::black_box(eval_separate(&tapes, &batch));
-    });
-
-    let fused_ns = min_time_ns(iters, || {
-        tapes
-            .eval_batch_fused(std::hint::black_box(&batch), &mut ws)
-            .unwrap();
-        std::hint::black_box(ws.output(0)[0]);
-    });
-
-    // Per-sweep specialization: freeze one `(zero, offload)` group the
-    // way the intra-stage tuner does (only `L` and `ckpt` vary inside a
-    // group) and evaluate the residual. The group batch keeps `ckpt`
-    // inside the declared sweep domain (`ckpt <= L`) so the interval
-    // facts backing the residual hold on every row.
-    let space = SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-
-    let mut group_batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    group_batch.set_values("L", ls);
-    group_batch.set_values("ckpt", ckpts);
-    group_batch.set_scalar("zero", 0.0);
-    group_batch.set_scalar("wo", 0.0);
-    group_batch.set_scalar("go", 0.0);
-    group_batch.set_scalar("oo", 0.0);
-    group_batch.set_scalar("ao", 0.0);
-    group_batch.set_scalar("inflight", 2.0);
-
-    // Exactness spot-check before timing: the residual must reproduce
-    // the fused outputs on every root and row of the group batch.
-    let mut ws_spec = EvalWorkspace::new();
-    tapes.eval_batch_fused(&group_batch, &mut ws).unwrap();
-    specialized.eval_batch(&group_batch, &mut ws_spec).unwrap();
-    for root in 0..tapes.program.num_roots() {
-        assert_eq!(
-            ws.output(root),
-            ws_spec.output(root),
-            "specialized outputs drifted from fused at root {root}"
-        );
-    }
-
-    let specialized_ns = min_time_ns(iters, || {
-        specialized
-            .eval_batch(std::hint::black_box(&group_batch), &mut ws_spec)
-            .unwrap();
-        std::hint::black_box(ws_spec.output(0)[0]);
-    });
-
-    // Compiled backend: superinstruction-fused, direct-threaded kernels
-    // over the same residual. Must be bit-identical to the interpreter
-    // on every root and row before it is worth timing.
-    let compiled = CompiledProgram::compile(&specialized);
-    let mut ws_comp = CompiledWorkspace::new();
-    compiled.eval_batch(&group_batch, &mut ws_comp).unwrap();
-    for root in 0..specialized.num_roots() {
-        assert_eq!(
-            ws_spec.output(root),
-            ws_comp.output(root),
-            "compiled outputs drifted from interpreted at root {root}"
-        );
-    }
-
-    let compiled_ns = min_time_ns(iters, || {
-        compiled
-            .eval_batch(std::hint::black_box(&group_batch), &mut ws_comp)
-            .unwrap();
-        std::hint::black_box(ws_comp.output(0)[0]);
-    });
-
-    let separate_instructions = [
-        tapes.mem_fwd.len(),
-        tapes.mem_bwd.len(),
-        tapes.mem_resident.len(),
-        tapes.mem_act_per_mb.len(),
-        tapes.mem_transient_fwd.len(),
-        tapes.mem_transient_bwd.len(),
-        tapes.fwd.compute.len(),
-        tapes.fwd.nccl.len(),
-        tapes.fwd.d2h.len(),
-        tapes.fwd.h2d.len(),
-        tapes.bwd.compute.len(),
-        tapes.bwd.nccl.len(),
-        tapes.bwd.d2h.len(),
-        tapes.bwd.h2d.len(),
-        tapes.first_extra.compute.len(),
-        tapes.first_extra.nccl.len(),
-        tapes.first_extra.d2h.len(),
-        tapes.first_extra.h2d.len(),
-        tapes.last_extra.compute.len(),
-        tapes.last_extra.nccl.len(),
-        tapes.last_extra.d2h.len(),
-        tapes.last_extra.h2d.len(),
-    ]
-    .iter()
-    .sum();
+    let stage_ns = time_eval(stage, &batch, iters);
+    let mem_pair_ns = time_eval(mem_pair, &batch, iters);
 
     let result = BenchResult {
         batch_size: n,
         iterations: iters,
-        separate_tapes_ns_per_batch: separate_ns,
-        fused_program_ns_per_batch: fused_ns,
-        fused_speedup: separate_ns / fused_ns,
-        fused_rows_per_sec: n as f64 / (fused_ns * 1e-9),
-        specialized_ns_per_batch: specialized_ns,
-        specialized_speedup: fused_ns / specialized_ns,
-        specialized_rows_per_sec: n as f64 / (specialized_ns * 1e-9),
-        compiled_ns_per_batch: compiled_ns,
-        compiled_speedup: specialized_ns / compiled_ns,
-        compiled_rows_per_sec: n as f64 / (compiled_ns * 1e-9),
+        stage_ns_per_batch: stage_ns,
+        stage_rows_per_sec: n as f64 / (stage_ns * 1e-9),
+        mem_pair_ns_per_batch: mem_pair_ns,
+        mem_pair_rows_per_sec: n as f64 / (mem_pair_ns * 1e-9),
         program_instructions: tapes.program.len(),
-        separate_instructions,
-        specialized_instructions: specialized.len(),
-        program_registers: tapes.program.num_regs(),
-        specialized_registers: specialized.num_regs(),
-        compiled_steps: compiled.num_steps(),
-        compiled_superinstrs: compiled.superinstrs(),
-        compiled_tier: compiled.tier_name(),
+        mem_pair_instructions: tapes.mem_pair.len(),
+        compiled_steps: stage.num_steps(),
+        mem_pair_steps: mem_pair.num_steps(),
+        compiled_superinstrs: stage.superinstrs(),
+        compiled_tier: stage.tier_name(),
     };
     println!(
-        "separate: {:.2} ms/batch  fused: {:.2} ms/batch  specialized: {:.2} ms/batch",
-        result.separate_tapes_ns_per_batch / 1e6,
-        result.fused_program_ns_per_batch / 1e6,
-        result.specialized_ns_per_batch / 1e6,
-    );
-    println!(
-        "fused speedup: {:.1}x over separate ({} instrs vs {}, {} registers)",
-        result.fused_speedup,
+        "stage program: {:.3} ms/batch, {:.1}M rows/sec ({} instrs, {} steps, \
+         {} superinstrs, {} tier)",
+        result.stage_ns_per_batch / 1e6,
+        result.stage_rows_per_sec / 1e6,
         result.program_instructions,
-        result.separate_instructions,
-        result.program_registers,
-    );
-    println!(
-        "specialized speedup: {:.1}x over fused ({} instrs, {} registers, \
-         {:.1}M rows/sec)",
-        result.specialized_speedup,
-        result.specialized_instructions,
-        result.specialized_registers,
-        result.specialized_rows_per_sec / 1e6,
-    );
-    println!(
-        "compiled speedup: {:.1}x over specialized ({} steps, {} superinstrs, \
-         {} tier, {:.1}M rows/sec)",
-        result.compiled_speedup,
         result.compiled_steps,
         result.compiled_superinstrs,
         result.compiled_tier,
-        result.compiled_rows_per_sec / 1e6,
+    );
+    println!(
+        "mem_pair: {:.3} ms/batch, {:.1}M rows/sec ({} instrs, {} steps); batch {n} rows",
+        result.mem_pair_ns_per_batch / 1e6,
+        result.mem_pair_rows_per_sec / 1e6,
+        result.mem_pair_instructions,
+        result.mem_pair_steps,
     );
     write_json("bench_symbolic", &result);
-
-    assert!(
-        result.fused_speedup >= 1.0,
-        "fused evaluation must not be slower than separate tapes"
-    );
-    assert!(
-        result.specialized_speedup >= 1.0,
-        "specialized evaluation must not be slower than the fused program"
-    );
-    assert!(
-        result.compiled_speedup >= 1.0,
-        "compiled evaluation must not be slower than the interpreted residual"
-    );
 }

@@ -71,8 +71,8 @@ OPTIONS:
     --journal <FILE>
                    record the tuner's decision journal (candidate
                    rejections, Pareto frontier summaries, DP/MILP
-                   pruning, specializer cache traffic) plus the span
-                   timeline as JSONL, for `mist-cli explain`
+                   pruning) plus the span timeline as JSONL, for
+                   `mist-cli explain`
 
 EXPLAIN:
     Digests a decision journal (from tune --journal) or a tune --json
@@ -634,19 +634,11 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
                     "info": l.info_count(),
                     "programs": l.reports.iter().map(lint_report_json)
                         .collect::<Vec<_>>(),
-                    "avg_specialized_instrs": l.avg_specialized_instrs(),
-                    "specialized": l.specialized.iter().map(|s| {
-                        serde_json::json!({
-                            "instructions": s.instructions,
-                            "original_instructions": s.original_instructions,
-                            "report": lint_report_json(&s.report),
-                        })
-                    }).collect::<Vec<_>>(),
                 })
             })
             .collect();
         let out = serde_json::json!({
-            "schema_version": 2u64,
+            "schema_version": 3u64,
             "space": args.space.name,
             "errors": errors,
             "warnings": warnings,
@@ -663,11 +655,9 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
     println!("space:  {}  (seq {seq})", args.space.name);
     for lint in &lints {
         println!(
-            "{}: {} programs ({} specialized, avg {:.1} instrs), {} error(s), {} warning(s), {} info",
+            "{}: {} programs, {} error(s), {} warning(s), {} info",
             lint.model,
             lint.reports.len(),
-            lint.specialized.len(),
-            lint.avg_specialized_instrs(),
             lint.error_count(),
             lint.warning_count(),
             lint.info_count()
@@ -683,22 +673,11 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
                 println!("  {}: {d}", report.program);
             }
         }
-        for s in &lint.specialized {
-            for d in s
-                .report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity != Severity::Info)
-            {
-                println!("  {}: {d}", s.report.program);
-            }
-        }
     }
     println!(
-        "lint-ir: {} model(s), {} programs (+{} specialized residuals), {errors} error(s), {warnings} warning(s), {info} info",
+        "lint-ir: {} model(s), {} programs, {errors} error(s), {warnings} warning(s), {info} info",
         lints.len(),
         lints.iter().map(|l| l.reports.len()).sum::<usize>(),
-        lints.iter().map(|l| l.specialized.len()).sum::<usize>(),
     );
     Ok(errors == 0)
 }

@@ -6,9 +6,9 @@
 //! enumerated configuration attributed to exactly one outcome, a
 //! rejection-reason histogram, the incumbent's evolution, the top-k
 //! runner-up plans with the constraint that killed each one, per-solve
-//! DP statistics, MILP node tallies, specializer cache behavior and a
-//! self-time tree reconstructed from span parentage, with the
-//! intra-stage sweep's phase split grafted under `intra.frontier`. An
+//! DP statistics, MILP node tallies and a self-time tree reconstructed
+//! from span parentage, with the intra-stage sweep's phase split
+//! grafted under `intra.frontier`. An
 //! outcome file only carries the aggregate counters, so its digest is
 //! the aggregate subset.
 //!
@@ -202,11 +202,6 @@ struct Tallies {
     milp_open: u64,
     milp_pruned: u64,
     milp_incumbent: u64,
-    // Specializer cache.
-    spec_hits: u64,
-    spec_misses: u64,
-    spec_original_sum: u64,
-    spec_residual_sum: u64,
 }
 
 /// One runner-up plan with the constraint that killed it.
@@ -401,20 +396,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                 MilpNodeKind::Pruned => t.milp_pruned += 1,
                 MilpNodeKind::Incumbent => t.milp_incumbent += 1,
             },
-            JournalEvent::SpecializeCache {
-                hit,
-                original,
-                residual,
-                ..
-            } => {
-                if *hit {
-                    t.spec_hits += 1;
-                } else {
-                    t.spec_misses += 1;
-                    t.spec_original_sum += *original as u64;
-                    t.spec_residual_sum += *residual as u64;
-                }
-            }
             JournalEvent::MonotonePrune {
                 mesh_nodes,
                 mesh_gpus,
@@ -583,8 +564,6 @@ fn digest_outcome(v: &Value) -> Result<Digest, String> {
         outer_out_of_budget: c("tuner.rejections.out_of_budget"),
         bound_pruned: c("tuner.rejections.bound_pruned"),
         dp_states: c("inter.dp_states"),
-        spec_hits: c("specializer.cache_hits"),
-        spec_misses: c("specializer.cache_misses"),
         frontier_size_max: get_f64(&gauges, "frontier.size") as u64,
         ..Tallies::default()
     };
@@ -717,12 +696,6 @@ fn digest_to_json(d: &Digest) -> Value {
             "pruned": t.milp_pruned,
             "incumbents": t.milp_incumbent,
         }),
-        "specializer": serde_json::json!({
-            "hits": t.spec_hits,
-            "misses": t.spec_misses,
-            "original_instrs": t.spec_original_sum,
-            "residual_instrs": t.spec_residual_sum,
-        }),
         "spans": serde_json::json!({ "total": d.span_count, "orphans": d.orphans }),
         "journal": serde_json::json!({ "dropped": d.dropped }),
         "timing": timing,
@@ -845,14 +818,6 @@ fn render_text(d: &Digest) -> String {
             t.milp_open, t.milp_pruned, t.milp_incumbent
         ));
     }
-    line(format!(
-        "specializer: {} hits, {} misses ({:.1}% hit rate), residual {}/{} instrs on misses",
-        t.spec_hits,
-        t.spec_misses,
-        pct(t.spec_hits, t.spec_hits + t.spec_misses),
-        t.spec_residual_sum,
-        t.spec_original_sum
-    ));
     line(format!("max frontier size: {}", t.frontier_size_max));
     if !d.cert_checks.is_empty() {
         let ok = d

@@ -10,25 +10,11 @@
 //! is dimensionally consistent, finite, and non-negative over the whole
 //! space.
 
-use mist_graph::{
-    stage_unit_registry, sweep_frozen_symbols, StageAnalyzer, StageCandidate, StageRole,
-};
+use mist_graph::{stage_unit_registry, StageAnalyzer, StageCandidate, StageRole};
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb, Platform};
 use mist_irlint::LintReport;
 use mist_models::ModelSpec;
-use mist_symbolic::specialize_with_stats;
-use mist_tuner::{CkptMode, SearchSpace};
-
-/// Lint verdict of one per-sweep specialized residual program.
-#[derive(Debug)]
-pub struct SpecializedLint {
-    /// `model/role/specialized[...]` label of the residual.
-    pub report: LintReport,
-    /// Residual instruction count after specialization.
-    pub instructions: usize,
-    /// Instruction count of the original fused program.
-    pub original_instructions: usize,
-}
+use mist_tuner::SearchSpace;
 
 /// Lint reports for every probe program of one model preset.
 #[derive(Debug)]
@@ -38,40 +24,22 @@ pub struct ModelLint {
     /// One report per `(role, program)` pair, in role order with the
     /// fused 22-root program before the memory pair.
     pub reports: Vec<LintReport>,
-    /// Reports for the specialized residuals the tuner actually sweeps:
-    /// per role, the corner `(zero, offload)` groups of the space.
-    pub specialized: Vec<SpecializedLint>,
 }
 
 impl ModelLint {
-    /// Total error-severity diagnostics across all reports (fused and
-    /// specialized).
+    /// Total error-severity diagnostics across all reports.
     pub fn error_count(&self) -> usize {
-        self.all_reports().map(LintReport::error_count).sum()
+        self.reports.iter().map(LintReport::error_count).sum()
     }
 
     /// Total warning-severity diagnostics across all reports.
     pub fn warning_count(&self) -> usize {
-        self.all_reports().map(LintReport::warning_count).sum()
+        self.reports.iter().map(LintReport::warning_count).sum()
     }
 
     /// Total info-severity diagnostics across all reports.
     pub fn info_count(&self) -> usize {
-        self.all_reports().map(LintReport::info_count).sum()
-    }
-
-    /// Mean instruction count of the specialized residuals (`NaN` when
-    /// none were produced).
-    pub fn avg_specialized_instrs(&self) -> f64 {
-        let n = self.specialized.len();
-        let total: usize = self.specialized.iter().map(|s| s.instructions).sum();
-        total as f64 / n as f64
-    }
-
-    fn all_reports(&self) -> impl Iterator<Item = &LintReport> {
-        self.reports
-            .iter()
-            .chain(self.specialized.iter().map(|s| &s.report))
+        self.reports.iter().map(LintReport::info_count).sum()
     }
 }
 
@@ -88,25 +56,7 @@ pub fn lint_model(model: &ModelSpec, platform: Platform, space: &SearchSpace) ->
     let analyzer = StageAnalyzer::new(model, &cluster, &db);
     let registry = stage_unit_registry();
     let domains = space.symbol_domains(model);
-    // Corner `(zero, offload)` groups of the sweep: the all-off first
-    // combo and the most aggressive one. Every group the tuner freezes
-    // lies between these in how much of the program survives.
-    let zeros = space.zero_levels();
-    let combos = space.offload_combos();
-    let mut groups: Vec<(u8, [f64; 4])> = vec![(zeros[0], combos[0])];
-    let corner = (
-        *zeros.last().expect("non-empty"),
-        *combos.last().expect("non-empty"),
-    );
-    if corner != groups[0] {
-        groups.push(corner);
-    }
-    let frozen_ckpt = match space.ckpt {
-        CkptMode::None => Some(0),
-        CkptMode::Full | CkptMode::Tuned => None,
-    };
     let mut reports = Vec::new();
-    let mut specialized = Vec::new();
     for role in [
         StageRole::First,
         StageRole::Middle,
@@ -134,29 +84,10 @@ pub fn lint_model(model: &ModelSpec, platform: Platform, space: &SearchSpace) ->
                 &format!("{}/{tag}/{kind}", model.name),
             ));
         }
-        // The residuals the tuner sweeps: freeze each corner group (with
-        // the sweep-domain interval facts) and re-lint — the
-        // specialization pass must not manufacture unit mismatches,
-        // unprovable bounds or dead code at any corner of the space.
-        let facts = mist_irlint::sweep_facts(&tapes.program, &domains);
-        for &(z, off) in &groups {
-            let frozen = sweep_frozen_symbols(z, off, 1, frozen_ckpt);
-            let (residual, stats) = specialize_with_stats(&tapes.program, &frozen, &facts);
-            let label = format!(
-                "{}/{tag}/specialized[zero={z},off={:.2},{:.2},{:.2},{:.2}]",
-                model.name, off[0], off[1], off[2], off[3]
-            );
-            specialized.push(SpecializedLint {
-                report: mist_irlint::lint_program(&residual, &registry, &domains, &label),
-                instructions: stats.specialized_instrs,
-                original_instructions: stats.original_instrs,
-            });
-        }
     }
     ModelLint {
         model: model.name.clone(),
         reports,
-        specialized,
     }
 }
 
@@ -172,33 +103,5 @@ mod tests {
         assert_eq!(lint.reports.len(), 8);
         assert_eq!(lint.error_count(), 0, "{:#?}", lint.reports);
         assert_eq!(lint.warning_count(), 0, "{:#?}", lint.reports);
-    }
-
-    #[test]
-    fn specialized_residuals_lint_clean_and_shrink() {
-        let model = gpt3(ModelSize::B1_3, 2048, AttentionImpl::Flash);
-        for space in [SearchSpace::mist(), SearchSpace::megatron()] {
-            let lint = lint_model(&model, Platform::GcpL4, &space);
-            // 4 roles × 2 corner groups (megatron has a single offload
-            // combo but two ZeRO levels, so still two corners).
-            assert_eq!(lint.specialized.len(), 8, "space {}", space.name);
-            for s in &lint.specialized {
-                assert!(s.report.is_clean(), "space {}: {}", space.name, s.report);
-                assert!(
-                    s.instructions < s.original_instructions,
-                    "space {}: {} must shrink ({} -> {})",
-                    space.name,
-                    s.report.program,
-                    s.original_instructions,
-                    s.instructions
-                );
-            }
-            assert!(
-                lint.avg_specialized_instrs() < 60.0,
-                "space {}: avg {} instrs",
-                space.name,
-                lint.avg_specialized_instrs()
-            );
-        }
     }
 }

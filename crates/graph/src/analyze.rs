@@ -12,9 +12,10 @@
 //!   repositioned optimizer step) and the last microbatch (gradient
 //!   reduction) — paper §5.1 and Fig. 4/10.
 //!
-//! The expressions are compiled into [`Tape`]s so the tuner can evaluate
-//! whole grids of `(ckpt, zero, wo, go, oo, ao)` values per candidate in
-//! one batched pass — the paper's key idea #2.
+//! The expressions are fused into one multi-root [`Program`], compiled
+//! once per candidate, so the tuner can evaluate whole grids of
+//! `(L, ckpt, zero, wo, go, oo, ao)` values in one batched pass — the
+//! paper's key idea #2.
 //!
 //! # Modeling conventions
 //!
@@ -31,15 +32,14 @@
 //! * Interference between the streams is *not* applied here — the tuner
 //!   folds each 4-tuple through the interference model `I` (Eq. 5/6).
 
+use std::sync::OnceLock;
+
 use mist_hardware::{
     all_gather_time, all_reduce_time, p2p_time, ClusterSpec, DeviceMesh, OpCostDb, OpKind, OpQuery,
 };
 use mist_irlint::{DomainMap, SymbolDomain, Unit, UnitRegistry};
 use mist_models::ModelSpec;
-use mist_symbolic::{
-    BatchBindings, CmpOp, CompiledWorkspace, Context, EvalWorkspace, FrozenSymbols, Program,
-    SymbolicError, Tape,
-};
+use mist_symbolic::{CmpOp, CompiledProgram, CompiledWorkspace, Context, Program};
 use serde::{Deserialize, Serialize};
 
 use crate::liveness::{profile_layer, LayerProfile};
@@ -54,41 +54,6 @@ use crate::trace::{trace_embedding, trace_head, trace_layer};
 /// `inflight` — in-flight microbatches at this stage under 1F1B
 /// (`min(G, S − stage_index)`).
 pub const SYMS: [&str; 8] = ["L", "ckpt", "zero", "wo", "go", "oo", "ao", "inflight"];
-
-/// The search knobs a frontier sweep varies *within* one specialization
-/// group: every other symbol in [`SYMS`] is frozen by
-/// [`sweep_frozen_symbols`] (with `ckpt` frozen too when the sweep pins
-/// it, e.g. under `CkptMode::None`).
-pub const SWEEP_VARYING: [&str; 2] = ["L", "ckpt"];
-
-/// The frozen-symbol set of one frontier-sweep group, for
-/// [`mist_symbolic::specialize`].
-///
-/// The tuner's intra-stage sweep enumerates the cross product of layer
-/// counts, ZeRO levels and offload combinations; grouping rows by
-/// `(zero, offload)` leaves only `L` (and `ckpt`, when it is searched)
-/// varying inside a group, so everything else specializes away.
-/// `ckpt: Some(v)` additionally freezes the checkpoint knob — pass it
-/// when the sweep pins checkpointing (e.g. fully off).
-pub fn sweep_frozen_symbols(
-    zero: u8,
-    offload: [f64; 4],
-    inflight: u32,
-    ckpt: Option<u32>,
-) -> FrozenSymbols {
-    let mut pairs = vec![
-        ("zero", f64::from(zero)),
-        ("wo", offload[0]),
-        ("go", offload[1]),
-        ("oo", offload[2]),
-        ("ao", offload[3]),
-        ("inflight", f64::from(inflight)),
-    ];
-    if let Some(c) = ckpt {
-        pairs.push(("ckpt", f64::from(c)));
-    }
-    FrozenSymbols::new(pairs)
-}
 
 /// Declared units of the [`SYMS`] symbols and the stage roots, for the
 /// `mist-irlint` static analyzer.
@@ -223,39 +188,6 @@ pub struct StageCandidate {
     pub role: StageRole,
 }
 
-/// The four stream tapes of one schedule phase.
-#[derive(Debug, Clone)]
-pub struct StreamTapes {
-    /// GPU compute seconds.
-    pub compute: Tape,
-    /// GPU↔GPU (NCCL) seconds.
-    pub nccl: Tape,
-    /// Device→host copy seconds.
-    pub d2h: Tape,
-    /// Host→device copy seconds.
-    pub h2d: Tape,
-}
-
-impl StreamTapes {
-    /// Batched evaluation of all four streams; returns one `[f64; 4]` row
-    /// per batch entry.
-    ///
-    /// Hot paths should prefer the fused [`StageTapes::eval_batch_fused`]
-    /// pass, which evaluates all 22 stage roots at once.
-    pub fn eval_batch(&self, batch: &BatchBindings) -> Vec<[f64; 4]> {
-        let c = self.compute.eval_batch(batch).expect("compute tape");
-        let n = self.nccl.eval_batch(batch).expect("nccl tape");
-        let d = self.d2h.eval_batch(batch).expect("d2h tape");
-        let h = self.h2d.eval_batch(batch).expect("h2d tape");
-        c.into_iter()
-            .zip(n)
-            .zip(d)
-            .zip(h)
-            .map(|(((c, n), d), h)| [c, n, d, h])
-            .collect()
-    }
-}
-
 /// Root indices of the fused [`StageTapes::program`].
 ///
 /// The six memory roots come first, then the four schedule phases with
@@ -292,45 +224,24 @@ pub struct StageTapes {
     /// The candidate these tapes describe.
     pub candidate: StageCandidate,
     /// All 22 stage expressions fused into one multi-root program with
-    /// cross-root CSE and register allocation. Root order is given by
-    /// [`stage_roots`]. Hot paths evaluate this once per batch instead of
-    /// looping over the individual tapes below.
+    /// cross-root CSE. Root order is given by [`stage_roots`]; the
+    /// memory decomposition roots split peak memory into resident
+    /// bytes, stashed activations per in-flight microbatch and
+    /// transient working sets.
     pub program: Program,
     /// Two-root (`mem_fwd`, `mem_bwd`) program for feasibility probes
     /// (e.g. the tuner's analytic minimal-checkpoint solve), which only
     /// need the peak-memory pair and not the full 22 roots.
     pub mem_pair: Program,
-    /// Peak forward-pass memory in bytes.
-    pub mem_fwd: Tape,
-    /// Peak backward-pass memory in bytes.
-    pub mem_bwd: Tape,
-    /// Memory decomposition: bytes resident for the whole iteration
-    /// (model states after sharding/offloading + working sets + staging
-    /// buffers).
-    pub mem_resident: Tape,
-    /// Memory decomposition: activation bytes stashed per in-flight
-    /// microbatch (after checkpointing and activation offload).
-    pub mem_act_per_mb: Tape,
-    /// Memory decomposition: transient working bytes during forward.
-    pub mem_transient_fwd: Tape,
-    /// Memory decomposition: transient working bytes during backward
-    /// (includes the recompute buffer when checkpointing is on).
-    pub mem_transient_bwd: Tape,
-    /// Stable-microbatch forward-phase stream times.
-    pub fwd: StreamTapes,
-    /// Stable-microbatch backward-phase stream times (includes
-    /// recomputation of checkpointed layers).
-    pub bwd: StreamTapes,
-    /// First-microbatch extras (optimizer step, state swap-ins,
-    /// updated-parameter all-gather).
-    pub first_extra: StreamTapes,
-    /// Last-microbatch extras (gradient reduction, state swap-outs).
-    pub last_extra: StreamTapes,
     /// The per-layer profile behind the tapes (for the simulator and for
     /// educational dumps).
     pub layer: LayerProfile,
     /// Bytes crossing each pipeline boundary per microbatch per direction.
     pub p2p_bytes: f64,
+    /// `program` and `mem_pair` lowered for batch evaluation, built on
+    /// first use so callers that only analyze or evaluate single points
+    /// never pay for lowering.
+    compiled: OnceLock<(CompiledProgram, CompiledProgram)>,
 }
 
 /// One evaluated configuration point (scalar convenience for tests and
@@ -662,7 +573,7 @@ impl<'a> StageAnalyzer<'a> {
         let h2d_last = zero_c;
 
         // Fuse all 22 roots into one program (cross-root CSE: the shared
-        // sharding/offload subtrees are compiled once, not per tape).
+        // sharding/offload subtrees are compiled once, not per root).
         let mem_transient_fwd_e = ctx.constant(transient_fwd);
         let program = ctx.compile_program(&[
             ("mem_fwd", mem_fwd),
@@ -709,38 +620,9 @@ impl<'a> StageAnalyzer<'a> {
             candidate: *cand,
             program,
             mem_pair,
-            mem_fwd: ctx.compile(mem_fwd),
-            mem_bwd: ctx.compile(mem_bwd),
-            mem_resident: ctx.compile(mem_resident),
-            mem_act_per_mb: ctx.compile(acts_per_mb),
-            mem_transient_fwd: ctx.compile(ctx.constant(transient_fwd)),
-            mem_transient_bwd: ctx.compile(mem_transient_bwd),
-            fwd: StreamTapes {
-                compute: ctx.compile(c_fwd),
-                nccl: ctx.compile(nccl_fwd),
-                d2h: ctx.compile(d2h_fwd),
-                h2d: ctx.compile(h2d_fwd),
-            },
-            bwd: StreamTapes {
-                compute: ctx.compile(c_bwd),
-                nccl: ctx.compile(nccl_bwd),
-                d2h: ctx.compile(d2h_bwd),
-                h2d: ctx.compile(h2d_bwd),
-            },
-            first_extra: StreamTapes {
-                compute: ctx.compile(c_first),
-                nccl: ctx.compile(nccl_first),
-                d2h: ctx.compile(d2h_first),
-                h2d: ctx.compile(h2d_first),
-            },
-            last_extra: StreamTapes {
-                compute: ctx.compile(c_last),
-                nccl: ctx.compile(nccl_last),
-                d2h: ctx.compile(d2h_last),
-                h2d: ctx.compile(h2d_last),
-            },
             layer,
             p2p_bytes,
+            compiled: OnceLock::new(),
         }
     }
 }
@@ -777,28 +659,22 @@ impl StageTapes {
         StagePoint::from_roots(|root| out[root])
     }
 
-    /// Evaluates all 22 roots over a batch in one fused pass.
-    ///
-    /// Output columns land in `ws` at the [`stage_roots`] indices; read
-    /// rows back with [`StagePoint::from_roots`]. The workspace is reused
-    /// across calls, so steady-state evaluation performs no
-    /// per-instruction allocation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates binding errors from
-    /// [`Program::eval_batch`](mist_symbolic::Program::eval_batch).
-    pub fn eval_batch_fused(
-        &self,
-        batch: &BatchBindings,
-        ws: &mut EvalWorkspace,
-    ) -> Result<(), SymbolicError> {
-        self.program.eval_batch(batch, ws)
+    /// The compiled `(program, mem_pair)` — the only batch evaluators
+    /// of this candidate — lowered on the first call and shared by every
+    /// later one.
+    pub fn compiled(&self) -> (&CompiledProgram, &CompiledProgram) {
+        let (program, mem_pair) = self.compiled.get_or_init(|| {
+            (
+                CompiledProgram::compile(&self.program),
+                CompiledProgram::compile(&self.mem_pair),
+            )
+        });
+        (program, mem_pair)
     }
 
     /// Assembles row `i` of a compiled-backend batch evaluation into a
-    /// [`StagePoint`]. The compiled backend is bit-identical to the
-    /// interpreter and to [`StageTapes::eval_point`], so the assembled
+    /// [`StagePoint`]. The compiled backend is bit-identical to
+    /// [`StageTapes::eval_point`] on in-domain rows, so the assembled
     /// point is byte-for-byte the scalar one for the same row.
     ///
     /// # Panics
@@ -808,23 +684,6 @@ impl StageTapes {
     pub fn point_at_compiled(&self, ws: &CompiledWorkspace, i: usize) -> StagePoint {
         StagePoint::from_roots(|root| ws.output(root)[i])
     }
-
-    /// Evaluates the two-root `mem_pair` program and returns the per-row
-    /// peak `max(mem_fwd, mem_bwd)` — the Eq. 4 feasibility quantity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch does not bind every stage symbol.
-    pub fn mem_peak_batch(&self, batch: &BatchBindings, ws: &mut EvalWorkspace) -> Vec<f64> {
-        self.mem_pair
-            .eval_batch(batch, ws)
-            .expect("mem_pair program");
-        ws.output(0)
-            .iter()
-            .zip(ws.output(1))
-            .map(|(&f, &b)| f.max(b))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -832,6 +691,7 @@ mod tests {
     use super::*;
     use mist_hardware::{ClusterSpec, GpuSpec, Platform};
     use mist_models::{gpt3, AttentionImpl, ModelSize};
+    use mist_symbolic::BatchBindings;
 
     fn setup() -> (mist_models::ModelSpec, ClusterSpec) {
         (
@@ -1027,7 +887,7 @@ mod tests {
     fn batched_and_scalar_evaluation_agree() {
         let (model, cluster) = setup();
         let t = tapes(&model, &cluster, 2, 2);
-        let mut batch = mist_symbolic::BatchBindings::new(3);
+        let mut batch = BatchBindings::new(3);
         batch.set_scalar("L", 16.0);
         batch.set_values("ckpt", vec![0.0, 8.0, 16.0]);
         batch.set_scalar("zero", 2.0);
@@ -1036,8 +896,9 @@ mod tests {
         batch.set_values("oo", vec![0.0, 0.5, 1.0]);
         batch.set_scalar("ao", 0.25);
         batch.set_scalar("inflight", 2.0);
-        let mems = t.mem_fwd.eval_batch(&batch).unwrap();
-        let rows = t.bwd.eval_batch(&batch);
+        let (program, _) = t.compiled();
+        let mut ws = CompiledWorkspace::new();
+        program.eval_batch(&batch, &mut ws).unwrap();
         for (i, (&ck, &oo)) in [0.0f64, 8.0, 16.0]
             .iter()
             .zip(&[0.0f64, 0.5, 1.0])
@@ -1054,8 +915,9 @@ mod tests {
                 inflight: 2,
             };
             let p = t.eval_point(&cfg);
-            assert!((mems[i] - p.mem_fwd).abs() < 1.0, "row {i}");
-            for (s, want) in rows[i].iter().enumerate() {
+            let row = t.point_at_compiled(&ws, i);
+            assert!((row.mem_fwd - p.mem_fwd).abs() < 1.0, "row {i}");
+            for (s, want) in row.bwd.iter().enumerate() {
                 assert!((want - p.bwd[s]).abs() < 1e-12, "row {i} stream {s}");
             }
         }
@@ -1088,71 +950,77 @@ mod tests {
         assert_eq!(t, [1.0, 2.0, 4.0, 3.0]);
     }
 
+    /// The compiled GPT-3 6.7B `program` and `mem_pair` of every role,
+    /// over a knob grid inside [`stage_domains`], agree bit for bit with
+    /// the scalar reference `Program::eval_scalar` — with `inflight`
+    /// bound as a broadcast scalar, the shape the tuner's sweep binds.
     #[test]
-    fn fused_program_matches_individual_tapes() {
-        let (model, cluster) = setup();
-        let t = tapes(&model, &cluster, 2, 2);
-        assert_eq!(t.program.num_roots(), stage_roots::COUNT);
+    fn stage_programs_match_scalar_oracle() {
+        let model = gpt3(ModelSize::B6_7, 2048, AttentionImpl::Flash);
+        let cluster = ClusterSpec::for_gpu_count(Platform::GcpL4, 8);
+        let db = OpCostDb::new(GpuSpec::l4());
+        let analyzer = StageAnalyzer::new(&model, &cluster, &db);
+        let nl = model.num_layers;
 
-        let mut batch = mist_symbolic::BatchBindings::new(4);
-        batch.set_values("L", vec![4.0, 8.0, 16.0, 32.0]);
-        batch.set_values("ckpt", vec![0.0, 4.0, 8.0, 32.0]);
-        batch.set_values("zero", vec![0.0, 1.0, 2.0, 3.0]);
-        batch.set_scalar("wo", 0.5);
-        batch.set_scalar("go", 0.25);
-        batch.set_values("oo", vec![0.0, 0.5, 1.0, 0.75]);
-        batch.set_scalar("ao", 0.5);
-        batch.set_scalar("inflight", 2.0);
-
-        let mut ws = EvalWorkspace::new();
-        t.eval_batch_fused(&batch, &mut ws).unwrap();
-
-        let separate: [(&Tape, usize); 6] = [
-            (&t.mem_fwd, stage_roots::MEM_FWD),
-            (&t.mem_bwd, stage_roots::MEM_BWD),
-            (&t.mem_resident, stage_roots::MEM_RESIDENT),
-            (&t.mem_act_per_mb, stage_roots::MEM_ACT_PER_MB),
-            (&t.mem_transient_fwd, stage_roots::MEM_TRANSIENT_FWD),
-            (&t.mem_transient_bwd, stage_roots::MEM_TRANSIENT_BWD),
-        ];
-        for (tape, root) in separate {
-            assert_eq!(ws.output(root), &tape.eval_batch(&batch).unwrap()[..]);
-        }
-        for (streams, base) in [
-            (&t.fwd, stage_roots::FWD),
-            (&t.bwd, stage_roots::BWD),
-            (&t.first_extra, stage_roots::FIRST_EXTRA),
-            (&t.last_extra, stage_roots::LAST_EXTRA),
-        ] {
-            let rows = streams.eval_batch(&batch);
-            for (i, row) in rows.iter().enumerate() {
-                for (s, want) in row.iter().enumerate() {
-                    assert_eq!(ws.output(base + s)[i], *want, "root {base}+{s} row {i}");
+        let mut grid: Vec<[f64; 7]> = Vec::new();
+        for l in [1, 2, nl / 2, nl] {
+            for ckpt in [0, 1, l / 2, l] {
+                for zero in 0..=3 {
+                    for wo in [0.0, 0.5, 1.0] {
+                        for go in [0.0, 1.0] {
+                            for oo in [0.0, 0.5, 1.0] {
+                                for ao in [0.0, 0.25, 1.0] {
+                                    let (l, ckpt) = (f64::from(l), f64::from(ckpt.min(l)));
+                                    grid.push([l, ckpt, f64::from(zero), wo, go, oo, ao]);
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
+        let mut batch = BatchBindings::new(grid.len());
+        for (k, name) in SYMS[..7].iter().enumerate() {
+            batch.set_values(name, grid.iter().map(|row| row[k]).collect());
+        }
 
-        // Row 1 read back as a point agrees with the scalar path.
-        let p1 = StagePoint::from_roots(|root| ws.output(root)[1]);
-        let cfg = StageConfigValues {
-            layers: 8,
-            ckpt: 4,
-            zero: 1,
-            wo: 0.5,
-            go: 0.25,
-            oo: 0.5,
-            ao: 0.5,
-            inflight: 2,
-        };
-        let ps = t.eval_point(&cfg);
-        assert_eq!(p1, ps);
-
-        // mem_pair agrees with the full program's memory roots.
-        let peaks = t.mem_peak_batch(&batch, &mut EvalWorkspace::new());
-        t.eval_batch_fused(&batch, &mut ws).unwrap();
-        for (i, peak) in peaks.iter().enumerate() {
-            let want = ws.output(stage_roots::MEM_FWD)[i].max(ws.output(stage_roots::MEM_BWD)[i]);
-            assert_eq!(*peak, want, "row {i}");
+        let mut ws = CompiledWorkspace::new();
+        let mut out = Vec::new();
+        for role in [
+            StageRole::First,
+            StageRole::Middle,
+            StageRole::Last,
+            StageRole::Only,
+        ] {
+            let t = analyzer.analyze(&StageCandidate {
+                mesh: DeviceMesh::new(1, 4),
+                dp: 2,
+                tp: 2,
+                micro_batch: 2,
+                role,
+            });
+            let (program, mem_pair) = t.compiled();
+            for inflight in [1.0, 4.0] {
+                batch.set_scalar("inflight", inflight);
+                for (source, compiled) in [(&t.program, program), (&t.mem_pair, mem_pair)] {
+                    compiled.eval_batch(&batch, &mut ws).unwrap();
+                    for (i, row) in grid.iter().enumerate() {
+                        let mut bindings: Vec<(&str, f64)> =
+                            SYMS[..7].iter().copied().zip(row.iter().copied()).collect();
+                        bindings.push(("inflight", inflight));
+                        let inputs = source.symbols().resolve_scalars(&bindings).unwrap();
+                        source.eval_scalar(&inputs, &mut out).unwrap();
+                        for (root, want) in out.iter().enumerate() {
+                            assert_eq!(
+                                ws.output(root)[i].to_bits(),
+                                want.to_bits(),
+                                "{role:?} {} root {root} row {row:?} inflight {inflight}",
+                                source.root_labels()[root]
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -14,12 +14,13 @@
 //! 3. **Stage analysis** ([`StageAnalyzer`]) — assemble, for one
 //!    candidate (micro-batch, DP, TP, mesh) tuple, *symbolic expressions*
 //!    for peak memory and for the four per-stream time totals of both a
-//!    stable microbatch and the first/last microbatch delta, compiled into
-//!    batched-evaluation tapes over the optimization symbols
-//!    `(L, ckpt, zero, wo, go, oo, ao, inflight)`.
+//!    stable microbatch and the first/last microbatch delta, fused into
+//!    one multi-root [`Program`](mist_symbolic::Program) over the
+//!    optimization symbols `(L, ckpt, zero, wo, go, oo, ao, inflight)`.
 //!
-//! The tapes are where the search-space explosion is tamed: one build, then
-//! tens of thousands of configurations evaluated by value substitution.
+//! That program is where the search-space explosion is tamed: one build,
+//! then tens of thousands of configurations evaluated by value
+//! substitution through its compiled form ([`StageTapes::compiled`]).
 
 mod analyze;
 mod liveness;
@@ -27,9 +28,8 @@ mod op;
 mod trace;
 
 pub use analyze::{
-    stage_domains, stage_roots, stage_unit_registry, sweep_frozen_symbols, StageAnalyzer,
-    StageCandidate, StageConfigValues, StagePoint, StageRole, StageTapes, StreamTapes,
-    SWEEP_VARYING, SYMS,
+    stage_domains, stage_roots, stage_unit_registry, StageAnalyzer, StageCandidate,
+    StageConfigValues, StagePoint, StageRole, StageTapes, SYMS,
 };
 pub use liveness::{profile_layer, LayerProfile};
 pub use op::{TracedOp, TracedOpKind};

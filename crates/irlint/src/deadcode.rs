@@ -1,6 +1,6 @@
 //! Dead-code and unused-symbol detection.
 //!
-//! The interpreter executes every SSA slot, so "dead" here means *the
+//! Evaluation executes every SSA slot, so "dead" here means *the
 //! value can never influence any root over the declared domain*.
 //! Liveness is the crate's one *backward* dataflow instance: the fact
 //! lattice is the booleans under "or", roots are live by fiat, and a

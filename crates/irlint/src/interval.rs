@@ -11,7 +11,7 @@
 //! deterministic post-pass.
 //!
 //! Soundness under round-to-nearest: every transfer function evaluates
-//! the same floating-point operations the interpreter runs, at interval
+//! the same floating-point operations the evaluator runs, at interval
 //! endpoints (or 4-corner products/quotients). Because IEEE-754
 //! round-to-nearest is monotone and these operations are coordinatewise
 //! monotone, interior points cannot escape the endpoint results — no
@@ -304,43 +304,6 @@ pub(crate) fn analyze(program: &Program, domains: &DomainMap) -> IntervalOutcome
     IntervalOutcome { values, diags }
 }
 
-/// `Select` guards provable constant over `domains`, as specialization
-/// facts for [`mist_symbolic::specialize`].
-///
-/// Runs the interval analysis and reports every `Select` whose
-/// condition can never (or always) be zero for bindings inside the
-/// declared domains. The facts are sound only for such in-domain
-/// bindings: the tuner derives `domains` from the exact search space it
-/// sweeps, so deleting these branches cannot change any evaluated row.
-/// Diagnostics the analysis would raise (missing domains, division by
-/// zero, …) are ignored here — run [`crate::lint_program`] for those.
-pub fn constant_guards(program: &Program, domains: &DomainMap) -> Vec<mist_symbolic::GuardFact> {
-    guards_from(program, &analyze(program, domains))
-}
-
-/// The full fact set the specializer can consume for `program` over the
-/// declared `domains`: the [`constant_guards`] plus per-slot value
-/// ranges (`lo`/`hi`/provably-finite), which license the specializer's
-/// zero-product collapse for multiplications by frozen-to-zero ratios.
-///
-/// Facts hold for **in-domain** bindings only; callers evaluating
-/// out-of-domain probe rows (the tuner's `ckpt = ∞` infeasibility
-/// marker) must discard those rows without reading them back.
-pub fn sweep_facts(program: &Program, domains: &DomainMap) -> mist_symbolic::SweepFacts {
-    let outcome = analyze(program, domains);
-    let guards = guards_from(program, &outcome);
-    let ranges = outcome
-        .values
-        .iter()
-        .map(|v| mist_symbolic::SlotRange {
-            lo: v.lo,
-            hi: v.hi,
-            finite: v.provably_finite(),
-        })
-        .collect();
-    mist_symbolic::SweepFacts::new(guards, ranges)
-}
-
 /// Proven interval bounds of every root over `domains`, in root order.
 ///
 /// A lighter entry point than [`crate::lint_program`] for callers that
@@ -361,22 +324,6 @@ pub fn root_intervals(program: &Program, domains: &DomainMap) -> Vec<crate::Root
                 hi: v.hi,
                 may_nonfinite: v.may_nonfinite,
             }
-        })
-        .collect()
-}
-
-fn guards_from(program: &Program, outcome: &IntervalOutcome) -> Vec<mist_symbolic::GuardFact> {
-    program
-        .instrs()
-        .enumerate()
-        .filter_map(|(slot, instr)| match instr {
-            Instr::Select(c, _, _) => {
-                guard_constant(outcome.values[c as usize]).map(|taken| mist_symbolic::GuardFact {
-                    slot: slot as u32,
-                    taken,
-                })
-            }
-            _ => None,
         })
         .collect()
 }

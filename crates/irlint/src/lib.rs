@@ -57,7 +57,7 @@ mod unit;
 pub use diag::{Analysis, Diagnostic, LintReport, RootBounds, Severity};
 pub use domain::{DomainMap, SymbolDomain};
 pub use framework::{fixpoint, Direction, FactEnv, Lattice, TransferFunction};
-pub use interval::{constant_guards, root_intervals, sweep_facts, AbstractValue};
+pub use interval::{root_intervals, AbstractValue};
 pub use lint::lint_program;
 pub use mono::{monotonicity, Mono, MonoReport, RootMono};
 pub use unit::{DimExponents, Unit, UnitRegistry};

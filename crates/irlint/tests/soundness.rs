@@ -4,8 +4,8 @@
 //! division-safe (`may_nonfinite == false` at the root) must never
 //! produce NaN or infinity on any sampled point.
 
-use mist_irlint::{lint_program, sweep_facts, DomainMap, SymbolDomain, UnitRegistry};
-use mist_symbolic::{specialize, CmpOp, Context, Expr, FrozenSymbols};
+use mist_irlint::{lint_program, DomainMap, SymbolDomain, UnitRegistry};
+use mist_symbolic::{CmpOp, Context, Expr};
 use proptest::prelude::*;
 
 /// The fixed symbol universe: name, domain, integral sampling.
@@ -161,67 +161,6 @@ proptest! {
                          non-finite at {point:?}"
                     );
                 }
-            }
-        }
-    }
-
-    /// Fact-assisted specialization is exact on in-domain points: a
-    /// residual built with [`sweep_facts`] (guard deletion *and* the
-    /// interval-licensed zero-product collapse) must agree with the
-    /// original program at every sampled in-domain point, for any
-    /// in-domain frozen subset of the symbols.
-    #[test]
-    fn sweep_facts_specialization_is_exact_in_domain(
-        spec in spec_strategy(),
-        frozen_fracs in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 4),
-        fracs in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 16),
-    ) {
-        let ctx = Context::new();
-        let expr = build(&ctx, &spec);
-        let program = ctx.compile_program(&[("root", expr)]);
-        let domains = all_domains();
-        let facts = sweep_facts(&program, &domains);
-
-        // Roughly half the symbols freeze, each at an in-domain value —
-        // the facts only hold inside the declared domains.
-        let frozen = FrozenSymbols::new(
-            frozen_fracs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(_, pick))| pick >= 0.5)
-                .map(|(i, &(f, _))| (SYMS[i].0, domain_value(i, f))),
-        );
-        let residual = specialize(&program, &frozen, &facts);
-
-        let orig_names = program.symbols().names().to_vec();
-        let res_names = residual.symbols().names().to_vec();
-        for fr in &fracs {
-            let point = sample_point(&[fr.0, fr.1, fr.2, fr.3]);
-            let value_of = |n: &str| {
-                frozen.get(n).unwrap_or_else(|| {
-                    let i = SYMS.iter().position(|s| s.0 == n).expect("known symbol");
-                    point[i]
-                })
-            };
-            let orig_inputs: Vec<f64> = orig_names.iter().map(|n| value_of(n)).collect();
-            let res_inputs: Vec<f64> = res_names.iter().map(|n| value_of(n)).collect();
-            match (
-                program.eval_scalar_root(0, &orig_inputs),
-                residual.eval_scalar_root(0, &res_inputs),
-            ) {
-                // `==` semantics: the documented signed-zero exception
-                // applies, NaN results surface as errors below.
-                (Ok(a), Ok(b)) => prop_assert!(
-                    a == b,
-                    "original {a} vs specialized {b} at {point:?}, frozen {:?}",
-                    frozen.pairs()
-                ),
-                (Err(_), Err(_)) => {}
-                (o, s) => prop_assert!(
-                    false,
-                    "finiteness diverged: {o:?} vs {s:?} at {point:?}, frozen {:?}",
-                    frozen.pairs()
-                ),
             }
         }
     }

@@ -4,12 +4,15 @@
 //! Address grammar follows the CLI: an address containing `:` is a TCP
 //! `host:port`; anything else is a Unix-socket path. Each connection
 //! gets its own thread reading newline-delimited requests; responses
-//! are written back one line each. A `shutdown` request sets the stop
-//! flag and wakes the accept loop with a dummy connection, so the serve
-//! loop exits promptly without polling.
+//! are written back one line each. A request line longer than
+//! [`MAX_REQUEST_BYTES`] gets one `request too large` error, the rest of
+//! the line is discarded unbuffered and the connection is closed, so no
+//! client can grow a connection's memory without limit. A `shutdown`
+//! request sets the stop flag and wakes the accept loop with a dummy
+//! connection, so the serve loop exits promptly without polling.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,6 +20,11 @@ use std::sync::Arc;
 use std::thread;
 
 use crate::planner::{Control, PlannerService};
+use crate::protocol::error_response;
+
+/// Longest request line the daemon reads, excluding its newline. Real
+/// requests are a few hundred bytes.
+const MAX_REQUEST_BYTES: u64 = 64 * 1024;
 
 enum Listener {
     Tcp(TcpListener),
@@ -101,9 +109,22 @@ impl Server {
 /// What both stream types offer: buffered reads via `try_clone`d
 /// handles would complicate things, so the reader owns the stream and
 /// writes go through the `BufReader::get_mut` escape hatch.
-trait Conn: io::Read + io::Write + Send {}
-impl Conn for TcpStream {}
-impl Conn for UnixStream {}
+trait Conn: io::Read + io::Write + Send {
+    /// Closes the write half, so the peer reads end-of-stream.
+    fn close_write(&self) -> io::Result<()>;
+}
+
+impl Conn for TcpStream {
+    fn close_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+}
+
+impl Conn for UnixStream {
+    fn close_write(&self) -> io::Result<()> {
+        self.shutdown(Shutdown::Write)
+    }
+}
 
 fn serve_connection(
     planner: &PlannerService,
@@ -115,21 +136,59 @@ fn serve_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // One byte past the limit: a line that fills the whole window
+        // without its newline is too long.
+        let n = (&mut reader)
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_line(&mut line)?;
+        if n == 0 {
             return Ok(()); // EOF: client closed the connection.
         }
-        if line.trim().is_empty() {
+        let too_large = n as u64 > MAX_REQUEST_BYTES && !line.ends_with('\n');
+        if !too_large && line.trim().is_empty() {
             continue;
         }
-        let (response, control) = planner.handle_line(line.trim());
+        let (response, control) = if too_large {
+            (error_response("request too large"), Control::Continue)
+        } else {
+            planner.handle_line(line.trim())
+        };
         let stream = reader.get_mut();
         stream.write_all(response.as_bytes())?;
         stream.write_all(b"\n")?;
         stream.flush()?;
+        if too_large {
+            // Closing with unread input would reset the connection and
+            // could discard the error before the client reads it: end
+            // the stream first, then consume the rest of the line.
+            stream.close_write()?;
+            return skip_line(&mut reader);
+        }
         if control == Control::Shutdown {
             shutdown.store(true, Ordering::SeqCst);
             wake(wake_addr);
             return Ok(());
+        }
+    }
+}
+
+/// Discards input through the end of the current line (or end of
+/// stream) without buffering it.
+fn skip_line(reader: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = buf.len();
+                reader.consume(n);
+            }
         }
     }
 }
@@ -225,6 +284,46 @@ mod tests {
         }
         drop(reader);
         drop(stream);
+        request(&addr, r#"{"cmd": "shutdown"}"#).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn oversized_request_line_gets_one_error_and_a_close() {
+        let (addr, handle) = spawn("127.0.0.1:0");
+        let stream = TcpStream::connect(&addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = thread::spawn(move || {
+            let mut line = vec![b'x'; 1 << 20];
+            line.push(b'\n');
+            writer.write_all(&line).unwrap();
+        });
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply, format!("{}\n", error_response("request too large")));
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest:?}");
+        sender.join().unwrap();
+
+        let pong = request(&addr, r#"{"cmd": "ping"}"#).unwrap();
+        assert!(pong.contains("\"pong\""), "{pong}");
+        request(&addr, r#"{"cmd": "shutdown"}"#).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn request_line_at_the_limit_is_served() {
+        let (addr, handle) = spawn("127.0.0.1:0");
+        // Padding whitespace keeps the request valid JSON at exactly
+        // `MAX_REQUEST_BYTES`.
+        let mut line = r#"{"cmd": "ping"}"#.to_owned();
+        line.extend(std::iter::repeat_n(
+            ' ',
+            MAX_REQUEST_BYTES as usize - line.len(),
+        ));
+        let pong = request(&addr, &line).unwrap();
+        assert!(pong.contains("\"pong\""), "{pong}");
         request(&addr, r#"{"cmd": "shutdown"}"#).unwrap();
         handle.join().unwrap().unwrap();
     }

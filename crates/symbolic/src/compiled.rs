@@ -8,12 +8,13 @@
 //! cost is one indirect call per instruction per block of [`BLOCK`]
 //! rows, amortized to a fraction of a cycle per row.
 //!
-//! The compiled layout differs from the interpreter in two ways that
-//! matter for throughput, neither of which changes results:
+//! This is the only batch executor; [`Program::eval_scalar`] is its
+//! reference. Two layout choices matter for throughput, and neither
+//! changes results:
 //!
 //! * **Blocked registers.** Instead of full batch-length columns (80 KB
 //!   each at 10k rows — far beyond L1), every register is a fixed
-//!   [`BLOCK`]-row block (`128 × 8 B = 1 KiB`). A residual's entire
+//!   [`BLOCK`]-row block (`128 × 8 B = 1 KiB`). A stage program's entire
 //!   register file stays resident in L1d while all its steps run over
 //!   one block, then the next block starts. Partial tail blocks run the
 //!   full-width kernels over stale-but-initialized garbage lanes —
@@ -28,27 +29,27 @@
 //!
 //! # Exactness
 //!
-//! Compiled evaluation is bit-identical to [`Program::eval_batch`] for
-//! every binding, including ±∞, NaN and `-0.0` rows:
+//! For every binding, including ±∞, NaN and `-0.0` rows, a row whose
+//! [`Program::eval_scalar_root`] is `Ok(v)` evaluates to exactly `v`'s
+//! bits, and a row it rejects as non-finite evaluates to `+∞`:
 //!
-//! * kernels perform the same `f64` operations in the same fold order
-//!   as the interpreter's chunked kernels (n-ary folds lower to one
-//!   binary step plus left-to-right accumulate steps — the exact fold
-//!   `fold_kernel` performs);
+//! * kernels perform the same `f64` operations in the same order as the
+//!   scalar evaluator (n-ary folds lower to one binary step plus
+//!   left-to-right accumulate steps — the first-operand fold of
+//!   `eval_scalar`);
 //! * `muladd` computes `(a * b) + c` as two IEEE operations — it is
 //!   never lowered to a hardware FMA (Rust does not contract float
 //!   expressions), preserving the double rounding of the unfused pair;
-//! * root copy-out maps non-finite values to `f64::INFINITY` exactly
-//!   like the interpreter;
-//! * the interpreter's uniform (broadcast-lane) fast path computes the
-//!   same IEEE operations once instead of per row, which cannot change
-//!   bits — deterministic operations on equal inputs give equal
-//!   results.
+//! * root copy-out maps non-finite values to `f64::INFINITY`, the
+//!   infeasible sentinel the tuner's budget checks rely on;
+//! * scalar-bound symbols are splatted across the block, so every row
+//!   runs the same IEEE operations on the same inputs.
 //!
 //! There is no program shape the backend cannot lower: the tuner's
 //! intra-stage sweep runs every batch through it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::SymbolicError;
 use crate::fuse::fuse_superinstructions;
@@ -56,8 +57,12 @@ use crate::node::CmpOp;
 use crate::program::{Op, Program, SymbolTable};
 use crate::tape::{BatchBindings, Column};
 
+/// Process-wide compile id source. Ids start at 1 so that a fresh
+/// [`CompiledWorkspace`] (`prepared == 0`) is never considered prepared.
+static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Rows per register block. 128 doubles = 1 KiB per register: a
-/// residual's whole register file fits in L1d, and the fixed-width
+/// stage program's whole register file fits in L1d, and the fixed-width
 /// kernel loops compile to straight-line vector code.
 pub const BLOCK: usize = 128;
 
@@ -136,8 +141,8 @@ mod body {
         };
     }
 
-    /// In-place fold step: `dst = f(dst, src)` lanewise — the
-    /// accumulator form of the interpreter's `fold_col`.
+    /// In-place fold step: `dst = f(dst, src)` lanewise — one step of
+    /// a left-to-right n-ary fold.
     macro_rules! acc_body {
         ($name:ident, $f:expr) => {
             #[inline(always)]
@@ -399,8 +404,8 @@ struct RawStep {
 /// How one root's output column is materialized. Only [`RootPlan::Block`]
 /// roots pay a per-block strided write into their column; the rest are
 /// recognized at lowering time and filled (or aliased) in one sequential
-/// pass, which is what keeps copy-out off the critical path when a
-/// residual has constant, symbol or duplicate roots.
+/// pass, which keeps copy-out off the critical path when a program has
+/// constant, symbol or duplicate roots.
 #[derive(Debug, Clone, Copy)]
 enum RootPlan {
     /// Computed value: copied out of this register block by block.
@@ -420,8 +425,8 @@ enum RootPlan {
 ///
 /// Build one with [`CompiledProgram::compile`]; evaluate batches with
 /// [`CompiledProgram::eval_batch`] against a reusable
-/// [`CompiledWorkspace`]. Results are bit-identical to
-/// [`Program::eval_batch`] on the source program (see the
+/// [`CompiledWorkspace`]. Every finite result is bit-identical to
+/// [`Program::eval_scalar`] on the source program (see the
 /// [module docs](self) for the exactness argument). The value is plain
 /// `Send + Sync` data, so one compile can be shared across pool
 /// workers behind an `Arc`.
@@ -460,8 +465,7 @@ impl CompiledProgram {
     fn lower(fused: Program, superinstrs: usize, tier: Tier) -> CompiledProgram {
         let n = fused.ops.len();
 
-        // Slot liveness, as in the interpreter's register allocator:
-        // roots stay live forever.
+        // Slot liveness: roots stay live forever.
         let mut last_use: Vec<u32> = (0..n as u32).collect();
         for slot in 0..n {
             fused
@@ -556,7 +560,7 @@ impl CompiledProgram {
         }
 
         CompiledProgram {
-            id: fused.id,
+            id: NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed),
             steps,
             num_regs: next_reg as usize,
             const_splats,
@@ -628,9 +632,9 @@ impl CompiledProgram {
     /// Evaluates every root over a batch, writing one output column per
     /// root into `ws` (read them back with [`CompiledWorkspace::output`]).
     ///
-    /// Rows that evaluate non-finite become `f64::INFINITY` and bound
-    /// columns are validated exactly as in [`Program::eval_batch`]; the
-    /// results are bit-identical to interpreting the source program.
+    /// Rows that evaluate non-finite become `f64::INFINITY`; every other
+    /// row is bit-identical to [`Program::eval_scalar`] on the source
+    /// program.
     ///
     /// # Errors
     ///
@@ -762,8 +766,8 @@ impl CompiledProgram {
     }
 }
 
-/// The interpreter's root materialization rule: non-finite rows become
-/// `+∞` (an infeasible sentinel the tuner's budget checks rely on).
+/// The root materialization rule: non-finite rows become `+∞` (an
+/// infeasible sentinel the tuner's budget checks rely on).
 #[inline(always)]
 fn finite_or_inf(v: f64) -> f64 {
     if v.is_finite() {
@@ -827,7 +831,7 @@ impl CompiledWorkspace {
 }
 
 /// Lowers one SSA op into raw steps. N-ary folds become a binary first
-/// step plus accumulate steps, preserving the interpreter's
+/// step plus accumulate steps, preserving the scalar evaluator's
 /// left-to-right fold order; single-operand folds degenerate to `copy`.
 fn emit_op(raw: &mut Vec<RawStep>, fused: &Program, reg_of: &[u32], op: Op, dst: u32) {
     let r = |s: u32| reg_of[s as usize];
@@ -882,20 +886,46 @@ fn emit_op(raw: &mut Vec<RawStep>, fused: &Program, reg_of: &[u32], op: Op, dst:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::EvalWorkspace;
     use crate::{CmpOp, Context, Expr};
     use proptest::prelude::*;
 
-    /// Bitwise comparison of all roots: `-0.0` vs `0.0` must not pass.
-    fn assert_outputs_bit_identical(p: &Program, c: &CompiledProgram, batch: &BatchBindings) {
-        let mut iws = EvalWorkspace::new();
-        p.eval_batch(batch, &mut iws).unwrap();
-        let mut cws = CompiledWorkspace::new();
-        c.eval_batch(batch, &mut cws).unwrap();
-        for root in 0..p.num_roots() {
-            let want: Vec<u64> = iws.output(root).iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = cws.output(root).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "root {root} ({})", p.root_labels()[root]);
+    /// Checks every root of every row against the scalar oracle: where
+    /// `eval_scalar_root` returns `Ok(v)` the compiled output has `v`'s
+    /// bits (`-0.0` vs `0.0` must not pass), and where it rejects the
+    /// row as non-finite the compiled output is `+∞`.
+    fn assert_matches_scalar_oracle(
+        p: &Program,
+        c: &CompiledProgram,
+        ws: &mut CompiledWorkspace,
+        batch: &BatchBindings,
+    ) {
+        c.eval_batch(batch, ws).unwrap();
+        let cols = p.symbols().resolve_batch(batch).unwrap();
+        for row in 0..batch.len() {
+            let inputs: Vec<f64> = cols
+                .iter()
+                .map(|col| match col {
+                    Column::Scalar(v) => *v,
+                    Column::Values(v) => v[row],
+                })
+                .collect();
+            for root in 0..p.num_roots() {
+                let got = ws.output(root)[row];
+                match p.eval_scalar_root(root, &inputs) {
+                    Ok(v) => assert_eq!(
+                        got.to_bits(),
+                        v.to_bits(),
+                        "root {root} ({}) row {row}: compiled {got} vs scalar {v}, inputs {inputs:?}",
+                        p.root_labels()[root]
+                    ),
+                    Err(SymbolicError::NonFinite { .. }) => assert_eq!(
+                        got,
+                        f64::INFINITY,
+                        "root {root} row {row}: non-finite must map to +inf, inputs {inputs:?}"
+                    ),
+                    Err(e) => panic!("unexpected scalar error {e}"),
+                }
+            }
         }
     }
 
@@ -926,6 +956,7 @@ mod tests {
             "expected superinstruction fusion"
         );
 
+        let mut ws = CompiledWorkspace::new();
         for n in [1usize, 5, BLOCK, BLOCK + 1, 1000] {
             let mut batch = BatchBindings::new(n);
             let specials = [
@@ -940,7 +971,7 @@ mod tests {
             batch.set_values("x", (0..n).map(|i| i as f64 - 2.0).collect());
             batch.set_values("y", (0..n).map(|i| specials[i % specials.len()]).collect());
             batch.set_scalar("z", 3.0);
-            assert_outputs_bit_identical(&program, &compiled, &batch);
+            assert_matches_scalar_oracle(&program, &compiled, &mut ws, &batch);
         }
     }
 
@@ -949,19 +980,23 @@ mod tests {
         let ctx = Context::new();
         let program = stage_like_program(&ctx);
         let compiled = CompiledProgram::compile(&program);
+        let mut ws = CompiledWorkspace::new();
 
-        // All-scalar bindings (the interpreter's broadcast fast path).
+        // All-scalar bindings: every block is one broadcast value.
         let mut uniform = BatchBindings::new(300);
         uniform.set_scalar("x", 2.0);
         uniform.set_scalar("y", -0.0);
         uniform.set_scalar("z", 7.0);
-        assert_outputs_bit_identical(&program, &compiled, &uniform);
+        assert_matches_scalar_oracle(&program, &compiled, &mut ws, &uniform);
 
         let mut empty = BatchBindings::new(0);
         empty.set_scalar("x", 1.0);
         empty.set_scalar("y", 1.0);
         empty.set_scalar("z", 1.0);
-        assert_outputs_bit_identical(&program, &compiled, &empty);
+        compiled.eval_batch(&empty, &mut ws).unwrap();
+        for root in 0..program.num_roots() {
+            assert!(ws.output(root).is_empty(), "root {root}");
+        }
     }
 
     #[test]
@@ -977,12 +1012,7 @@ mod tests {
             let mut batch = BatchBindings::new(n);
             batch.set_values("x", (0..n).map(|i| i as f64 * 1.5 - 4.0).collect());
             for (p, c) in [(&p1, &c1), (&p2, &c2)] {
-                let mut iws = EvalWorkspace::new();
-                p.eval_batch(&batch, &mut iws).unwrap();
-                c.eval_batch(&batch, &mut ws).unwrap();
-                for root in 0..p.num_roots() {
-                    assert_eq!(ws.output(root), iws.output(root));
-                }
+                assert_matches_scalar_oracle(p, c, &mut ws, &batch);
             }
         }
     }
@@ -1048,6 +1078,7 @@ mod tests {
         CeilDiv(u8, u8),
         Floor(u8),
         Ceil(u8),
+        Cmp(u8, u8, u8),
         Select(u8, u8, u8, u8, u8),
     }
 
@@ -1064,16 +1095,19 @@ mod tests {
             (i(), i()).prop_map(|(a, b)| Move::CeilDiv(a, b)),
             i().prop_map(Move::Floor),
             i().prop_map(Move::Ceil),
+            (i(), i(), i()).prop_map(|(o, a, b)| Move::Cmp(o, a, b)),
             (i(), i(), i(), i(), i()).prop_map(|(o, a, b, t, e)| Move::Select(o, a, b, t, e)),
         ]
     }
 
     /// Row values including every special class the exactness argument
-    /// covers: ±0.0, ±∞ and NaN.
+    /// covers: ±0.0, ±∞, NaN and magnitudes that overflow or underflow.
     fn row_strategy() -> impl Strategy<Value = f64> {
         // The vendored proptest's `prop_oneof!` draws arms uniformly, so
         // the finite range repeats to keep special values a minority.
         prop_oneof![
+            -100.0..100.0f64,
+            -100.0..100.0f64,
             -100.0..100.0f64,
             -100.0..100.0f64,
             -100.0..100.0f64,
@@ -1083,6 +1117,9 @@ mod tests {
             Just(f64::NAN),
             Just(-0.0f64),
             Just(0.0f64),
+            Just(1e300),
+            Just(-1e300),
+            Just(1e-300),
         ]
     }
 
@@ -1109,6 +1146,7 @@ mod tests {
                     d
                 }
             };
+            let cmp = |o: u8| cmp_ops[o as usize % cmp_ops.len()];
             let e = match mv {
                 Move::Add(a, b) => p(a) + p(b),
                 Move::Mul(a, b) => p(a) * p(b),
@@ -1120,10 +1158,8 @@ mod tests {
                 Move::CeilDiv(a, b) => (p(a) / denom(b)).ceil(),
                 Move::Floor(a) => p(a).floor(),
                 Move::Ceil(a) => p(a).ceil(),
-                Move::Select(o, a, b, t, e) => {
-                    let cond = ctx.cmp(cmp_ops[o as usize % cmp_ops.len()], p(a), p(b));
-                    ctx.select(cond, p(t), p(e))
-                }
+                Move::Cmp(o, a, b) => ctx.cmp(cmp(o), p(a), p(b)),
+                Move::Select(o, a, b, t, e) => ctx.select(ctx.cmp(cmp(o), p(a), p(b)), p(t), p(e)),
             };
             pool.push(e);
         }
@@ -1133,38 +1169,46 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        /// The compiled backend against the scalar interpreter
+        /// `Program::eval_scalar`: random multi-root DAGs with shared
+        /// subtrees, special row values, mixed scalar and column
+        /// bindings, and batch sizes around the block width.
         #[test]
         fn compiled_is_bit_identical_to_interpreted(
             moves in prop::collection::vec(move_strategy(), 1..40),
-            xs in prop::collection::vec(row_strategy(), 131),
-            ys in prop::collection::vec(row_strategy(), 131),
-            zs in prop::collection::vec(row_strategy(), 131),
-            n in 1..=131usize,
-            z_scalar in 0u8..2,
+            picks in prop::collection::vec(0u8..=255u8, 1..6),
+            xs in prop::collection::vec(row_strategy(), 1000),
+            ys in prop::collection::vec(row_strategy(), 1000),
+            zs in prop::collection::vec(row_strategy(), 1000),
+            n in prop::sample::select(vec![0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1000]),
+            scalar_mask in 0u8..8,
         ) {
             let ctx = Context::new();
             let pool = apply_moves(&ctx, &moves);
-            let tail: Vec<(String, Expr)> = pool
-                .iter()
-                .rev()
-                .take(4)
+            // The newest expression plus a few picked anywhere in the
+            // pool: roots share subtrees and may repeat.
+            let mut chosen = vec![pool[pool.len() - 1]];
+            chosen.extend(picks.iter().map(|&i| pool[i as usize % pool.len()]));
+            let labeled: Vec<(String, Expr)> = chosen
+                .into_iter()
                 .enumerate()
-                .map(|(i, &e)| (format!("r{i}"), e))
+                .map(|(i, e)| (format!("r{i}"), e))
                 .collect();
             let roots: Vec<(&str, Expr)> =
-                tail.iter().map(|(name, e)| (name.as_str(), *e)).collect();
+                labeled.iter().map(|(name, e)| (name.as_str(), *e)).collect();
             let program = ctx.compile_program(&roots);
             let compiled = CompiledProgram::compile(&program);
 
             let mut batch = BatchBindings::new(n);
-            batch.set_values("x", xs[..n].to_vec());
-            batch.set_values("y", ys[..n].to_vec());
-            if z_scalar == 1 {
-                batch.set_scalar("z", zs[0]);
-            } else {
-                batch.set_values("z", zs[..n].to_vec());
+            for (bit, (name, col)) in [("x", &xs), ("y", &ys), ("z", &zs)].into_iter().enumerate() {
+                if scalar_mask & (1 << bit) != 0 {
+                    batch.set_scalar(name, col[0]);
+                } else {
+                    batch.set_values(name, col[..n].to_vec());
+                }
             }
-            assert_outputs_bit_identical(&program, &compiled, &batch);
+            let mut ws = CompiledWorkspace::new();
+            assert_matches_scalar_oracle(&program, &compiled, &mut ws, &batch);
         }
     }
 }

@@ -7,7 +7,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 use crate::error::SymbolicError;
 use crate::node::{CmpOp, ConstBits, ExprId, Node, SymbolId};
 use crate::program::Program;
-use crate::tape::Tape;
 
 /// Interning arena for symbols and expression nodes.
 ///
@@ -16,9 +15,9 @@ use crate::tape::Tape;
 /// identities, flattening of n-ary operators) is applied eagerly, keeping
 /// the DAG compact even for very large traced models.
 ///
-/// The context is single-threaded (`RefCell` inside). Compiled [`Tape`]s are
-/// plain data and can be shipped across threads for parallel batched
-/// evaluation.
+/// The context is single-threaded (`RefCell` inside). Compiled
+/// [`Program`]s are plain data and can be shipped across threads for
+/// parallel batched evaluation.
 #[derive(Debug, Default)]
 pub struct Context {
     inner: RefCell<Inner>,
@@ -372,22 +371,19 @@ impl Context {
 
     /// Evaluates an expression against scalar bindings `(name, value)`.
     ///
+    /// Bindings must name exactly the expression's symbols: unknown names
+    /// and conflicting duplicates are rejected (see
+    /// [`SymbolTable::resolve_scalars`](crate::SymbolTable::resolve_scalars)).
+    ///
     /// # Errors
     ///
     /// Returns [`SymbolicError::UnboundSymbol`] if a symbol in the
     /// expression has no binding, or [`SymbolicError::NonFinite`] if
     /// evaluation produces NaN/inf (e.g. division by zero).
     pub fn eval(&self, expr: Expr<'_>, bindings: &[(&str, f64)]) -> Result<f64, SymbolicError> {
-        let tape = self.compile(expr);
-        tape.eval(bindings)
-    }
-
-    /// Compiles an expression into a flat, thread-safe [`Tape`].
-    ///
-    /// Shared sub-expressions are computed exactly once in the tape.
-    pub fn compile(&self, expr: Expr<'_>) -> Tape {
-        let inner = self.inner.borrow();
-        Tape::build(&inner.nodes, &inner.symbols, expr.id)
+        let program = self.compile_program(&[("expr", expr)]);
+        let inputs = program.symbols().resolve_scalars(bindings)?;
+        program.eval_scalar_root(0, &inputs)
     }
 
     /// Compiles many labeled roots into one fused [`Program`].

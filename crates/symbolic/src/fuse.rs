@@ -3,9 +3,9 @@
 //! The compiled evaluation backend (see [`crate::compiled`]) executes a
 //! flat step table with one indirect call per instruction per row
 //! block, so every instruction it can *remove* saves a dispatch and a
-//! full block of intermediate traffic. This pass rewrites a program —
-//! typically a specialized residual — by fusing three IEEE-exact
-//! patterns into the superinstruction opcodes of [`crate::Instr`]:
+//! full block of intermediate traffic. This pass rewrites a program by
+//! fusing three IEEE-exact patterns into the superinstruction opcodes
+//! of [`crate::Instr`]:
 //!
 //! * a binary `Mul` whose only user is an `Add` fold folds into the
 //!   chain as `MulAdd(a, b, acc)`;
@@ -39,7 +39,7 @@
 //! An inner instruction is only fused when it has exactly one use and
 //! is not itself a root (a root's column must still materialize).
 
-use crate::program::{allocate_registers, next_program_id, Op, Program};
+use crate::program::{Op, Program};
 
 /// One term of an `Add`-chain rewrite: an already-emitted slot, or a
 /// consumed binary `Mul` waiting to fuse into a `MulAdd`.
@@ -115,10 +115,7 @@ impl Out {
 ///
 /// The result evaluates bit-identically to the input for every binding
 /// (see the [module docs](self) for the exactness argument). Roots,
-/// labels and the symbol table are preserved; registers are
-/// re-allocated over the fused stream. When nothing fuses the program
-/// is still rebuilt (with a fresh id), which keeps the pass a pure
-/// function of its input.
+/// labels and the symbol table are preserved.
 pub fn fuse_superinstructions(program: &Program) -> (Program, usize) {
     let n = program.ops.len();
     let arena = |start: u32, len: u32| &program.operands[start as usize..(start + len) as usize];
@@ -256,14 +253,10 @@ pub fn fuse_superinstructions(program: &Program) -> (Program, usize) {
         operands,
         superinstrs,
     } = out;
-    let (regs, num_regs) = allocate_registers(&ops, &operands, &roots);
     mist_telemetry::gauge_max("symbolic.program.superinstrs", superinstrs as f64);
     let fused = Program {
-        id: next_program_id(),
         ops,
         operands,
-        regs,
-        num_regs,
         table: program.table.clone(),
         roots,
         labels: program.labels.clone(),
@@ -274,13 +267,27 @@ pub fn fuse_superinstructions(program: &Program) -> (Program, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::BatchBindings;
-    use crate::{CmpOp, Context, EvalWorkspace, Instr};
+    use crate::{CmpOp, Context, Instr};
 
-    fn outputs(p: &Program, batch: &BatchBindings) -> Vec<Vec<f64>> {
-        let mut ws = EvalWorkspace::new();
-        p.eval_batch(batch, &mut ws).unwrap();
-        (0..p.num_roots()).map(|i| ws.output(i).to_vec()).collect()
+    /// Per row, every root's scalar result as bits (`None` when
+    /// non-finite). `rows` bind the program's symbols in table order.
+    fn outputs(p: &Program, rows: &[Vec<f64>]) -> Vec<Vec<Option<u64>>> {
+        rows.iter()
+            .map(|row| {
+                (0..p.num_roots())
+                    .map(|i| p.eval_scalar_root(i, row).ok().map(f64::to_bits))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Rows from per-symbol columns, in `p`'s symbol-table order.
+    fn rows(p: &Program, cols: &[(&str, Vec<f64>)]) -> Vec<Vec<f64>> {
+        let n = cols[0].1.len();
+        let col = |name: &str| &cols.iter().find(|(c, _)| *c == name).unwrap().1;
+        (0..n)
+            .map(|i| p.symbols().names().iter().map(|s| col(s)[i]).collect())
+            .collect()
     }
 
     #[test]
@@ -297,11 +304,15 @@ mod tests {
         assert!(fused.instrs().any(|i| matches!(i, Instr::MulAdd(..))));
         assert!(fused.len() < program.len());
 
-        let mut batch = BatchBindings::new(5);
-        batch.set_values("x", vec![1.5, -0.0, f64::INFINITY, 2.0, f64::NAN]);
-        batch.set_values("y", vec![2.0, 3.0, 0.0, -1.0, 1.0]);
-        batch.set_values("z", vec![0.5, -2.0, 1.0, f64::NEG_INFINITY, 4.0]);
-        assert_eq!(outputs(&fused, &batch), outputs(&program, &batch));
+        let rows = rows(
+            &program,
+            &[
+                ("x", vec![1.5, -0.0, f64::INFINITY, 2.0, f64::NAN]),
+                ("y", vec![2.0, 3.0, 0.0, -1.0, 1.0]),
+                ("z", vec![0.5, -2.0, 1.0, f64::NEG_INFINITY, 4.0]),
+            ],
+        );
+        assert_eq!(outputs(&fused, &rows), outputs(&program, &rows));
     }
 
     #[test]
@@ -319,10 +330,14 @@ mod tests {
             .any(|i| matches!(i, Instr::SelectCmp(CmpOp::Ge, ..))));
         assert!(!fused.instrs().any(|i| matches!(i, Instr::Select(..))));
 
-        let mut batch = BatchBindings::new(4);
-        batch.set_values("x", vec![1.0, -3.0, f64::NAN, 0.0]);
-        batch.set_values("y", vec![1.0, 2.0, 1.0, -0.0]);
-        assert_eq!(outputs(&fused, &batch), outputs(&program, &batch));
+        let rows = rows(
+            &program,
+            &[
+                ("x", vec![1.0, -3.0, f64::NAN, 0.0]),
+                ("y", vec![1.0, 2.0, 1.0, -0.0]),
+            ],
+        );
+        assert_eq!(outputs(&fused, &rows), outputs(&program, &rows));
     }
 
     #[test]
@@ -336,10 +351,14 @@ mod tests {
         assert!(fused.instrs().any(|i| matches!(i, Instr::DivFloor(..))));
         assert!(fused.instrs().any(|i| matches!(i, Instr::DivCeil(..))));
 
-        let mut batch = BatchBindings::new(4);
-        batch.set_values("x", vec![7.0, -7.0, 1e18, f64::NAN]);
-        batch.set_values("y", vec![2.0, 3.0, 0.0, 2.0]);
-        assert_eq!(outputs(&fused, &batch), outputs(&program, &batch));
+        let rows = rows(
+            &program,
+            &[
+                ("x", vec![7.0, -7.0, 1e18, f64::NAN]),
+                ("y", vec![2.0, 3.0, 0.0, 2.0]),
+            ],
+        );
+        assert_eq!(outputs(&fused, &rows), outputs(&program, &rows));
     }
 
     #[test]
@@ -380,11 +399,8 @@ mod tests {
         let (fused, _) = fuse_superinstructions(&program);
         assert_eq!(fused.root_labels(), program.root_labels());
         assert_eq!(fused.symbols().names(), program.symbols().names());
-        assert_ne!(fused.id(), program.id());
 
-        let mut batch = BatchBindings::new(3);
-        batch.set_values("x", vec![1.0, 2.0, 3.0]);
-        batch.set_scalar("y", 2.0);
-        assert_eq!(outputs(&fused, &batch), outputs(&program, &batch));
+        let rows = rows(&program, &[("x", vec![1.0, 2.0, 3.0]), ("y", vec![2.0; 3])]);
+        assert_eq!(outputs(&fused, &rows), outputs(&program, &rows));
     }
 }

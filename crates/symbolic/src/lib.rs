@@ -7,7 +7,7 @@
 //! offloading ratios, …) and then evaluates thousands of candidate
 //! configurations by substituting values into those expressions.
 //!
-//! The engine is built around three pieces:
+//! The engine is built around four pieces:
 //!
 //! * [`Context`] — a hash-consing arena. Structurally identical
 //!   sub-expressions are interned once, so the expression DAGs produced by
@@ -15,39 +15,35 @@
 //! * [`Expr`] — a lightweight copyable handle with operator overloading.
 //!   Construction performs aggressive local simplification (constant
 //!   folding, `x + 0`, `x * 1`, `min`/`max` collapsing, …).
-//! * [`Program`] — a fused multi-root SSA instruction stream. All the
-//!   expressions a caller needs per evaluation point (e.g. every memory
-//!   and latency estimate of a pipeline stage) compile together with
-//!   cross-root common-subexpression elimination, register allocation
-//!   over a reusable [`EvalWorkspace`] column pool, and *broadcast
-//!   lanes* that keep uniform (scalar-bound) subtrees as single `f64`s
-//!   instead of materialized columns. This is what makes the paper's
-//!   "batched value substitution" fast (see the `symbolic_eval`
-//!   Criterion bench).
-//! * [`Tape`] — the single-root convenience view over a [`Program`],
-//!   plain `Send + Sync` data with scalar ([`Tape::eval`]) and batched
-//!   ([`Tape::eval_batch`]) entry points. Hot paths that evaluate many
-//!   roots per batch should fuse them via
-//!   [`Context::compile_program`] instead of looping over tapes.
-//! * [`specialize`] — the partial-evaluation pass pipeline: freezing
-//!   the symbols a tuner sweep holds constant folds, simplifies and
-//!   branch-deletes the program down to a residual over just the
-//!   varying knobs, with byte-identical results (see the
-//!   `passes` module docs for the pipeline and exactness rules).
+//! * [`Program`] — the one IR: a fused multi-root SSA instruction stream.
+//!   All the expressions a caller needs per evaluation point (e.g. every
+//!   memory and latency estimate of a pipeline stage) compile together
+//!   with cross-root common-subexpression elimination.
+//!   [`Program::eval_scalar`] is the reference evaluator.
+//! * [`CompiledProgram`] — the only batch executor: a program after
+//!   superinstruction fusion, lowered to a direct-threaded step table
+//!   over fixed-width register blocks. It is bit-identical to
+//!   [`Program::eval_scalar`] on every finite row, and is what makes the
+//!   paper's "batched value substitution" fast.
 //!
 //! # Example
 //!
 //! ```
-//! use mist_symbolic::Context;
+//! use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, Context};
 //!
 //! let ctx = Context::new();
 //! let b = ctx.symbol("b");            // micro-batch size
 //! let tp = ctx.symbol("tp");          // tensor-parallel degree
 //! let bytes = b * 4096.0 * 2.0 / tp;  // activation bytes per layer
 //!
-//! let tape = ctx.compile(bytes);
-//! let got = tape.eval(&[("b", 4.0), ("tp", 2.0)]).unwrap();
-//! assert_eq!(got, 4.0 * 4096.0 * 2.0 / 2.0);
+//! assert_eq!(ctx.eval(bytes, &[("b", 4.0), ("tp", 2.0)]).unwrap(), 16384.0);
+//!
+//! let program = CompiledProgram::compile(&ctx.compile_program(&[("bytes", bytes)]));
+//! let mut batch = BatchBindings::new(2);
+//! batch.set_values("b", vec![1.0, 4.0]).set_scalar("tp", 2.0);
+//! let mut ws = CompiledWorkspace::new();
+//! program.eval_batch(&batch, &mut ws).unwrap();
+//! assert_eq!(ws.output(0), &[4096.0, 16384.0]);
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +54,6 @@ mod display;
 mod error;
 mod fuse;
 mod node;
-mod passes;
 mod program;
 mod tape;
 
@@ -67,9 +62,5 @@ pub use context::{Context, Expr};
 pub use error::SymbolicError;
 pub use fuse::fuse_superinstructions;
 pub use node::{CmpOp, ExprId, Node, SymbolId};
-pub use passes::{
-    specialize, specialize_with_stats, FrozenSymbols, GuardFact, SlotRange, SpecializeStats,
-    SweepFacts,
-};
-pub use program::{EvalWorkspace, Instr, Program, SymbolTable};
-pub use tape::{BatchBindings, Column, Tape};
+pub use program::{Instr, Program, SymbolTable};
+pub use tape::{BatchBindings, Column};

@@ -1,48 +1,29 @@
-//! Fused multi-root evaluation programs with register allocation and
-//! broadcast lanes.
+//! Fused multi-root SSA programs and their scalar reference evaluator.
 //!
 //! A [`Program`] compiles *many* expression roots from one [`Context`]
-//! into a single SSA instruction stream. Compared to evaluating each
-//! root through its own [`Tape`](crate::Tape), a fused program:
+//! into a single SSA instruction stream:
 //!
-//! * shares work across roots — hash-consing means structurally equal
-//!   sub-expressions across all roots land in the same SSA slot and are
-//!   computed exactly once per batch (cross-root CSE);
-//! * allocates *registers* instead of one column per instruction — a
-//!   compile-time liveness pass assigns each slot a register from a free
-//!   list, and an [`EvalWorkspace`] keeps the register columns alive
-//!   between calls, so steady-state batched evaluation performs **zero**
-//!   per-instruction column allocations;
-//! * computes *broadcast lanes* — any slot whose inputs are all uniform
-//!   across the batch (constants, symbols bound to
-//!   [`Column::Scalar`](crate::tape::Column)) is computed once as a
-//!   single `f64` rather than `n` times, and uniformity propagates
-//!   through the instruction stream at evaluation time;
-//! * stores variadic operands in one flat arena (`Vec<u32>` plus
+//! * hash-consing means structurally equal sub-expressions across all
+//!   roots land in the same SSA slot and are computed exactly once
+//!   (cross-root CSE);
+//! * variadic operands live in one flat arena (`Vec<u32>` plus
 //!   `(start, len)` ranges) rather than a heap `Vec` per instruction;
-//! * interns symbols in a [`SymbolTable`] so a
-//!   [`BatchBindings`](crate::BatchBindings) is resolved to columns once
-//!   per evaluation, not once per root per symbol.
+//! * symbols are interned in a [`SymbolTable`], so bindings resolve to
+//!   input slots once per evaluation.
 //!
-//! Numerical behavior is bit-identical to per-root [`Tape`] evaluation:
-//! kernels fold operands in the same order, and batch rows that evaluate
-//! non-finite are mapped to `f64::INFINITY` exactly as
-//! [`Tape::eval_batch`](crate::Tape::eval_batch) does.
+//! [`Program::eval_scalar`] is the reference semantics: it evaluates one
+//! point op by op, folding n-ary operands from the first operand in
+//! operand order. Batches run through
+//! [`CompiledProgram`](crate::CompiledProgram), which is bit-identical to
+//! it on every row whose result is finite and maps the rest to `+∞`.
+//!
+//! [`Context`]: crate::Context
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::SymbolicError;
 use crate::node::{CmpOp, ExprId, Node, SymbolId};
 use crate::tape::{BatchBindings, Column};
-
-/// Process-wide program id source. Ids start at 1 so that a fresh
-/// [`EvalWorkspace`] (`prepared == 0`) is never considered prepared.
-static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn next_program_id() -> u64 {
-    NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Interned symbol names with O(1) name→input-slot lookup.
 #[derive(Debug, Clone, Default)]
@@ -289,21 +270,14 @@ impl Instr<'_> {
 /// A fused, immutable multi-root evaluation program.
 ///
 /// Build one with [`Context::compile_program`](crate::Context::compile_program);
-/// evaluate batches with [`Program::eval_batch`] against a reusable
-/// [`EvalWorkspace`], then read each root's output column from the
-/// workspace by root index.
+/// evaluate one point with [`Program::eval_scalar`], or lower it with
+/// [`CompiledProgram::compile`](crate::CompiledProgram::compile) to
+/// evaluate batches.
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// Process-unique identity (clones share it — they are the same
-    /// program). Keys the tuner's specialization cache and the
-    /// workspace's prepared-state check.
-    pub(crate) id: u64,
     pub(crate) ops: Vec<Op>,
     /// Flat operand arena for `Add`/`Mul`/`Min`/`Max` (slot indices).
     pub(crate) operands: Vec<u32>,
-    /// Destination register per slot (parallel to `ops`).
-    pub(crate) regs: Vec<u32>,
-    pub(crate) num_regs: usize,
     pub(crate) table: SymbolTable,
     /// Output slot per root.
     pub(crate) roots: Vec<u32>,
@@ -396,28 +370,15 @@ impl Program {
 
         let root_slots: Vec<u32> = roots.iter().map(|&(_, id)| slot_of[&id]).collect();
         let labels: Vec<String> = roots.iter().map(|&(name, _)| name.to_owned()).collect();
-        let (regs, num_regs) = allocate_registers(&ops, &operands, &root_slots);
 
         mist_telemetry::gauge_max("symbolic.program.instrs", ops.len() as f64);
-        mist_telemetry::gauge_max("symbolic.program.regs", num_regs as f64);
         Program {
-            id: next_program_id(),
             ops,
             operands,
-            regs,
-            num_regs,
             table,
             roots: root_slots,
             labels,
         }
-    }
-
-    /// Process-unique program identity. Clones share the id (they are
-    /// the same program); every compile or specialization produces a
-    /// fresh one. Suitable as a cache key together with a
-    /// frozen-symbol fingerprint.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The interned symbol table (names in input-slot order).
@@ -434,11 +395,6 @@ impl Program {
     /// compiled programs; provided for `len()` symmetry).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Number of register columns a workspace materializes at most.
-    pub fn num_regs(&self) -> usize {
-        self.num_regs
     }
 
     /// Number of roots.
@@ -498,77 +454,12 @@ impl Program {
         &self.ops
     }
 
-    /// Evaluates every root over a batch, writing one output column per
-    /// root into `ws` (read them back with [`EvalWorkspace::output`]).
-    ///
-    /// Rows that evaluate non-finite become `f64::INFINITY`, matching
-    /// [`Tape::eval_batch`](crate::Tape::eval_batch). The workspace's
-    /// register and output columns are reused across calls: after the
-    /// first call with a given batch size, evaluation allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`SymbolicError::UnboundSymbol`] if a program symbol is missing
-    /// from `bindings`; [`SymbolicError::BatchLengthMismatch`] if a bound
-    /// column's length differs from the batch length.
-    pub fn eval_batch(
-        &self,
-        bindings: &BatchBindings,
-        ws: &mut EvalWorkspace,
-    ) -> Result<(), SymbolicError> {
-        let n = bindings.len();
-        let cols = self.table.resolve_batch(bindings)?;
-
-        // Steady state (same program as last call): the workspace is
-        // already sized, so only the per-slot lane tags reset.
-        if ws.prepared != self.id {
-            ws.prepare(self);
-        } else {
-            ws.lanes.clear();
-        }
-
-        for (slot, op) in self.ops.iter().enumerate() {
-            let lane = self.eval_op(*op, slot, n, &cols, ws);
-            ws.lanes.push(lane);
-        }
-
-        // Materialize root outputs with the non-finite → INFINITY mapping.
-        for (i, &root) in self.roots.iter().enumerate() {
-            let lane = ws.lanes[root as usize];
-            let out = &mut ws.outputs[i];
-            out.clear();
-            match lane {
-                Lane::Uniform(v) => {
-                    let v = if v.is_finite() { v } else { f64::INFINITY };
-                    out.resize(n, v);
-                }
-                Lane::Sym(s) => {
-                    let Column::Values(src) = cols[s as usize] else {
-                        unreachable!("Sym lane always references a Values column")
-                    };
-                    out.extend(src.iter().map(|&v| finite_or_inf(v)));
-                }
-                Lane::Reg(r) => {
-                    // `out` is borrowed from ws.outputs, src from ws.regs.
-                    let src = std::mem::take(&mut ws.regs[r as usize]);
-                    out.extend(src.iter().map(|&v| finite_or_inf(v)));
-                    ws.regs[r as usize] = src;
-                }
-            }
-        }
-        mist_telemetry::gauge_max(
-            "symbolic.workspace.columns",
-            (ws.regs.len() + ws.outputs.len()) as f64,
-        );
-        Ok(())
-    }
-
     /// Evaluates every root at a single scalar point, appending one value
     /// per root to `out` (cleared first).
     ///
     /// `inputs[i]` binds symbol `self.symbols().names()[i]`. Unlike
-    /// batched evaluation, a non-finite root is an error, matching
-    /// [`Tape::eval_slots`](crate::Tape::eval_slots).
+    /// batched evaluation, which maps non-finite rows to `+∞`, a
+    /// non-finite root is an error.
     ///
     /// # Errors
     ///
@@ -619,20 +510,26 @@ impl Program {
         slots
     }
 
-    /// Scalar semantics of one op (identical to `Tape::eval_slots`).
+    /// Scalar semantics of one op — the reference the compiled backend
+    /// must reproduce bit for bit.
     fn scalar_op(&self, op: Op, slots: &[f64], inputs: &[f64]) -> f64 {
-        let arena = |start: u32, len: u32| {
-            self.operands[start as usize..(start + len) as usize]
+        // N-ary ops fold from the first operand, in operand order, with
+        // no synthetic identity element: `min(+∞, NaN)` is `+∞` but
+        // `min(NaN, NaN)` is NaN, so seeding with ±∞ would decide guards
+        // differently from the compiled kernels.
+        let fold = |start: u32, len: u32, f: fn(f64, f64) -> f64| {
+            let args = &self.operands[start as usize..(start + len) as usize];
+            args[1..]
                 .iter()
-                .map(|&s| slots[s as usize])
+                .fold(slots[args[0] as usize], |acc, &s| f(acc, slots[s as usize]))
         };
         match op {
             Op::Const(c) => c,
             Op::Sym(i) => inputs[i as usize],
-            Op::Add { start, len } => arena(start, len).sum(),
-            Op::Mul { start, len } => arena(start, len).product(),
-            Op::Min { start, len } => arena(start, len).fold(f64::INFINITY, f64::min),
-            Op::Max { start, len } => arena(start, len).fold(f64::NEG_INFINITY, f64::max),
+            Op::Add { start, len } => fold(start, len, |x, y| x + y),
+            Op::Mul { start, len } => fold(start, len, |x, y| x * y),
+            Op::Min { start, len } => fold(start, len, f64::min),
+            Op::Max { start, len } => fold(start, len, f64::max),
             Op::Div(a, b) => slots[a as usize] / slots[b as usize],
             Op::Floor(a) => slots[a as usize].floor(),
             Op::Ceil(a) => slots[a as usize].ceil(),
@@ -656,514 +553,22 @@ impl Program {
             Op::DivCeil(a, b) => (slots[a as usize] / slots[b as usize]).ceil(),
         }
     }
-
-    /// Computes one op's lane over the batch, materializing into the
-    /// slot's register only when the result varies across rows.
-    fn eval_op(
-        &self,
-        op: Op,
-        slot: usize,
-        n: usize,
-        cols: &[&Column],
-        ws: &mut EvalWorkspace,
-    ) -> Lane {
-        // Symbols never materialize: a scalar binding is a broadcast
-        // lane, a column binding is read in place.
-        if let Op::Sym(s) = op {
-            return match cols[s as usize] {
-                Column::Scalar(v) => Lane::Uniform(*v),
-                Column::Values(_) => Lane::Sym(s),
-            };
-        }
-        // Uniform fast path: when every operand is uniform, run the
-        // scalar kernel once — the broadcast lane.
-        if let Some(v) = self.uniform_value(op, &ws.lanes) {
-            return Lane::Uniform(v);
-        }
-
-        let dst = self.regs[slot] as usize;
-        // The register allocator guarantees `dst` is not a register of
-        // any live operand, so taking the buffer out cannot invalidate
-        // an operand view.
-        let mut buf = std::mem::take(&mut ws.regs[dst]);
-        // Every kernel overwrites the full destination, so stale
-        // contents from the previous batch never leak; only a batch-size
-        // change pays the resize.
-        if buf.len() != n {
-            buf.clear();
-            buf.resize(n, 0.0);
-        }
-        {
-            let view = |s: u32| lane_view(ws.lanes[s as usize], cols, &ws.regs);
-            match op {
-                Op::Const(_) | Op::Sym(_) => {
-                    unreachable!("consts and bound symbols never materialize")
-                }
-                Op::Add { start, len } => {
-                    fold_kernel(&mut buf, &self.operands, start, len, view, |x, y| x + y)
-                }
-                Op::Mul { start, len } => {
-                    fold_kernel(&mut buf, &self.operands, start, len, view, |x, y| x * y)
-                }
-                Op::Min { start, len } => {
-                    fold_kernel(&mut buf, &self.operands, start, len, view, f64::min)
-                }
-                Op::Max { start, len } => {
-                    fold_kernel(&mut buf, &self.operands, start, len, view, f64::max)
-                }
-                Op::Div(a, b) => bin_kernel(&mut buf, view(a), view(b), |x, y| x / y),
-                Op::Floor(a) => unary_kernel(&mut buf, view(a), f64::floor),
-                Op::Ceil(a) => unary_kernel(&mut buf, view(a), f64::ceil),
-                // The comparison operator is dispatched once per
-                // instruction, not once per row: each arm monomorphizes
-                // a branchless chunked kernel (`bool as f64` produces
-                // exactly the 1.0/0.0 of `CmpOp::apply`).
-                Op::Cmp(cmp, a, b) => {
-                    let (va, vb) = (view(a), view(b));
-                    match cmp {
-                        CmpOp::Le => bin_kernel(&mut buf, va, vb, |x, y| f64::from(x <= y)),
-                        CmpOp::Lt => bin_kernel(&mut buf, va, vb, |x, y| f64::from(x < y)),
-                        CmpOp::Ge => bin_kernel(&mut buf, va, vb, |x, y| f64::from(x >= y)),
-                        CmpOp::Gt => bin_kernel(&mut buf, va, vb, |x, y| f64::from(x > y)),
-                        CmpOp::Eq => bin_kernel(&mut buf, va, vb, |x, y| f64::from(x == y)),
-                    }
-                }
-                Op::Select(c, a, b) => select_kernel(&mut buf, view(c), view(a), view(b)),
-                // Superinstructions only appear in peephole-fused
-                // programs, which the compiled backend executes; these
-                // interpreter arms exist for the bit-identity tests and
-                // keep the same two-pass rounding as the unfused pair.
-                Op::MulAdd(a, b, c) => {
-                    bin_kernel(&mut buf, view(a), view(b), |x, y| x * y);
-                    match view(c) {
-                        ArgView::Uniform(v) => fold_uniform(&mut buf, v, |x, y| x + y),
-                        ArgView::Col(col) => fold_col(&mut buf, col, |x, y| x + y),
-                    }
-                }
-                Op::SelectCmp(cmp, a, b, t, e) => {
-                    let (va, vb, vt, ve) = (view(a), view(b), view(t), view(e));
-                    let at = |v: ArgView<'_>, i: usize| match v {
-                        ArgView::Uniform(x) => x,
-                        ArgView::Col(c) => c[i],
-                    };
-                    for (i, x) in buf.iter_mut().enumerate() {
-                        *x = if cmp.apply(at(va, i), at(vb, i)) != 0.0 {
-                            at(vt, i)
-                        } else {
-                            at(ve, i)
-                        };
-                    }
-                }
-                Op::DivFloor(a, b) => {
-                    bin_kernel(&mut buf, view(a), view(b), |x, y| (x / y).floor())
-                }
-                Op::DivCeil(a, b) => bin_kernel(&mut buf, view(a), view(b), |x, y| (x / y).ceil()),
-            }
-        }
-        ws.regs[dst] = buf;
-        Lane::Reg(self.regs[slot])
-    }
-
-    /// When all operands of `op` are uniform, the uniform result.
-    fn uniform_value(&self, op: Op, lanes: &[Lane]) -> Option<f64> {
-        let u = |s: u32| match lanes[s as usize] {
-            Lane::Uniform(v) => Some(v),
-            _ => None,
-        };
-        // Fold from the first operand (no synthetic identity element), in
-        // operand order — the exact fold the batched column kernels use,
-        // so uniform and materialized results are bit-identical.
-        let fold_u = |start: u32, len: u32, f: fn(f64, f64) -> f64| {
-            let args = &self.operands[start as usize..(start + len) as usize];
-            let mut acc = u(args[0])?;
-            for &s in &args[1..] {
-                acc = f(acc, u(s)?);
-            }
-            Some(acc)
-        };
-        match op {
-            Op::Const(c) => Some(c),
-            // Symbols are classified by the caller from their binding.
-            Op::Sym(_) => None,
-            Op::Add { start, len } => fold_u(start, len, |x, y| x + y),
-            Op::Mul { start, len } => fold_u(start, len, |x, y| x * y),
-            Op::Min { start, len } => fold_u(start, len, f64::min),
-            Op::Max { start, len } => fold_u(start, len, f64::max),
-            Op::Div(a, b) => Some(u(a)? / u(b)?),
-            Op::Floor(a) => Some(u(a)?.floor()),
-            Op::Ceil(a) => Some(u(a)?.ceil()),
-            Op::Cmp(cmp, a, b) => Some(cmp.apply(u(a)?, u(b)?)),
-            Op::Select(c, a, b) => {
-                // A uniform condition picks one branch for the whole
-                // batch; the result is uniform only if that branch is.
-                let cv = u(c)?;
-                if cv != 0.0 {
-                    u(a)
-                } else {
-                    u(b)
-                }
-            }
-            Op::MulAdd(a, b, c) => Some(u(a)? * u(b)? + u(c)?),
-            Op::SelectCmp(cmp, a, b, t, e) => {
-                if cmp.apply(u(a)?, u(b)?) != 0.0 {
-                    u(t)
-                } else {
-                    u(e)
-                }
-            }
-            Op::DivFloor(a, b) => Some((u(a)? / u(b)?).floor()),
-            Op::DivCeil(a, b) => Some((u(a)? / u(b)?).ceil()),
-        }
-    }
-}
-
-fn finite_or_inf(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// Compile-time slot liveness + linear-scan register allocation.
-///
-/// Returns `(dst register per slot, register count)`. Registers are
-/// reused once the last reader of a slot has executed; root slots stay
-/// live to the end. The destination register of an instruction is
-/// allocated *before* its operands' registers are freed, so a
-/// destination never aliases a same-instruction operand — which keeps
-/// the evaluation kernels free to write the destination while reading
-/// operand views.
-pub(crate) fn allocate_registers(ops: &[Op], operands: &[u32], roots: &[u32]) -> (Vec<u32>, usize) {
-    let num = ops.len();
-    let mut last_use: Vec<u32> = (0..num as u32).collect();
-    let each_operand = |op: &Op, f: &mut dyn FnMut(u32)| match *op {
-        Op::Const(_) | Op::Sym(_) => {}
-        Op::Add { start, len }
-        | Op::Mul { start, len }
-        | Op::Min { start, len }
-        | Op::Max { start, len } => {
-            for &s in &operands[start as usize..(start + len) as usize] {
-                f(s);
-            }
-        }
-        Op::Div(a, b) | Op::Cmp(_, a, b) => {
-            f(a);
-            f(b);
-        }
-        Op::Floor(a) | Op::Ceil(a) => f(a),
-        Op::Select(c, a, b) => {
-            f(c);
-            f(a);
-            f(b);
-        }
-        Op::MulAdd(a, b, c) => {
-            f(a);
-            f(b);
-            f(c);
-        }
-        Op::SelectCmp(_, a, b, t, e) => {
-            f(a);
-            f(b);
-            f(t);
-            f(e);
-        }
-        Op::DivFloor(a, b) | Op::DivCeil(a, b) => {
-            f(a);
-            f(b);
-        }
-    };
-    for (i, op) in ops.iter().enumerate() {
-        each_operand(op, &mut |s| last_use[s as usize] = i as u32);
-    }
-    for &r in roots {
-        last_use[r as usize] = u32::MAX;
-    }
-
-    let mut regs = vec![0u32; num];
-    let mut free: Vec<u32> = Vec::new();
-    let mut freed = vec![false; num];
-    let mut num_regs = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        regs[i] = free.pop().unwrap_or_else(|| {
-            num_regs += 1;
-            (num_regs - 1) as u32
-        });
-        each_operand(op, &mut |s| {
-            let s = s as usize;
-            if last_use[s] == i as u32 && !freed[s] {
-                freed[s] = true;
-                free.push(regs[s]);
-            }
-        });
-    }
-    (regs, num_regs)
-}
-
-/// An operand's view over the batch: one value for all rows, or a column.
-#[derive(Clone, Copy)]
-enum ArgView<'a> {
-    Uniform(f64),
-    Col(&'a [f64]),
-}
-
-/// Evaluation-time classification of a slot's value across the batch.
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    /// Same value in every row (broadcast lane); never materialized.
-    Uniform(f64),
-    /// Borrows the column bound to input slot `u32` — symbol columns are
-    /// read in place, never copied into a register.
-    Sym(u32),
-    /// Materialized in workspace register `u32`.
-    Reg(u32),
-}
-
-fn lane_view<'a>(lane: Lane, cols: &[&'a Column], regs: &'a [Vec<f64>]) -> ArgView<'a> {
-    match lane {
-        Lane::Uniform(v) => ArgView::Uniform(v),
-        Lane::Sym(s) => match cols[s as usize] {
-            Column::Values(v) => ArgView::Col(v),
-            Column::Scalar(_) => unreachable!("scalar-bound symbols become uniform lanes"),
-        },
-        Lane::Reg(r) => ArgView::Col(&regs[r as usize]),
-    }
-}
-
-/// Row-chunk width of the columnar kernels. Eight `f64`s span one or
-/// two SIMD registers on every target we care about, and a fixed-width
-/// inner loop over a `chunks_exact` window is what the autovectorizer
-/// turns into straight-line vector code.
-const CHUNK: usize = 8;
-
-/// `dst[i] = f(src[i])`, chunked with a scalar tail.
-#[inline]
-fn map1(dst: &mut [f64], src: &[f64], f: impl Fn(f64) -> f64 + Copy) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for (x, y) in dc.iter_mut().zip(sc) {
-            *x = f(*y);
-        }
-    }
-    for (x, y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *x = f(*y);
-    }
-}
-
-/// `dst[i] = f(a[i], b[i])`, chunked with a scalar tail.
-#[inline]
-fn map2(dst: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64 + Copy) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut sa = a.chunks_exact(CHUNK);
-    let mut sb = b.chunks_exact(CHUNK);
-    for ((dc, ac), bc) in (&mut d).zip(&mut sa).zip(&mut sb) {
-        for ((x, p), q) in dc.iter_mut().zip(ac).zip(bc) {
-            *x = f(*p, *q);
-        }
-    }
-    let tail = d
-        .into_remainder()
-        .iter_mut()
-        .zip(sa.remainder())
-        .zip(sb.remainder());
-    for ((x, p), q) in tail {
-        *x = f(*p, *q);
-    }
-}
-
-/// `dst[i] = f(a[i], b[i], c[i])`, chunked with a scalar tail.
-#[inline]
-fn map3(dst: &mut [f64], a: &[f64], b: &[f64], c: &[f64], f: impl Fn(f64, f64, f64) -> f64 + Copy) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut sa = a.chunks_exact(CHUNK);
-    let mut sb = b.chunks_exact(CHUNK);
-    let mut sc = c.chunks_exact(CHUNK);
-    for (((dc, ac), bc), cc) in (&mut d).zip(&mut sa).zip(&mut sb).zip(&mut sc) {
-        for (((x, p), q), r) in dc.iter_mut().zip(ac).zip(bc).zip(cc) {
-            *x = f(*p, *q, *r);
-        }
-    }
-    let tail = d
-        .into_remainder()
-        .iter_mut()
-        .zip(sa.remainder())
-        .zip(sb.remainder())
-        .zip(sc.remainder());
-    for (((x, p), q), r) in tail {
-        *x = f(*p, *q, *r);
-    }
-}
-
-/// In-place `dst[i] = f(dst[i], v)`, chunked with a scalar tail.
-#[inline]
-fn fold_uniform(dst: &mut [f64], v: f64, f: impl Fn(f64, f64) -> f64 + Copy) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    for dc in &mut d {
-        for x in dc {
-            *x = f(*x, v);
-        }
-    }
-    for x in d.into_remainder() {
-        *x = f(*x, v);
-    }
-}
-
-/// In-place `dst[i] = f(dst[i], src[i])`, chunked with a scalar tail.
-#[inline]
-fn fold_col(dst: &mut [f64], src: &[f64], f: impl Fn(f64, f64) -> f64 + Copy) {
-    let mut d = dst.chunks_exact_mut(CHUNK);
-    let mut s = src.chunks_exact(CHUNK);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for (x, y) in dc.iter_mut().zip(sc) {
-            *x = f(*x, *y);
-        }
-    }
-    for (x, y) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *x = f(*x, *y);
-    }
-}
-
-/// `dst = fold(f, operands)` in operand order, exactly as the per-tape
-/// batched evaluator folds: initialize from the first operand, then fold
-/// the rest left to right. Each operand's lane is resolved to a
-/// uniform/column view *once*, outside the row loop, so the inner loops
-/// are tight chunked passes over raw slices.
-fn fold_kernel<'a>(
-    dst: &mut [f64],
-    arena: &[u32],
-    start: u32,
-    len: u32,
-    view: impl Fn(u32) -> ArgView<'a>,
-    f: impl Fn(f64, f64) -> f64 + Copy,
-) {
-    let args = &arena[start as usize..(start + len) as usize];
-    match view(args[0]) {
-        ArgView::Uniform(v) => dst.fill(v),
-        ArgView::Col(c) => dst.copy_from_slice(c),
-    }
-    for &s in &args[1..] {
-        match view(s) {
-            ArgView::Uniform(v) => fold_uniform(dst, v, f),
-            ArgView::Col(c) => fold_col(dst, c, f),
-        }
-    }
-}
-
-fn unary_kernel(dst: &mut [f64], a: ArgView<'_>, f: impl Fn(f64) -> f64 + Copy) {
-    match a {
-        ArgView::Uniform(v) => dst.fill(f(v)),
-        ArgView::Col(c) => map1(dst, c, f),
-    }
-}
-
-fn bin_kernel(dst: &mut [f64], a: ArgView<'_>, b: ArgView<'_>, f: impl Fn(f64, f64) -> f64 + Copy) {
-    match (a, b) {
-        (ArgView::Uniform(p), ArgView::Uniform(q)) => dst.fill(f(p, q)),
-        (ArgView::Uniform(p), ArgView::Col(cb)) => map1(dst, cb, move |y| f(p, y)),
-        (ArgView::Col(ca), ArgView::Uniform(q)) => map1(dst, ca, move |x| f(x, q)),
-        (ArgView::Col(ca), ArgView::Col(cb)) => map2(dst, ca, cb, f),
-    }
-}
-
-fn select_kernel(dst: &mut [f64], c: ArgView<'_>, a: ArgView<'_>, b: ArgView<'_>) {
-    match c {
-        // Uniform condition: the whole batch takes one branch.
-        ArgView::Uniform(cv) => {
-            let chosen = if cv != 0.0 { a } else { b };
-            match chosen {
-                ArgView::Uniform(v) => dst.fill(v),
-                ArgView::Col(col) => dst.copy_from_slice(col),
-            }
-        }
-        // Varying condition: dispatch on the branch shapes once, then
-        // run a branch-shape-specific chunked select (the old path
-        // re-matched both branch views on every row).
-        ArgView::Col(cc) => match (a, b) {
-            (ArgView::Uniform(av), ArgView::Uniform(bv)) => {
-                map1(dst, cc, move |c| if c != 0.0 { av } else { bv })
-            }
-            (ArgView::Uniform(av), ArgView::Col(cb)) => {
-                map2(dst, cc, cb, move |c, y| if c != 0.0 { av } else { y })
-            }
-            (ArgView::Col(ca), ArgView::Uniform(bv)) => {
-                map2(dst, cc, ca, move |c, x| if c != 0.0 { x } else { bv })
-            }
-            (ArgView::Col(ca), ArgView::Col(cb)) => {
-                map3(dst, cc, ca, cb, |c, x, y| if c != 0.0 { x } else { y })
-            }
-        },
-    }
-}
-
-/// Reusable evaluation scratch for a [`Program`].
-///
-/// Holds the register column pool, per-slot lane tags, and per-root
-/// output columns. Create one per evaluating thread and pass it to every
-/// [`Program::eval_batch`] call: after the first call, evaluation reuses
-/// all columns and performs no per-instruction allocation.
-#[derive(Debug, Default)]
-pub struct EvalWorkspace {
-    regs: Vec<Vec<f64>>,
-    lanes: Vec<Lane>,
-    outputs: Vec<Vec<f64>>,
-    /// Id of the program this workspace was last prepared for (0 =
-    /// none). While it matches, `eval_batch` skips all sizing checks.
-    prepared: u64,
-}
-
-impl EvalWorkspace {
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One-time sizing for `program`: reserves the lane tags and grows
-    /// the register/output column pools. [`Program::eval_batch`] calls
-    /// this automatically when it sees a new program; calling it ahead
-    /// of time moves the (already small) bookkeeping cost out of the
-    /// first evaluation, and repeated calls for the same program are
-    /// no-ops. The steady-state eval path does no capacity checks at
-    /// all.
-    pub fn prepare(&mut self, program: &Program) {
-        self.lanes.clear();
-        self.lanes.reserve(program.ops.len());
-        if self.regs.len() < program.num_regs {
-            self.regs.resize_with(program.num_regs, Vec::new);
-        }
-        if self.outputs.len() < program.roots.len() {
-            self.outputs.resize_with(program.roots.len(), Vec::new);
-        }
-        self.prepared = program.id;
-    }
-
-    /// Output column of root `i` from the most recent
-    /// [`Program::eval_batch`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no evaluation has populated root `i` yet.
-    pub fn output(&self, i: usize) -> &[f64] {
-        &self.outputs[i]
-    }
-
-    /// Moves root `i`'s output column out of the workspace (the caller
-    /// owns the allocation; the workspace reallocates it on next use).
-    pub fn take_output(&mut self, i: usize) -> Vec<f64> {
-        std::mem::take(&mut self.outputs[i])
-    }
-
-    /// Register columns that have been materialized (test introspection).
-    #[cfg(test)]
-    fn materialized_registers(&self) -> usize {
-        self.regs.iter().filter(|r| !r.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Context;
+    use crate::{CompiledProgram, CompiledWorkspace, Context};
+
+    /// Every root's compiled output column over `batch`.
+    fn compiled_outputs(program: &Program, batch: &BatchBindings) -> Vec<Vec<f64>> {
+        let compiled = CompiledProgram::compile(program);
+        let mut ws = CompiledWorkspace::new();
+        compiled.eval_batch(batch, &mut ws).unwrap();
+        (0..program.num_roots())
+            .map(|i| ws.output(i).to_vec())
+            .collect()
+    }
 
     #[test]
     fn fused_roots_match_individual_tapes() {
@@ -1176,7 +581,7 @@ mod tests {
         let r2 = ctx.constant(7.0) * 6.0;
 
         let program = ctx.compile_program(&[("r0", r0), ("r1", r1), ("r2", r2)]);
-        let tapes = [ctx.compile(r0), ctx.compile(r1), ctx.compile(r2)];
+        let alone = [r0, r1, r2].map(|e| ctx.compile_program(&[("alone", e)]));
 
         let xs = vec![1.0, 2.5, -3.0, 0.0];
         let ys = vec![2.0, 0.5, 4.0, 0.0];
@@ -1184,11 +589,9 @@ mod tests {
         batch.set_values("x", xs.clone());
         batch.set_values("y", ys.clone());
 
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&batch, &mut ws).unwrap();
-        for (i, tape) in tapes.iter().enumerate() {
-            let want = tape.eval_batch(&batch).unwrap();
-            assert_eq!(ws.output(i), &want[..], "root {i}");
+        let fused = compiled_outputs(&program, &batch);
+        for (i, one) in alone.iter().enumerate() {
+            assert_eq!(fused[i], compiled_outputs(one, &batch)[0], "root {i}");
         }
     }
 
@@ -1201,7 +604,8 @@ mod tests {
         let r1 = shared * 4.0;
 
         let program = ctx.compile_program(&[("r0", r0), ("r1", r1)]);
-        let separate = ctx.compile(r0).len() + ctx.compile(r1).len();
+        let separate =
+            ctx.compile_program(&[("r0", r0)]).len() + ctx.compile_program(&[("r1", r1)]).len();
         assert!(
             program.len() < separate,
             "fused {} should beat separate {}",
@@ -1215,45 +619,28 @@ mod tests {
         let ctx = Context::new();
         let x = ctx.symbol("x");
         // A long dependency chain: each step's input dies immediately, so
-        // a handful of registers must suffice for many slots.
+        // the compiled backend's linear-scan allocator needs far fewer
+        // registers than there are slots.
         let mut e = x;
         for i in 0..40 {
             e = e * 1.5 + (i as f64);
         }
         let program = ctx.compile_program(&[("chain", e)]);
+        let compiled = CompiledProgram::compile(&program);
         assert!(
-            program.num_regs() < program.len() / 2,
+            compiled.num_regs() < program.len() / 2,
             "regs {} vs slots {}",
-            program.num_regs(),
+            compiled.num_regs(),
             program.len()
         );
 
+        let xs = [0.0, 1.0, 2.0];
         let mut batch = BatchBindings::new(3);
-        batch.set_values("x", vec![0.0, 1.0, 2.0]);
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&batch, &mut ws).unwrap();
-        let tape = ctx.compile(e);
-        assert_eq!(ws.output(0), &tape.eval_batch(&batch).unwrap()[..]);
-    }
-
-    #[test]
-    fn broadcast_lanes_avoid_materialization() {
-        let ctx = Context::new();
-        let x = ctx.symbol("x");
-        let y = ctx.symbol("y");
-        let e = (x * 3.0 + y).max(x - y) / 2.0;
-        let program = ctx.compile_program(&[("e", e)]);
-
-        // Every symbol bound to a scalar: the whole batch is uniform and
-        // no register column is ever materialized.
-        let mut batch = BatchBindings::new(1000);
-        batch.set_scalar("x", 4.0);
-        batch.set_scalar("y", 1.0);
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&batch, &mut ws).unwrap();
-        assert_eq!(ws.materialized_registers(), 0);
-        assert_eq!(ws.output(0).len(), 1000);
-        assert!(ws.output(0).iter().all(|&v| v == 6.5));
+        batch.set_values("x", xs.to_vec());
+        let got = &compiled_outputs(&program, &batch)[0];
+        for (row, &xv) in xs.iter().enumerate() {
+            assert_eq!(got[row], program.eval_scalar_root(0, &[xv]).unwrap());
+        }
     }
 
     #[test]
@@ -1267,7 +654,7 @@ mod tests {
 
         let xs = vec![0.5, 1.5, 2.5, 3.5];
         let yv = 1.25;
-        // Scalar-bound y (broadcast lane)...
+        // Scalar-bound y (broadcast)...
         let mut mixed = BatchBindings::new(xs.len());
         mixed.set_values("x", xs.clone());
         mixed.set_scalar("y", yv);
@@ -1276,11 +663,10 @@ mod tests {
         full.set_values("x", xs.clone());
         full.set_values("y", vec![yv; xs.len()]);
 
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&mixed, &mut ws).unwrap();
-        let got = ws.take_output(0);
-        program.eval_batch(&full, &mut ws).unwrap();
-        assert_eq!(got, ws.output(0));
+        assert_eq!(
+            compiled_outputs(&program, &mixed),
+            compiled_outputs(&program, &full)
+        );
     }
 
     #[test]
@@ -1288,14 +674,14 @@ mod tests {
         let ctx = Context::new();
         let x = ctx.symbol("x");
         let e = (x + 1.0) * (x + 2.0);
-        let program = ctx.compile_program(&[("e", e)]);
-        let mut ws = EvalWorkspace::new();
+        let compiled = CompiledProgram::compile(&ctx.compile_program(&[("e", e)]));
+        let mut ws = CompiledWorkspace::new();
 
-        for n in [5usize, 3, 8, 1] {
+        for n in [5usize, 3, 8, 1, 300] {
             let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let mut batch = BatchBindings::new(n);
             batch.set_values("x", xs.clone());
-            program.eval_batch(&batch, &mut ws).unwrap();
+            compiled.eval_batch(&batch, &mut ws).unwrap();
             let want: Vec<f64> = xs.iter().map(|&v| (v + 1.0) * (v + 2.0)).collect();
             assert_eq!(ws.output(0), &want[..], "batch size {n}");
         }
@@ -1313,6 +699,29 @@ mod tests {
             SymbolicError::NonFinite { ref detail } if detail.contains("bad")
         ));
         assert_eq!(program.eval_scalar_root(0, &[3.0]).unwrap(), 4.0);
+    }
+
+    /// Regression: n-ary folds start from the first operand, as the
+    /// compiled kernels do. Seeding `min` with `+∞` made
+    /// `min(NaN, NaN) > 5` true in the scalar oracle and false in the
+    /// compiled backend.
+    #[test]
+    fn nary_folds_start_from_the_first_operand() {
+        let ctx = Context::new();
+        let x = ctx.symbol("x");
+        let y = ctx.symbol("y");
+        let guard = |e| ctx.cmp(CmpOp::Gt, e, ctx.constant(5.0));
+        let pick = |e| ctx.select(guard(e), ctx.constant(1.0), ctx.constant(2.0));
+        let program = ctx.compile_program(&[("min", pick(x.min(y))), ("max", pick(x.max(y)))]);
+        let inputs = [f64::NAN, f64::NAN];
+        let mut batch = BatchBindings::new(1);
+        batch.set_values("x", vec![f64::NAN]);
+        batch.set_values("y", vec![f64::NAN]);
+        let compiled = compiled_outputs(&program, &batch);
+        for (root, column) in compiled.iter().enumerate() {
+            assert_eq!(program.eval_scalar_root(root, &inputs).unwrap(), 2.0);
+            assert_eq!(column, &[2.0], "root {root}");
+        }
     }
 
     #[test]
@@ -1334,12 +743,10 @@ mod tests {
         let program = ctx.compile_program(&[("a", e), ("b", e)]);
         let mut batch = BatchBindings::new(2);
         batch.set_values("x", vec![1.0, 2.0]);
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&batch, &mut ws).unwrap();
-        assert_eq!(ws.output(0), ws.output(1));
-        assert_eq!(program.len(), ctx.compile(e).len());
+        let out = compiled_outputs(&program, &batch);
+        assert_eq!(out[0], out[1]);
+        assert_eq!(program.len(), ctx.compile_program(&[("a", e)]).len());
     }
-
     #[test]
     fn resolve_scalars_rejects_unknown_and_conflicting_bindings() {
         let ctx = Context::new();
@@ -1403,6 +810,5 @@ mod tests {
     fn program_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Program>();
-        assert_send_sync::<EvalWorkspace>();
     }
 }

@@ -1,139 +1,10 @@
-//! Compiled evaluation tapes with scalar and batched execution.
-//!
-//! A [`Tape`] is the single-root view of a fused evaluation
-//! [`Program`](crate::Program): the expression DAG is linearized into
-//! SSA form where every unique sub-expression is computed exactly once,
-//! and evaluation runs through the program's register-allocated,
-//! broadcast-lane-aware interpreter. Tapes are plain data (`Send +
-//! Sync`), so the tuner compiles once on the tracing thread and fans
-//! evaluation out across worker threads.
+//! Batch bindings: the per-row symbol columns of one batched evaluation.
 //!
 //! Batched evaluation is the core of Mist's "single symbolic pass, many
-//! value substitutions" idea: symbols are bound to *columns* and each
-//! instruction processes the whole column, amortizing interpretation
-//! overhead across the batch. Hot paths that evaluate many roots per
-//! batch should compile them into one multi-root
-//! [`Program`](crate::Program) instead of many tapes — see
-//! [`Context::compile_program`](crate::Context::compile_program).
+//! value substitutions" idea: symbols are bound to *columns* (or to one
+//! broadcast scalar) and every instruction processes the whole batch.
 
 use std::collections::HashMap;
-
-use crate::error::SymbolicError;
-use crate::node::{ExprId, Node};
-use crate::program::{EvalWorkspace, Program};
-
-/// A compiled, immutable evaluation program for one expression.
-#[derive(Debug, Clone)]
-pub struct Tape {
-    program: Program,
-}
-
-impl Tape {
-    /// Builds a tape from the arena (called by `Context::compile`).
-    pub(crate) fn build(nodes: &[Node], symbol_names: &[String], root: ExprId) -> Tape {
-        Tape {
-            program: Program::build(nodes, symbol_names, &[("tape", root)]),
-        }
-    }
-
-    /// Names of the free symbols read by this tape.
-    pub fn symbols(&self) -> &[String] {
-        self.program.symbols().names()
-    }
-
-    /// The underlying single-root program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Number of SSA instructions (a proxy for evaluation cost).
-    pub fn len(&self) -> usize {
-        self.program.len()
-    }
-
-    /// True when the tape has no instructions. Compiled tapes always
-    /// contain at least the root instruction, so this is always `false`;
-    /// it exists for `len()` symmetry. See [`Tape::is_constant`] for the
-    /// "is this a bare constant" question.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if the tape is a bare constant: it reads no symbols, so it
-    /// evaluates to the same value under any bindings.
-    pub fn is_constant(&self) -> bool {
-        self.program.symbols().is_empty()
-    }
-
-    /// Evaluates the tape against scalar `(name, value)` bindings.
-    ///
-    /// Bindings must name exactly the tape's symbols: unknown names and
-    /// conflicting duplicates are rejected (see
-    /// [`SymbolTable::resolve_scalars`](crate::SymbolTable::resolve_scalars)).
-    ///
-    /// # Errors
-    ///
-    /// See [`SymbolicError`].
-    pub fn eval(&self, bindings: &[(&str, f64)]) -> Result<f64, SymbolicError> {
-        let inputs = self.program.symbols().resolve_scalars(bindings)?;
-        self.eval_slots(&inputs)
-    }
-
-    /// Evaluates with inputs already resolved to tape slot order.
-    ///
-    /// `inputs[i]` is the value of `self.symbols()[i]`. This is the fastest
-    /// scalar entry point for hot loops that bind the same symbols
-    /// repeatedly.
-    pub fn eval_slots(&self, inputs: &[f64]) -> Result<f64, SymbolicError> {
-        self.program.eval_scalar_root(0, inputs)
-    }
-
-    /// Evaluates the tape over a whole batch of configurations at once.
-    ///
-    /// Returns one output per batch row. Rows whose evaluation is non-finite
-    /// (e.g. a guard divided by zero) are returned as `f64::INFINITY` rather
-    /// than failing the whole batch — the tuner treats them as infeasible.
-    ///
-    /// The register columns come from a thread-local
-    /// [`EvalWorkspace`](crate::EvalWorkspace), so repeated calls do not
-    /// re-allocate scratch; only the returned output column is a fresh
-    /// allocation. Callers that want full control over scratch reuse
-    /// (or evaluate many tapes) should use [`Tape::eval_batch_with`] or
-    /// fuse the roots into one [`Program`](crate::Program).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SymbolicError::UnboundSymbol`] if a tape symbol is missing
-    /// from `bindings`, or [`SymbolicError::BatchLengthMismatch`] if a
-    /// column's length differs from the batch length.
-    pub fn eval_batch(&self, bindings: &BatchBindings) -> Result<Vec<f64>, SymbolicError> {
-        thread_local! {
-            static WS: std::cell::RefCell<EvalWorkspace> =
-                std::cell::RefCell::new(EvalWorkspace::new());
-        }
-        WS.with(|ws| {
-            let mut ws = ws.borrow_mut();
-            self.program.eval_batch(bindings, &mut ws)?;
-            Ok(ws.output(0).to_vec())
-        })
-    }
-
-    /// Batched evaluation into a caller-owned workspace: identical
-    /// semantics to [`Tape::eval_batch`], with the output left in root
-    /// column 0 of `ws` (read it with
-    /// [`EvalWorkspace::output`](crate::EvalWorkspace::output)).
-    ///
-    /// # Errors
-    ///
-    /// See [`Tape::eval_batch`].
-    pub fn eval_batch_with(
-        &self,
-        bindings: &BatchBindings,
-        ws: &mut EvalWorkspace,
-    ) -> Result<(), SymbolicError> {
-        self.program.eval_batch(bindings, ws)
-    }
-}
 
 /// A bound column in a batched evaluation.
 #[derive(Debug, Clone)]
@@ -144,22 +15,24 @@ pub enum Column {
     Values(Vec<f64>),
 }
 
-/// Symbol bindings for [`Tape::eval_batch`].
+/// Symbol bindings for [`CompiledProgram::eval_batch`](crate::CompiledProgram::eval_batch).
 ///
 /// # Example
 ///
 /// ```
-/// use mist_symbolic::{BatchBindings, Context};
+/// use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, Context};
 ///
 /// let ctx = Context::new();
 /// let b = ctx.symbol("b");
 /// let tp = ctx.symbol("tp");
-/// let tape = ctx.compile(b * 100.0 / tp);
+/// let program = CompiledProgram::compile(&ctx.compile_program(&[("bytes", b * 100.0 / tp)]));
 ///
 /// let mut batch = BatchBindings::new(3);
 /// batch.set_values("b", vec![1.0, 2.0, 4.0]);
 /// batch.set_scalar("tp", 2.0);
-/// assert_eq!(tape.eval_batch(&batch).unwrap(), vec![50.0, 100.0, 200.0]);
+/// let mut ws = CompiledWorkspace::new();
+/// program.eval_batch(&batch, &mut ws).unwrap();
+/// assert_eq!(ws.output(0), &[50.0, 100.0, 200.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchBindings {
@@ -208,7 +81,15 @@ impl BatchBindings {
 mod tests {
     use super::*;
     use crate::program::Op;
-    use crate::Context;
+    use crate::{CompiledProgram, CompiledWorkspace, Context, Expr, SymbolicError};
+
+    /// Compiles `e` alone and evaluates it over `batch`.
+    fn eval_batch(e: Expr<'_>, batch: &BatchBindings) -> Result<Vec<f64>, SymbolicError> {
+        let compiled = CompiledProgram::compile(&e.context().compile_program(&[("e", e)]));
+        let mut ws = CompiledWorkspace::new();
+        compiled.eval_batch(batch, &mut ws)?;
+        Ok(ws.take_output(0))
+    }
 
     #[test]
     fn scalar_and_batch_agree() {
@@ -216,17 +97,16 @@ mod tests {
         let x = ctx.symbol("x");
         let y = ctx.symbol("y");
         let e = (x * y + 3.0).max(x / y).min(ctx.constant(1e9));
-        let tape = ctx.compile(e);
 
         let xs = [1.0, 2.5, 7.0, 0.0];
         let ys = [2.0, 0.5, 3.0, 1.0];
         let mut batch = BatchBindings::new(xs.len());
         batch.set_values("x", xs.to_vec());
         batch.set_values("y", ys.to_vec());
-        let got = tape.eval_batch(&batch).unwrap();
+        let got = eval_batch(e, &batch).unwrap();
         for i in 0..xs.len() {
-            let want = tape.eval(&[("x", xs[i]), ("y", ys[i])]).unwrap();
-            assert_eq!(got[i], want, "row {i}");
+            let want = ctx.eval(e, &[("x", xs[i]), ("y", ys[i])]).unwrap();
+            assert_eq!(got[i].to_bits(), want.to_bits(), "row {i}");
         }
     }
 
@@ -234,11 +114,9 @@ mod tests {
     fn batch_nonfinite_rows_become_infinity() {
         let ctx = Context::new();
         let x = ctx.symbol("x");
-        let e = 1.0 / x;
-        let tape = ctx.compile(e);
         let mut batch = BatchBindings::new(2);
         batch.set_values("x", vec![0.0, 2.0]);
-        let got = tape.eval_batch(&batch).unwrap();
+        let got = eval_batch(1.0 / x, &batch).unwrap();
         assert_eq!(got[0], f64::INFINITY);
         assert_eq!(got[1], 0.5);
     }
@@ -247,11 +125,10 @@ mod tests {
     fn batch_length_mismatch_is_rejected() {
         let ctx = Context::new();
         let x = ctx.symbol("x");
-        let tape = ctx.compile(x + 1.0);
         let mut batch = BatchBindings::new(3);
         batch.set_values("x", vec![1.0, 2.0]);
         assert!(matches!(
-            tape.eval_batch(&batch),
+            eval_batch(x + 1.0, &batch),
             Err(SymbolicError::BatchLengthMismatch {
                 expected: 3,
                 got: 2
@@ -263,10 +140,9 @@ mod tests {
     fn missing_column_is_rejected() {
         let ctx = Context::new();
         let x = ctx.symbol("x");
-        let tape = ctx.compile(x + 1.0);
         let batch = BatchBindings::new(1);
         assert!(matches!(
-            tape.eval_batch(&batch),
+            eval_batch(x + 1.0, &batch),
             Err(SymbolicError::UnboundSymbol(_))
         ));
     }
@@ -277,11 +153,10 @@ mod tests {
         let x = ctx.symbol("x");
         let shared = (x + 1.0) * (x + 2.0);
         let e = shared.max(shared * 2.0);
-        let tape = ctx.compile(e);
+        let program = ctx.compile_program(&[("e", e)]);
         // x, 1, x+1, 2, x+2, mul, 2(shared const), mul2, max — the shared
         // product must not be duplicated.
-        let muls = tape
-            .program()
+        let muls = program
             .ops()
             .iter()
             .filter(|op| matches!(op, Op::Mul { .. }))
@@ -292,14 +167,16 @@ mod tests {
     #[test]
     fn constant_tape_is_detected() {
         let ctx = Context::new();
-        let k = ctx.compile(ctx.constant(2.0) * 21.0);
-        assert!(k.is_constant());
-        assert!(!k.is_empty(), "compiled tapes always hold the root instr");
-        assert_eq!(k.eval(&[]).unwrap(), 42.0);
+        let k = ctx.compile_program(&[("k", ctx.constant(2.0) * 21.0)]);
+        assert!(k.symbols().is_empty());
+        assert!(
+            !k.is_empty(),
+            "compiled programs always hold the root instr"
+        );
+        assert_eq!(k.eval_scalar_root(0, &[]).unwrap(), 42.0);
 
         let x = ctx.symbol("x");
-        let t = ctx.compile(x + 1.0);
-        assert!(!t.is_constant());
+        assert!(!ctx.compile_program(&[("t", x + 1.0)]).symbols().is_empty());
     }
 
     #[test]
@@ -307,30 +184,24 @@ mod tests {
         let ctx = Context::new();
         let x = ctx.symbol("x");
         let y = ctx.symbol("y");
-        let tape = ctx.compile(x * 10.0 + y);
+        let e = x * 10.0 + y;
         // A binding that names no symbol is a caller bug, not a no-op.
         assert!(matches!(
-            tape.eval(&[("unused", 9.0), ("x", 2.0), ("y", 5.0)]),
+            ctx.eval(e, &[("unused", 9.0), ("x", 2.0), ("y", 5.0)]),
             Err(SymbolicError::UnknownBinding(name)) if name == "unused"
         ));
         // Agreeing duplicates are fine; conflicting ones are an error.
-        let got = tape.eval(&[("x", 2.0), ("y", 5.0), ("x", 2.0)]).unwrap();
+        let got = ctx.eval(e, &[("x", 2.0), ("y", 5.0), ("x", 2.0)]).unwrap();
         assert_eq!(got, 25.0);
         assert!(matches!(
-            tape.eval(&[("x", 2.0), ("y", 5.0), ("x", 7.0)]),
+            ctx.eval(e, &[("x", 2.0), ("y", 5.0), ("x", 7.0)]),
             Err(SymbolicError::ConflictingBinding { ref name, first, second })
                 if name == "x" && first == 2.0 && second == 7.0
         ));
         assert!(matches!(
-            tape.eval(&[("x", 1.0)]),
+            ctx.eval(e, &[("x", 1.0)]),
             Err(SymbolicError::UnboundSymbol(name)) if name == "y"
         ));
-    }
-
-    #[test]
-    fn tape_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Tape>();
     }
 
     #[test]
@@ -339,12 +210,8 @@ mod tests {
         let z = ctx.symbol("zero_level");
         let cond = ctx.cmp(crate::CmpOp::Ge, z, ctx.constant(2.0));
         let e = ctx.select(cond, ctx.constant(10.0), ctx.constant(20.0));
-        let tape = ctx.compile(e);
         let mut batch = BatchBindings::new(4);
         batch.set_values("zero_level", vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(
-            tape.eval_batch(&batch).unwrap(),
-            vec![20.0, 20.0, 10.0, 10.0]
-        );
+        assert_eq!(eval_batch(e, &batch).unwrap(), vec![20.0, 20.0, 10.0, 10.0]);
     }
 }

@@ -1,11 +1,10 @@
 //! Append-only decision journal: typed provenance events from the
-//! tuner, the MILP solver and the specializer cache.
+//! tuner and the MILP solver.
 //!
 //! Spans answer *where wall-clock went*; the journal answers *why the
 //! search went the way it did*: which candidates were rejected and for
-//! what reason, how each Pareto frontier was carved down, which
-//! branch-and-bound nodes were opened or pruned, and which specializer
-//! lookups hit. Every record is stamped with the enclosing span id
+//! what reason, how each Pareto frontier was carved down, and which
+//! branch-and-bound nodes were opened or pruned. Every record is stamped with the enclosing span id
 //! (see [`crate::current_span_id`]) so traces and decisions cross-link,
 //! and with a monotone per-journal sequence number so emission order
 //! survives serialization.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use crate::collector::current_span_id;
 
 /// Default ring capacity: large enough that a full GPT-3-scale tune
-/// (tens of thousands of specializer probes) fits without drops, small
+/// (tens of thousands of frontier and DP events) fits without drops, small
 /// enough that an enabled journal stays tens of megabytes at worst.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 17;
 
@@ -191,17 +190,6 @@ pub enum JournalEvent {
         bound: f64,
         /// Branch depth (length of the branch path).
         depth: u32,
-    },
-    /// One specializer cache lookup.
-    SpecializeCache {
-        /// Whether the residual was already cached.
-        hit: bool,
-        /// Stable id of the source program.
-        program: u64,
-        /// Instruction count of the source program.
-        original: u32,
-        /// Instruction count of the specialized residual.
-        residual: u32,
     },
 }
 

@@ -17,7 +17,7 @@
 //!   Event Format JSON, loadable in Perfetto or `chrome://tracing`.
 //! - The decision [`journal`]: an append-only bounded ring of typed
 //!   provenance events (candidate rejections, frontier snapshots, MILP
-//!   node fates, specializer cache traffic), each stamped with the
+//!   node fates), each stamped with the
 //!   enclosing span id. Disabled by default with the same
 //!   one-atomic-load cost model as `span!`; see [`journal_event`].
 //! - Phase accounting ([`PhaseClock`], [`PhaseTotals`]): lap timers that

@@ -56,12 +56,6 @@ fn disabled_path_allocates_and_records_nothing() {
         mist_telemetry::gauge_set("disabled.gauge", i as f64);
         mist_telemetry::gauge_max("disabled.gauge_max", i as f64);
         mist_telemetry::histogram_record("disabled.hist", i as f64);
-        mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::SpecializeCache {
-            hit: false,
-            program: i,
-            original: 100,
-            residual: 40,
-        });
         mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::FrontierSummary {
             mesh_nodes: 1,
             mesh_gpus: 4,

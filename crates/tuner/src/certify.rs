@@ -1,7 +1,7 @@
 //! Plan certificates: independent re-derivation of a plan's claims.
 //!
 //! The tuner's sweep machinery is fast because it is heavily batched,
-//! specialized and pruned — which makes it exactly the wrong code to
+//! compiled and pruned — which makes it exactly the wrong code to
 //! trust blindly. A [`PlanCertificate`] is produced by a *separate*
 //! path with none of those optimizations: each chosen stage candidate
 //! is re-analyzed from scratch with [`StageAnalyzer`], its symbolic

@@ -424,11 +424,6 @@ impl<'a> Tuner<'a> {
         // capture everything this tune added on top of the baseline. The
         // explicit inserts keep `telemetry` self-contained even when the
         // collector is disabled and the publish above was a no-op.
-        let spec_hits = intra.specializer().cache_hits();
-        let spec_misses = intra.specializer().cache_misses();
-        let compile_hits = intra.specializer().compile_hits();
-        let compile_misses = intra.specializer().compile_misses();
-        let superinstrs = intra.specializer().superinstrs_high_water();
         let rej = intra.rejections();
         let (rej_oom, rej_nonfinite, rej_dominated, rej_mono_pruned) = (
             rej.oom.value(),
@@ -457,17 +452,6 @@ impl<'a> Tuner<'a> {
         collector.counter_add("tuner.rejections.out_of_budget", out_of_budget);
         collector.counter_add("tuner.rejections.bound_pruned", bound_pruned);
         collector.gauge_set("frontier.size", frontier_size);
-        collector.counter_add("specializer.cache_hits", spec_hits);
-        collector.counter_add("specializer.cache_misses", spec_misses);
-        if compile_hits + compile_misses > 0 {
-            // Published only when a sweep actually compiled or reused a
-            // program (a fully seeded warm start sweeps nothing).
-            collector.counter_add("tuner.compile.hits", compile_hits);
-            collector.counter_add("tuner.compile.misses", compile_misses);
-        }
-        if superinstrs > 0.0 {
-            collector.gauge_set("symbolic.program.superinstrs", superinstrs);
-        }
         collector.gauge_set("tuner.elapsed_secs", stats.elapsed_secs);
         collector.gauge_set("tuner.intra_secs", stats.intra_secs);
         collector.gauge_set("tuner.inter_secs", stats.inter_secs);
@@ -538,30 +522,6 @@ impl<'a> Tuner<'a> {
             .gauges
             .entry("frontier.size".to_owned())
             .or_insert(frontier_size);
-        telemetry
-            .counters
-            .entry("specializer.cache_hits".to_owned())
-            .or_insert(spec_hits);
-        telemetry
-            .counters
-            .entry("specializer.cache_misses".to_owned())
-            .or_insert(spec_misses);
-        if compile_hits + compile_misses > 0 {
-            telemetry
-                .counters
-                .entry("tuner.compile.hits".to_owned())
-                .or_insert(compile_hits);
-            telemetry
-                .counters
-                .entry("tuner.compile.misses".to_owned())
-                .or_insert(compile_misses);
-        }
-        if superinstrs > 0.0 {
-            telemetry
-                .gauges
-                .entry("symbolic.program.superinstrs".to_owned())
-                .or_insert(superinstrs);
-        }
         telemetry
             .gauges
             .entry("tuner.elapsed_secs".to_owned())
@@ -764,19 +724,6 @@ mod tests {
         assert_eq!(
             out.telemetry.counter("tuner.outer_candidates"),
             out.stats.outer_candidates as u64
-        );
-        // The sweep runs through the compiled backend — step tables
-        // get built, residual specialization sees no traffic —
-        // and both caches' activity is part of the self-contained
-        // telemetry.
-        assert!(out
-            .telemetry
-            .counters
-            .contains_key("specializer.cache_hits"));
-        assert_eq!(out.telemetry.counter("specializer.cache_misses"), 0);
-        assert!(
-            out.telemetry.counter("tuner.compile.misses") > 0,
-            "tuning must have compiled at least one program"
         );
     }
 

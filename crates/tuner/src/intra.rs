@@ -56,7 +56,6 @@ use serde::{Deserialize, Serialize};
 use crate::pareto::{pareto_frontier, sample_frontier};
 use crate::seed::{role_rank, BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 use crate::space::{CkptMode, SearchSpace};
-use crate::specialize::Specializer;
 
 /// One sampled point of an intra-stage Pareto frontier: the `(t, d)`
 /// value plus everything needed to reconstruct and execute the plan.
@@ -294,9 +293,6 @@ pub struct IntraStageTuner<'a> {
     // inflight) — the `BudgetProof::StaticFit` derivation, cached
     // because candidates recur across frontier keys.
     mem_hi_cache: Mutex<HashMap<(usize, u32), f64>>,
-    // Content-addressed compile cache of the stage programs, shared by
-    // every frontier key that sweeps the same tapes.
-    specializer: Specializer,
     // The exact symbol ranges this tuner's space sweeps — the domain of
     // the monotonicity and interval analyses.
     domains: DomainMap,
@@ -348,7 +344,6 @@ impl<'a> IntraStageTuner<'a> {
             pending_floors: Mutex::new(Vec::new()),
             mono_proofs: Mutex::new(HashMap::new()),
             mem_hi_cache: Mutex::new(HashMap::new()),
-            specializer: Specializer::new(),
             domains: space.symbol_domains(model),
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
@@ -402,11 +397,6 @@ impl<'a> IntraStageTuner<'a> {
     /// Number of frontier families taken from the warm-start seed.
     pub fn seeded_frontiers(&self) -> u64 {
         self.seeded.value()
-    }
-
-    /// The stage-program compile cache (telemetry surfacing).
-    pub fn specializer(&self) -> &Specializer {
-        &self.specializer
     }
 
     /// Rejection attribution counters (driver publication).
@@ -876,8 +866,7 @@ impl<'a> IntraStageTuner<'a> {
     ) -> CandidateSweep {
         let nl = max_layers as usize;
         let tapes = self.tapes(&cand);
-        let stage = self.specializer.compiled(&tapes.program);
-        let mem = self.specializer.compiled(&tapes.mem_pair);
+        let (stage, mem) = tapes.compiled();
         clock.lap(phase::TAPES);
 
         let mut sweep = CandidateSweep {
@@ -1312,31 +1301,36 @@ mod tests {
         }
     }
 
-    /// Step tables are content-addressed by generic program id, so
-    /// re-sweeping the same tapes — whether for a larger layer cap or
-    /// another frontier key — never recompiles, and the residual cache
-    /// sees no traffic at all.
+    /// Tapes — and with them their one lazily built compile — are
+    /// shared across frontier keys: re-sweeping the same candidates for
+    /// a larger layer cap neither re-analyzes nor recompiles.
     #[test]
     fn compile_cache_is_shared_across_frontier_keys() {
         let c = ctx();
         let space = SearchSpace::mist();
         let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8);
         let k = key(DeviceMesh::new(1, 4), 4);
+        let compiled_tapes = |tuner: &IntraStageTuner| {
+            let cache = tuner.tape_cache.lock();
+            let mut v: Vec<(TapeKey, usize, usize)> = cache
+                .iter()
+                .map(|(key, t)| {
+                    let (stage, mem) = t.compiled();
+                    (*key, stage as *const _ as usize, mem as *const _ as usize)
+                })
+                .collect();
+            v.sort_by_key(|&(_, stage, _)| stage);
+            v
+        };
         tuner.frontiers(k, 16);
-        let misses_one_key = tuner.specializer().compile_misses();
-        assert!(misses_one_key > 0, "compiled sweep must build step tables");
-        assert_eq!(
-            tuner.specializer().cache_misses(),
-            0,
-            "the compiled backend must not pay for residual specialization"
-        );
+        let first = compiled_tapes(&tuner);
+        assert!(!first.is_empty(), "the sweep must build tapes");
         tuner.frontiers(k, 32);
         assert_eq!(
-            tuner.specializer().compile_misses(),
-            misses_one_key,
+            compiled_tapes(&tuner),
+            first,
             "recomputation over identical tapes must not recompile"
         );
-        assert!(tuner.specializer().compile_hits() >= misses_one_key);
     }
 
     /// Row outcome tally of the scalar reference sweep.

@@ -27,7 +27,6 @@ mod intra;
 mod pareto;
 mod seed;
 mod space;
-mod specialize;
 
 pub use certify::{certify_plan, CertBound, CertReport, PlanCertificate, StageCert};
 pub use driver::{TuneOutcome, TuneStats, Tuner};
@@ -39,4 +38,3 @@ pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint, SWEEP_PHASES};
 pub use pareto::{pareto_frontier, sample_frontier};
 pub use seed::{BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 pub use space::{CkptMode, SearchSpace};
-pub use specialize::Specializer;

@@ -29,9 +29,10 @@ fn main() {
         role: StageRole::Only,
     });
     println!(
-        "compiled tapes: mem_fwd has {} SSA ops over symbols {:?}\n",
-        tapes.mem_fwd.len(),
-        tapes.mem_fwd.symbols()
+        "stage program: {} roots in {} SSA ops over symbols {:?}\n",
+        tapes.program.num_roots(),
+        tapes.program.len(),
+        tapes.program.symbols().names()
     );
 
     // …then every configuration is a cheap value substitution.

@@ -5,7 +5,9 @@
 # script, so a local `scripts/ci.sh` run reproduces CI exactly.
 #
 # Stages:
-#   1. cargo build --release
+#   1. cargo build --release, plus the perfbench benchmark (a separate
+#      workspace under perfbench/, so the workspace build never compiles
+#      it; building it here catches API changes that would break it)
 #   2. cargo test -q              (workspace tests, quiet)
 #   3. cargo clippy -D warnings   (whole workspace, incl. vendor)
 #   4. cargo fmt --check          (first-party packages only; rustfmt's
@@ -13,8 +15,8 @@
 #      packages explicitly)
 #   5. golden drift: regenerate the two cheap committed result files and
 #      fail if any deterministic field changed (wall-clock-only fields
-#      are ignored) or if fused/specialized/compiled evaluation
-#      throughput drops more than 10% below the committed
+#      are ignored) or if the compiled stage program's or mem_pair's
+#      evaluation throughput drops more than 10% below the committed
 #      bench_symbolic.json baseline (see scripts/golden_diff.py)
 #   6. provenance digest drift: tune GPT-3 6.7B with --journal, run
 #      `mist-cli explain --json` over the decision journal, and compare
@@ -26,9 +28,8 @@
 #      require byte-identical outcomes (pool fan-out of the columnar
 #      sweep over many pipeline shapes)
 #   7. IR lint: run the mist-irlint static analyzer over the fused stage
-#      programs of every model preset, plus the per-sweep specialized
-#      residuals at the corner (zero, offload) groups; any
-#      error-severity diagnostic (unit mismatch, reachable division by
+#      programs and memory pairs of every model preset in every pipeline
+#      role; any error-severity diagnostic (unit mismatch, reachable division by
 #      zero, a cost root not provably finite and non-negative) fails
 #      the gate
 #   8. plan certificates: `mist-cli verify-plan` tunes every one of the
@@ -46,7 +47,7 @@
 #      fewer configs, and the daemon must shut down cleanly (the EXIT
 #      trap kills it if the stage fails first); responses and daemon
 #      logs land in artifacts/daemon/
-#  10. history: append this run's fused/specialized/compiled evaluation
+#  10. history: append this run's stage-program and mem_pair evaluation
 #      throughput, the 6.7B tuning time and configs-evaluated count,
 #      and the daemon's cold/hit/warm query timings to
 #      results/history.jsonl so perf trends are visible across commits
@@ -54,7 +55,8 @@
 #      after every gate has passed, so only green runs are recorded;
 #      the candidate entry must also pass `golden_diff.py --trend`
 #      (warm strictly faster than cold, configs_evaluated no higher
-#      than the committed baseline) before it is appended.
+#      than the committed baseline, stage_rows_per_sec within 10% of
+#      it) before it is appended.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,8 +69,9 @@ FMT_PACKAGES=(
     mist-symbolic mist-telemetry mist-tuner
 )
 
-echo "==> [1/10] cargo build --release"
+echo "==> [1/10] cargo build --release (workspace and perfbench)"
 cargo build --release
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> [2/10] cargo test -q"
 cargo test -q
@@ -278,9 +281,8 @@ except Exception:
 entry = {
     "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     "commit": commit,
-    "fused_rows_per_sec": bench.get("fused_rows_per_sec"),
-    "specialized_rows_per_sec": bench.get("specialized_rows_per_sec"),
-    "compiled_rows_per_sec": bench.get("compiled_rows_per_sec"),
+    "stage_rows_per_sec": bench.get("stage_rows_per_sec"),
+    "mem_pair_rows_per_sec": bench.get("mem_pair_rows_per_sec"),
     "tune_gpt3_6_7b_secs": tune.get("tuning_seconds"),
     "tune_gpt3_6_7b_configs": tune.get("configs_evaluated"),
     "query_cold_secs": query_secs("cold32"),
@@ -292,8 +294,9 @@ with open(sys.argv[3], "w") as f:
 print("    candidate:", json.dumps(entry))
 PY
 # The candidate entry must pass the trend checks (warm strictly faster
-# than cold; configs-evaluated no higher than the committed baseline)
-# before it becomes part of the recorded history.
+# than cold; configs-evaluated no higher and stage-program throughput
+# no more than 10% lower than the committed baseline) before it becomes
+# part of the recorded history.
 python3 scripts/golden_diff.py --trend results/history.jsonl \
     "$tmpdir/history_entry.jsonl"
 cat "$tmpdir/history_entry.jsonl" >> results/history.jsonl

@@ -13,8 +13,9 @@ program sizes, memory predictions — must match exactly.
 Throughput fields are an exception to the "timing varies" rule: they
 are excluded from exact equality, but a regenerated throughput more
 than 10% below the committed baseline fails the check — the committed
-bench_symbolic.json doubles as the performance baseline for the fused
-and specialized evaluation engines.
+bench_symbolic.json doubles as the performance baseline for the
+compiled stage program and mem_pair the tuner's sweep runs. The
+baseline is host-bound: it holds only on the machine that recorded it.
 
 --trend validates the last line of a candidate history JSONL file: the
 planner daemon's warm-start query must be strictly faster than its
@@ -25,9 +26,9 @@ history file is also given, the candidate's `tune_gpt3_6_7b_configs`
 must not exceed the last committed entry's: monotonicity-licensed
 pruning and warm-starting only ever shrink the enumerated space, so a
 configs-evaluated count that grows is a pruning regression. The
-candidate's `compiled_rows_per_sec` must also stay within 10% of the
-last committed entry's (skipped when the committed history predates
-the compiled backend and lacks the field).
+candidate's `stage_rows_per_sec` must also stay within 10% of the
+last committed entry's (skipped when the committed entry lacks the
+field).
 """
 
 import json
@@ -67,24 +68,17 @@ TIMING_FIELDS = {
     "pool.workers",
     "pool.tasks_stolen",
     "pool.tasks_executed",
-    "separate_tapes_ns_per_batch",
-    "fused_program_ns_per_batch",
-    "fused_speedup",
-    "fused_rows_per_sec",
-    "specialized_ns_per_batch",
-    "specialized_speedup",
-    "specialized_rows_per_sec",
-    "compiled_ns_per_batch",
-    "compiled_speedup",
-    "compiled_rows_per_sec",
+    "stage_ns_per_batch",
+    "stage_rows_per_sec",
+    "mem_pair_ns_per_batch",
+    "mem_pair_rows_per_sec",
 }
 
 # Rows/sec fields gated against regression: the regenerated value may
 # wobble run to run, but must stay within 10% of the committed baseline.
 THROUGHPUT_FIELDS = (
-    "fused_rows_per_sec",
-    "specialized_rows_per_sec",
-    "compiled_rows_per_sec",
+    "stage_rows_per_sec",
+    "mem_pair_rows_per_sec",
 )
 THROUGHPUT_TOLERANCE = 0.9
 
@@ -190,23 +184,21 @@ def check_trend(path, baseline_path=None):
                 f"    trend ok: configs_evaluated {fresh} <= committed "
                 f"baseline {base}"
             )
-        base_rps = (
-            baseline.get("compiled_rows_per_sec") if baseline else None
-        )
-        fresh_rps = entry.get("compiled_rows_per_sec")
+        base_rps = baseline.get("stage_rows_per_sec") if baseline else None
+        fresh_rps = entry.get("stage_rows_per_sec")
         if base_rps is not None and fresh_rps is not None:
             if fresh_rps < THROUGHPUT_TOLERANCE * base_rps:
                 print(
-                    f"trend check: compiled_rows_per_sec {fresh_rps:.0f} is "
+                    f"trend check: stage_rows_per_sec {fresh_rps:.0f} is "
                     f"{100.0 * (1.0 - fresh_rps / base_rps):.1f}% below the "
                     f"committed baseline {base_rps:.0f} — the compiled "
-                    "backend's throughput regressed",
+                    "stage program's throughput regressed",
                     file=sys.stderr,
                 )
                 return 1
             print(
-                f"    trend ok: compiled {fresh_rps:.0f} rows/sec within "
-                f"10% of committed baseline {base_rps:.0f}"
+                f"    trend ok: stage program {fresh_rps:.0f} rows/sec "
+                f"within 10% of committed baseline {base_rps:.0f}"
             )
     return 0
 

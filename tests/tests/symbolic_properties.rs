@@ -1,18 +1,37 @@
 //! Property-based tests of the symbolic engine's core invariants.
 
-use mist_symbolic::{BatchBindings, CmpOp, Context, EvalWorkspace, SymbolicError, Tape};
+use mist_symbolic::{
+    BatchBindings, CmpOp, CompiledProgram, CompiledWorkspace, Context, Expr, Program, SymbolicError,
+};
 use proptest::prelude::*;
 
-/// Binds only the symbols a tape actually reads: `resolve_scalars` is
-/// strict and rejects bindings that match no symbol, but generated
-/// expressions may collapse away `x` or `y` entirely.
-fn eval_filtered(tape: &Tape, bindings: &[(&str, f64)]) -> Result<f64, SymbolicError> {
+/// `expr` compiled alone, as a one-root program.
+fn alone(expr: Expr<'_>) -> Program {
+    expr.context().compile_program(&[("alone", expr)])
+}
+
+/// Evaluates root 0 binding only the symbols the program actually
+/// reads: `resolve_scalars` is strict and rejects bindings that match
+/// no symbol, but generated expressions may collapse away `x` or `y`
+/// entirely.
+fn eval_filtered(program: &Program, bindings: &[(&str, f64)]) -> Result<f64, SymbolicError> {
     let filtered: Vec<(&str, f64)> = bindings
         .iter()
         .copied()
-        .filter(|(n, _)| tape.symbols().iter().any(|s| s == n))
+        .filter(|(n, _)| program.symbols().index_of(n).is_some())
         .collect();
-    tape.eval(&filtered)
+    let inputs = program.symbols().resolve_scalars(&filtered)?;
+    program.eval_scalar_root(0, &inputs)
+}
+
+/// Every root's output column from the compiled form of `program`.
+fn compiled_outputs(program: &Program, batch: &BatchBindings) -> Vec<Vec<f64>> {
+    let compiled = CompiledProgram::compile(program);
+    let mut ws = CompiledWorkspace::new();
+    compiled.eval_batch(batch, &mut ws).unwrap();
+    (0..program.num_roots())
+        .map(|i| ws.output(i).to_vec())
+        .collect()
 }
 
 /// A tiny expression AST we can generate and mirror both symbolically and
@@ -99,7 +118,7 @@ fn reference(e: &E, x: f64, y: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The simplifying builders + compiled tape agree with a direct
+    /// The simplifying builders + compiled program agree with a direct
     /// reference interpreter.
     #[test]
     fn tape_matches_reference(
@@ -109,8 +128,7 @@ proptest! {
     ) {
         let ctx = Context::new();
         let expr = build(&e, &ctx);
-        let tape = ctx.compile(expr);
-        let got = eval_filtered(&tape, &[("x", x), ("y", y)]).unwrap();
+        let got = eval_filtered(&alone(expr), &[("x", x), ("y", y)]).unwrap();
         let want = reference(&e, x, y);
         // Symbolic simplification may reassociate sums/products, so allow
         // an fp tolerance proportional to magnitude.
@@ -118,7 +136,8 @@ proptest! {
         prop_assert!((got - want).abs() <= tol, "got {got}, want {want}");
     }
 
-    /// Batched evaluation equals scalar evaluation row by row.
+    /// Compiled batched evaluation equals scalar evaluation row by row,
+    /// bit for bit.
     #[test]
     fn batch_rows_match_scalar(
         e in arb_expr(),
@@ -126,15 +145,15 @@ proptest! {
     ) {
         let ctx = Context::new();
         let expr = build(&e, &ctx);
-        let tape = ctx.compile(expr);
+        let program = alone(expr);
         let ys: Vec<f64> = xs.iter().map(|v| v * 0.5 + 1.0).collect();
         let mut batch = BatchBindings::new(xs.len());
         batch.set_values("x", xs.clone());
         batch.set_values("y", ys.clone());
-        let out = tape.eval_batch(&batch).unwrap();
+        let out = &compiled_outputs(&program, &batch)[0];
         for (i, o) in out.iter().enumerate() {
-            let scalar = eval_filtered(&tape, &[("x", xs[i]), ("y", ys[i])]).unwrap();
-            prop_assert!((o - scalar).abs() <= 1e-12 * (1.0 + scalar.abs()));
+            let scalar = eval_filtered(&program, &[("x", xs[i]), ("y", ys[i])]).unwrap();
+            prop_assert!(o.to_bits() == scalar.to_bits(), "row {i}: {o} vs {scalar}");
         }
     }
 
@@ -179,11 +198,9 @@ fn arb_expr_div() -> impl Strategy<Value = E> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A fused multi-root program's batched outputs are exactly — bit for
-    /// bit — the per-root `Tape::eval_batch` results, with cross-root CSE,
-    /// register reuse, mixed scalar/column bindings and non-finite rows in
-    /// play. The workspace is reused across iterations, so register-pool
-    /// recycling is stressed with varying programs and batch sizes.
+    /// A fused multi-root program's compiled outputs are exactly — bit
+    /// for bit — each root compiled alone, with cross-root CSE, register
+    /// reuse, mixed scalar/column bindings and non-finite rows in play.
     #[test]
     fn fused_program_matches_tapes_batched(
         roots in prop::collection::vec(arb_expr_div(), 1..6),
@@ -210,22 +227,21 @@ proptest! {
             batch.set_values("y", xs.iter().map(|v| v * 0.5 + y).collect());
         }
 
-        let mut ws = EvalWorkspace::new();
-        program.eval_batch(&batch, &mut ws).unwrap();
+        let fused = compiled_outputs(&program, &batch);
         for (i, &expr) in exprs.iter().enumerate() {
-            let tape = ctx.compile(expr);
-            let want = tape.eval_batch(&batch).unwrap();
+            let want = &compiled_outputs(&alone(expr), &batch)[0];
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert!(
-                ws.output(i) == &want[..],
-                "root {i}: fused {:?} vs tape {:?}",
-                ws.output(i),
+                bits(&fused[i]) == bits(want),
+                "root {i}: fused {:?} vs alone {:?}",
+                fused[i],
                 want
             );
         }
     }
 
-    /// Scalar evaluation through the fused program agrees with per-root
-    /// `Tape::eval` — same values bit for bit, and errors (non-finite
+    /// Scalar evaluation through the fused program agrees with each root
+    /// compiled alone — same values bit for bit, and errors (non-finite
     /// results) on exactly the same roots.
     #[test]
     fn fused_program_matches_tapes_scalar(
@@ -249,24 +265,23 @@ proptest! {
         let inputs = program.symbols().resolve_scalars(&fused_bindings).unwrap();
 
         for (i, &expr) in exprs.iter().enumerate() {
-            let tape = ctx.compile(expr);
             match (
                 program.eval_scalar_root(i, &inputs),
-                eval_filtered(&tape, &[("x", x), ("y", y)]),
+                eval_filtered(&alone(expr), &[("x", x), ("y", y)]),
             ) {
                 (Ok(a), Ok(b)) => prop_assert!(
-                    a == b || (a.is_nan() && b.is_nan()),
-                    "root {i}: fused {a} vs tape {b}"
+                    a.to_bits() == b.to_bits(),
+                    "root {i}: fused {a} vs alone {b}"
                 ),
                 (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "root {i}: fused {a:?} vs tape {b:?}"),
+                (a, b) => prop_assert!(false, "root {i}: fused {a:?} vs alone {b:?}"),
             }
         }
     }
 }
 
 /// Deterministic check that rows dividing by zero map to `INFINITY` in
-/// both the fused program and the individual tape, at matching rows.
+/// both the fused program and the root compiled alone, at matching rows.
 #[test]
 fn nonfinite_rows_map_to_infinity_in_fused_and_tape() {
     let ctx = Context::new();
@@ -277,18 +292,16 @@ fn nonfinite_rows_map_to_infinity_in_fused_and_tape() {
 
     let mut batch = BatchBindings::new(3);
     batch.set_values("x", vec![1.0, 2.0, 3.0]);
-    let mut ws = EvalWorkspace::new();
-    program.eval_batch(&batch, &mut ws).unwrap();
+    let fused = compiled_outputs(&program, &batch);
 
-    assert_eq!(ws.output(0), &[1.0 / -1.0, f64::INFINITY, 1.0]);
-    assert_eq!(ws.output(1), &[2.0, 3.0, 4.0]);
-    let tape = ctx.compile(r0);
-    assert_eq!(tape.eval_batch(&batch).unwrap(), ws.output(0));
+    assert_eq!(fused[0], &[1.0 / -1.0, f64::INFINITY, 1.0]);
+    assert_eq!(fused[1], &[2.0, 3.0, 4.0]);
+    assert_eq!(compiled_outputs(&alone(r0), &batch)[0], fused[0]);
 }
 
 /// Register-reuse stress: a long alternating chain forces many short-lived
 /// intermediates through a small register pool; outputs must still match
-/// the per-root tape bit for bit.
+/// the root compiled alone and the scalar reference bit for bit.
 #[test]
 fn register_reuse_stress_chain_matches_tape() {
     let ctx = Context::new();
@@ -301,18 +314,20 @@ fn register_reuse_stress_chain_matches_tape() {
     }
     let program = ctx.compile_program(&[("chain", e), ("aux", e * 2.0 + y)]);
     assert!(
-        program.num_regs() < program.len(),
+        CompiledProgram::compile(&program).num_regs() < program.len(),
         "chain must not need one register per slot"
     );
 
     let n = 64;
+    let xs: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 4.0).collect();
+    let ys: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
     let mut batch = BatchBindings::new(n);
-    batch.set_values("x", (0..n).map(|i| i as f64 * 0.25 - 4.0).collect());
-    batch.set_values("y", (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect());
-    let mut ws = EvalWorkspace::new();
-    program.eval_batch(&batch, &mut ws).unwrap();
-    assert_eq!(
-        ws.output(0),
-        &ctx.compile(e).eval_batch(&batch).unwrap()[..]
-    );
+    batch.set_values("x", xs.clone());
+    batch.set_values("y", ys.clone());
+    let fused = compiled_outputs(&program, &batch);
+    assert_eq!(fused[0], compiled_outputs(&alone(e), &batch)[0]);
+    for row in 0..n {
+        let want = eval_filtered(&alone(e), &[("x", xs[row]), ("y", ys[row])]).unwrap();
+        assert_eq!(fused[0][row].to_bits(), want.to_bits(), "row {row}");
+    }
 }
