@@ -96,6 +96,33 @@ impl Baseline {
     }
 }
 
+/// The search-space preset names [`space_preset`] accepts, in listing
+/// order: Mist's two spaces, then one per [`Baseline`].
+pub const SPACE_PRESETS: [&str; 7] = [
+    "mist",
+    "mist-fine",
+    "megatron",
+    "deepspeed",
+    "aceso",
+    "alpa",
+    "uniform",
+];
+
+/// Resolves a search-space preset name (any case; `megatron-lm` is an
+/// alias of `megatron`).
+pub fn space_preset(name: &str) -> Result<SearchSpace, String> {
+    match name.to_ascii_lowercase().as_str() {
+        "mist" => Ok(SearchSpace::mist()),
+        "mist-fine" => Ok(SearchSpace::mist_fine()),
+        "megatron" | "megatron-lm" => Ok(Baseline::MegatronLM.space()),
+        "deepspeed" => Ok(Baseline::DeepSpeed.space()),
+        "aceso" => Ok(Baseline::Aceso.space()),
+        "alpa" => Ok(Baseline::Alpa.space()),
+        "uniform" => Ok(Baseline::UniformHeuristic.space()),
+        other => Err(format!("unknown search space `{other}`")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

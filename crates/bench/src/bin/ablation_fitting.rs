@@ -6,7 +6,10 @@
 //! end-to-end prediction accuracy.
 
 use mist::presets::{gpt3, AttentionImpl, ModelSize};
-use mist::{benchmark_interference, fit_interference, InterferenceModel, MistSession, Platform};
+use mist::{
+    benchmark_interference, fit_interference, interference_prior, InterferenceModel, MistSession,
+    Platform,
+};
 use mist_bench::write_json;
 use serde::Serialize;
 
@@ -45,10 +48,7 @@ fn main() {
     for platform in [Platform::GcpL4, Platform::AwsA100] {
         let train = benchmark_interference(platform, 400, 11);
         let holdout = benchmark_interference(platform, 300, 997);
-        let prior = match platform {
-            Platform::GcpL4 => InterferenceModel::pcie_defaults(),
-            Platform::AwsA100 => InterferenceModel::nvlink_defaults(),
-        };
+        let prior = interference_prior(platform);
         let (fitted, _) = fit_interference(&prior, &train, 3000, 13);
         let pe = holdout_error(&prior, &holdout);
         let fe = holdout_error(&fitted, &holdout);

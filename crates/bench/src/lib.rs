@@ -42,10 +42,7 @@ impl Workload {
 
 /// The Table 4 grid: model size ↔ GPU count ↔ global batch pairing.
 pub fn table4_grid(platform: Platform, family: Family, flash: bool) -> Vec<Workload> {
-    let seq = match platform {
-        Platform::GcpL4 => 2048,
-        Platform::AwsA100 => 4096,
-    };
+    let seq = platform.default_seq();
     let attn = if flash {
         AttentionImpl::Flash
     } else {

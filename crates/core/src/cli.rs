@@ -4,22 +4,27 @@
 //! can drive the full command path in-process; `src/bin/mist-cli.rs` is
 //! a thin shim around [`run`].
 
+use std::fmt::Display;
+use std::str::FromStr;
+
+use mist_baselines::{space_preset, SPACE_PRESETS};
 use mist_telemetry::TraceBuilder;
 
-use crate::presets::{falcon, gpt3, llama, AttentionImpl, ModelSize, ModelSpec};
-use crate::{Baseline, MistSession, Platform, SearchSpace};
+use crate::presets::{preset, preset_names, AttentionImpl, ModelSpec};
+use crate::{ClusterSpec, MistSession, Platform, SearchSpace};
 
 use mist_irlint::{LintReport, Severity};
 
 /// The `mist-cli` help text.
-pub fn usage() -> &'static str {
-    "mist-cli — memory-parallelism co-optimization for LLM training
+pub fn usage() -> String {
+    format!(
+        "mist-cli — memory-parallelism co-optimization for LLM training
 
 USAGE:
     mist-cli tune --model <NAME> --platform <l4|a100> --gpus <N> --batch <B>
                   [--space <mist|mist-fine|megatron|deepspeed|aceso|alpa|uniform>]
                   [--seq <LEN>] [--seed <N>] [--threads <N>] [--no-flash]
-                  [--no-mono-prune] [--execute]
+                  [--execute]
                   [--trace <FILE>] [--metrics]
                   [--json] [--journal <FILE>]
     mist-cli explain [--json] [--top <K>] <FILE>
@@ -42,23 +47,19 @@ USAGE:
     mist-cli help
 
 MODEL NAMES:
-    <family>-<size> with family in {gpt3, llama, falcon} and size in
-    {1.3b, 2.6b, 6.7b, 13b, 22b, 40b}, e.g. gpt3-6.7b, llama-13b.
+    <family>-<size> with family in {{gpt3, llama, falcon}} and size in
+    {{1.3b, 2.6b, 6.7b, 13b, 22b, 40b}}, e.g. gpt3-6.7b, llama-13b.
 
 OPTIONS:
     --seq <LEN>    sequence length (default: 2048 on L4, 4096 on A100)
     --seed <N>     seed for the interference-calibration benchmarks
-                   (default: 0xAB5EED; changes the fitted model, not the
+                   (default: {:#X}; changes the fitted model, not the
                    search itself)
     --threads <N>  worker threads for the tuner's parallel phases
                    (default: the machine's available parallelism; results
                    are byte-identical at any value, only wall-clock
                    changes)
     --no-flash     use standard attention instead of FlashAttention
-    --no-mono-prune
-                   disable the proof-licensed monotone pruning of
-                   provably-OOM sweep rows (results are byte-identical
-                   either way; this exists to demonstrate that)
     --execute      run the tuned plan on the cluster simulator and report
                    the measured throughput
     --trace <FILE> write a Chrome Trace Event JSON (open in Perfetto or
@@ -118,45 +119,67 @@ SERVE / QUERY:
     for a deterministically bounded search, --budget-gib to cap per-GPU
     memory, --no-cache to bypass the cache read *and* write,
     --max-grad-accum, --seed) or a control command (--ping, --stats,
-    --shutdown). Exit code 1 if the daemon answered with ok=false."
+    --shutdown). Exit code 1 if the daemon answered with ok=false.",
+        mist_sim::DEFAULT_SEED
+    )
 }
 
-fn parse_model(name: &str, seq: u64, flash: bool) -> Result<ModelSpec, String> {
-    let attn = if flash {
-        AttentionImpl::Flash
-    } else {
-        AttentionImpl::Standard
-    };
-    let (family, size) = name
-        .split_once('-')
-        .ok_or_else(|| format!("bad model name `{name}` (expected family-size)"))?;
-    let size = match size.to_ascii_lowercase().as_str() {
-        "1.3b" => ModelSize::B1_3,
-        "2.6b" | "2.7b" => ModelSize::B2_6,
-        "6.7b" | "7b" => ModelSize::B6_7,
-        "13b" => ModelSize::B13,
-        "22b" => ModelSize::B22,
-        "40b" => ModelSize::B40,
-        other => return Err(format!("unknown model size `{other}`")),
-    };
-    match family.to_ascii_lowercase().as_str() {
-        "gpt3" | "gpt" => Ok(gpt3(size, seq, attn)),
-        "llama" => Ok(llama(size, seq, attn)),
-        "falcon" => Ok(falcon(size, seq, attn)),
-        other => Err(format!("unknown model family `{other}`")),
+/// A cursor over one subcommand's arguments, shared by every parser.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn new(argv: &'a [String]) -> Self {
+        Flags(argv.iter())
+    }
+
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value that must follow `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value of `flag` parsed as the field's own type, so an
+    /// out-of-range number is an error, never a truncation.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let raw = self.value(flag)?;
+        raw.parse().map_err(|e| format!("{flag} `{raw}`: {e}"))
+    }
+
+    /// [`Flags::parse`] of a value that must be positive.
+    fn positive<T: FromStr + PartialOrd + Default>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v: T = self.parse(flag)?;
+        if v > T::default() {
+            Ok(v)
+        } else {
+            Err(format!("{flag} must be positive"))
+        }
     }
 }
 
-fn parse_space(name: &str) -> Result<SearchSpace, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "mist" => Ok(SearchSpace::mist()),
-        "mist-fine" => Ok(SearchSpace::mist_fine()),
-        "megatron" | "megatron-lm" => Ok(Baseline::MegatronLM.space()),
-        "deepspeed" => Ok(Baseline::DeepSpeed.space()),
-        "aceso" => Ok(Baseline::Aceso.space()),
-        "alpa" => Ok(Baseline::Alpa.space()),
-        "uniform" => Ok(Baseline::UniformHeuristic.space()),
-        other => Err(format!("unknown search space `{other}`")),
+/// The named preset, or every preset when `name` is `None`.
+fn model_presets(
+    name: Option<&str>,
+    seq: u64,
+    attention: AttentionImpl,
+) -> Result<Vec<ModelSpec>, String> {
+    match name {
+        Some(name) => Ok(vec![preset(name, seq, attention)?]),
+        None => preset_names()
+            .iter()
+            .map(|name| preset(name, seq, attention))
+            .collect(),
     }
 }
 
@@ -169,13 +192,12 @@ struct Args {
     seq: Option<u64>,
     seed: Option<u64>,
     threads: Option<usize>,
-    flash: bool,
+    attention: AttentionImpl,
     execute: bool,
     trace: Option<String>,
     metrics: bool,
     json: bool,
     journal: Option<String>,
-    mono_prune: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -188,71 +210,30 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seq: None,
         seed: None,
         threads: None,
-        flash: true,
+        attention: AttentionImpl::Flash,
         execute: false,
         trace: None,
         metrics: false,
         json: false,
         journal: None,
-        mono_prune: true,
     };
-    let mut it = argv.iter();
-    let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => args.model = need(&mut it, "--model")?,
-            "--platform" => {
-                args.platform = match need(&mut it, "--platform")?.to_ascii_lowercase().as_str() {
-                    "l4" | "gcp" => Platform::GcpL4,
-                    "a100" | "aws" => Platform::AwsA100,
-                    other => return Err(format!("unknown platform `{other}` (l4|a100)")),
-                }
-            }
-            "--gpus" => {
-                args.gpus = need(&mut it, "--gpus")?
-                    .parse()
-                    .map_err(|_| "--gpus expects a positive integer".to_string())?
-            }
-            "--batch" => {
-                args.batch = need(&mut it, "--batch")?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_string())?
-            }
-            "--space" => args.space = parse_space(&need(&mut it, "--space")?)?,
-            "--seq" => {
-                args.seq = Some(
-                    need(&mut it, "--seq")?
-                        .parse()
-                        .map_err(|_| "--seq expects a positive integer".to_string())?,
-                )
-            }
-            "--seed" => {
-                args.seed = Some(
-                    need(&mut it, "--seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects a non-negative integer".to_string())?,
-                )
-            }
-            "--threads" => {
-                let n: usize = need(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(n);
-            }
-            "--no-flash" => args.flash = false,
-            "--no-mono-prune" => args.mono_prune = false,
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--model" => args.model = flags.value(arg)?,
+            "--platform" => args.platform = Platform::parse(&flags.value(arg)?)?,
+            "--gpus" => args.gpus = flags.positive(arg)?,
+            "--batch" => args.batch = flags.positive(arg)?,
+            "--space" => args.space = space_preset(&flags.value(arg)?)?,
+            "--seq" => args.seq = Some(flags.positive(arg)?),
+            "--seed" => args.seed = Some(flags.parse(arg)?),
+            "--threads" => args.threads = Some(flags.positive(arg)?),
+            "--no-flash" => args.attention = AttentionImpl::Standard,
             "--execute" => args.execute = true,
-            "--trace" => args.trace = Some(need(&mut it, "--trace")?),
+            "--trace" => args.trace = Some(flags.value(arg)?),
             "--metrics" => args.metrics = true,
             "--json" => args.json = true,
-            "--journal" => args.journal = Some(need(&mut it, "--journal")?),
+            "--journal" => args.journal = Some(flags.value(arg)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -265,15 +246,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.batch == 0 {
         return Err("--batch is required".into());
     }
-    if args.seq == Some(0) {
-        return Err("--seq must be positive".into());
-    }
-    if args.gpus > 8 && !args.gpus.is_multiple_of(8) {
-        return Err(format!(
-            "--gpus {} is not a Table-3 cluster shape (1-8, or a multiple of 8)",
-            args.gpus
-        ));
-    }
+    ClusterSpec::check_gpu_count(args.gpus).map_err(|e| format!("--gpus {e}"))?;
     Ok(args)
 }
 
@@ -307,14 +280,10 @@ fn run_tune(args: Args) -> Result<(), String> {
 
 fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
     let collector = mist_telemetry::global();
-    let seq = args.seq.unwrap_or(match args.platform {
-        Platform::GcpL4 => 2048,
-        Platform::AwsA100 => 4096,
-    });
-    let model = parse_model(&args.model, seq, args.flash)?;
-    let mut builder = MistSession::builder(model.clone(), args.platform, args.gpus)
-        .space(args.space.clone())
-        .monotone_prune(args.mono_prune);
+    let seq = args.seq.unwrap_or(args.platform.default_seq());
+    let model = preset(&args.model, seq, args.attention)?;
+    let mut builder =
+        MistSession::builder(model.clone(), args.platform, args.gpus).space(args.space.clone());
     if let Some(seed) = args.seed {
         builder = builder.seed(seed);
     }
@@ -361,10 +330,7 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
             "version": 1u64,
             "model": model.name,
             "space": args.space.name,
-            "platform": match args.platform {
-                Platform::GcpL4 => "l4",
-                Platform::AwsA100 => "a100",
-            },
+            "platform": args.platform.name(),
             "gpus": args.gpus,
             "batch": args.batch,
             "seq": seq,
@@ -415,10 +381,9 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
     println!(
         "model:  {} (seq {seq}, {})",
         model.name,
-        if args.flash {
-            "FlashAttention"
-        } else {
-            "standard attention"
+        match args.attention {
+            AttentionImpl::Flash => "FlashAttention",
+            AttentionImpl::Standard => "standard attention",
         }
     );
     println!("space:  {}", args.space.name);
@@ -486,21 +451,11 @@ fn parse_explain_args(argv: &[String]) -> Result<ExplainArgs, String> {
         json: false,
         top: crate::explain::DEFAULT_TOP_K,
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
             "--json" => args.json = true,
-            "--top" => {
-                let k: usize = it
-                    .next()
-                    .ok_or_else(|| "--top requires a value".to_string())?
-                    .parse()
-                    .map_err(|_| "--top expects a positive integer".to_string())?;
-                if k == 0 {
-                    return Err("--top must be at least 1".into());
-                }
-                args.top = k;
-            }
+            "--top" => args.top = flags.positive(arg)?,
             other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
             path => {
                 if !args.file.is_empty() {
@@ -521,7 +476,7 @@ struct LintArgs {
     platform: Platform,
     space: SearchSpace,
     seq: Option<u64>,
-    flash: bool,
+    attention: AttentionImpl,
     json: bool,
 }
 
@@ -531,36 +486,17 @@ fn parse_lint_args(argv: &[String]) -> Result<LintArgs, String> {
         platform: Platform::GcpL4,
         space: SearchSpace::mist(),
         seq: None,
-        flash: true,
+        attention: AttentionImpl::Flash,
         json: false,
     };
-    let mut it = argv.iter();
-    let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => args.model = Some(need(&mut it, "--model")?),
-            "--platform" => {
-                args.platform = match need(&mut it, "--platform")?.to_ascii_lowercase().as_str() {
-                    "l4" | "gcp" => Platform::GcpL4,
-                    "a100" | "aws" => Platform::AwsA100,
-                    other => return Err(format!("unknown platform `{other}` (l4|a100)")),
-                }
-            }
-            "--space" => args.space = parse_space(&need(&mut it, "--space")?)?,
-            "--seq" => {
-                let seq: u64 = need(&mut it, "--seq")?
-                    .parse()
-                    .map_err(|_| "--seq expects a positive integer".to_string())?;
-                if seq == 0 {
-                    return Err("--seq must be positive".into());
-                }
-                args.seq = Some(seq);
-            }
-            "--no-flash" => args.flash = false,
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--model" => args.model = Some(flags.value(arg)?),
+            "--platform" => args.platform = Platform::parse(&flags.value(arg)?)?,
+            "--space" => args.space = space_preset(&flags.value(arg)?)?,
+            "--seq" => args.seq = Some(flags.positive(arg)?),
+            "--no-flash" => args.attention = AttentionImpl::Standard,
             "--json" => args.json = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -594,22 +530,8 @@ fn lint_report_json(report: &LintReport) -> serde_json::Value {
 
 /// Runs `lint-ir`; `Ok(true)` means no error-severity diagnostics.
 fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
-    let seq = args.seq.unwrap_or(match args.platform {
-        Platform::GcpL4 => 2048,
-        Platform::AwsA100 => 4096,
-    });
-    let models: Vec<ModelSpec> = match &args.model {
-        Some(name) => vec![parse_model(name, seq, args.flash)?],
-        None => {
-            let mut all = Vec::new();
-            for family in ["gpt3", "llama", "falcon"] {
-                for size in ["1.3b", "2.6b", "6.7b", "13b", "22b", "40b"] {
-                    all.push(parse_model(&format!("{family}-{size}"), seq, args.flash)?);
-                }
-            }
-            all
-        }
-    };
+    let seq = args.seq.unwrap_or(args.platform.default_seq());
+    let models = model_presets(args.model.as_deref(), seq, args.attention)?;
 
     let lints: Vec<crate::ModelLint> = models
         .iter()
@@ -689,7 +611,7 @@ struct VerifyArgs {
     batch: u64,
     space: SearchSpace,
     seq: Option<u64>,
-    flash: bool,
+    attention: AttentionImpl,
     budget_gib: Option<f64>,
     max_grad_accum: u32,
     max_outer: Option<u32>,
@@ -705,113 +627,50 @@ fn parse_verify_args(argv: &[String]) -> Result<VerifyArgs, String> {
         batch: 8,
         space: SearchSpace::mist(),
         seq: None,
-        flash: true,
+        attention: AttentionImpl::Flash,
         budget_gib: None,
         max_grad_accum: 8,
         max_outer: None,
         threads: None,
         json: false,
     };
-    let mut it = argv.iter();
-    let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    let pos_int = |s: String, flag: &str| -> Result<u64, String> {
-        match s.parse() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("{flag} expects a positive integer")),
-        }
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => args.model = Some(need(&mut it, "--model")?),
-            "--platform" => {
-                args.platform = match need(&mut it, "--platform")?.to_ascii_lowercase().as_str() {
-                    "l4" | "gcp" => Platform::GcpL4,
-                    "a100" | "aws" => Platform::AwsA100,
-                    other => return Err(format!("unknown platform `{other}` (l4|a100)")),
-                }
-            }
-            "--gpus" => args.gpus = pos_int(need(&mut it, "--gpus")?, "--gpus")? as u32,
-            "--batch" => args.batch = pos_int(need(&mut it, "--batch")?, "--batch")?,
-            "--space" => args.space = parse_space(&need(&mut it, "--space")?)?,
-            "--seq" => args.seq = Some(pos_int(need(&mut it, "--seq")?, "--seq")?),
-            "--no-flash" => args.flash = false,
-            "--budget-gib" => {
-                let gib: f64 = need(&mut it, "--budget-gib")?
-                    .parse()
-                    .map_err(|_| "--budget-gib expects a number".to_string())?;
-                if gib <= 0.0 {
-                    return Err("--budget-gib must be positive".into());
-                }
-                args.budget_gib = Some(gib);
-            }
-            "--max-grad-accum" => {
-                args.max_grad_accum =
-                    pos_int(need(&mut it, "--max-grad-accum")?, "--max-grad-accum")? as u32
-            }
-            "--max-outer-candidates" => {
-                args.max_outer = Some(pos_int(
-                    need(&mut it, "--max-outer-candidates")?,
-                    "--max-outer-candidates",
-                )? as u32)
-            }
-            "--threads" => {
-                args.threads = Some(pos_int(need(&mut it, "--threads")?, "--threads")? as usize)
-            }
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--model" => args.model = Some(flags.value(arg)?),
+            "--platform" => args.platform = Platform::parse(&flags.value(arg)?)?,
+            "--gpus" => args.gpus = flags.positive(arg)?,
+            "--batch" => args.batch = flags.positive(arg)?,
+            "--space" => args.space = space_preset(&flags.value(arg)?)?,
+            "--seq" => args.seq = Some(flags.positive(arg)?),
+            "--no-flash" => args.attention = AttentionImpl::Standard,
+            "--budget-gib" => args.budget_gib = Some(flags.positive(arg)?),
+            "--max-grad-accum" => args.max_grad_accum = flags.positive(arg)?,
+            "--max-outer-candidates" => args.max_outer = Some(flags.positive(arg)?),
+            "--threads" => args.threads = Some(flags.positive(arg)?),
             "--json" => args.json = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    if args.gpus > 8 && !args.gpus.is_multiple_of(8) {
-        return Err(format!(
-            "--gpus {} is not a Table-3 cluster shape (1-8, or a multiple of 8)",
-            args.gpus
-        ));
-    }
+    ClusterSpec::check_gpu_count(args.gpus).map_err(|e| format!("--gpus {e}"))?;
     Ok(args)
 }
 
 /// Runs `verify-plan`; `Ok(true)` means every preset's plan certified.
 fn run_verify_plan(args: VerifyArgs) -> Result<bool, String> {
-    use mist_hardware::{ClusterSpec, OpCostDb, GIB};
+    use mist_hardware::{OpCostDb, GIB};
 
     if let Some(n) = args.threads {
         mist_pool::set_global_threads(n);
     }
-    let seq = args.seq.unwrap_or(match args.platform {
-        Platform::GcpL4 => 2048,
-        Platform::AwsA100 => 4096,
-    });
-    let models: Vec<ModelSpec> = match &args.model {
-        Some(name) => vec![parse_model(name, seq, args.flash)?],
-        None => {
-            let mut all = Vec::new();
-            for family in ["gpt3", "llama", "falcon"] {
-                for size in ["1.3b", "2.6b", "6.7b", "13b", "22b", "40b"] {
-                    all.push(parse_model(&format!("{family}-{size}"), seq, args.flash)?);
-                }
-            }
-            all
-        }
-    };
+    let seq = args.seq.unwrap_or(args.platform.default_seq());
+    let models = model_presets(args.model.as_deref(), seq, args.attention)?;
     let cluster = ClusterSpec::for_gpu_count(args.platform, args.gpus);
-    let budget = match args.budget_gib {
-        Some(gib) => gib * GIB,
-        None => cluster.gpu.memory_bytes,
-    };
-    // One calibration for the whole sweep — identical to what a
-    // `MistSession` with default seed would fit for this platform.
-    let interference = {
-        let prior = match args.platform {
-            Platform::GcpL4 => mist_interference::InterferenceModel::pcie_defaults(),
-            Platform::AwsA100 => mist_interference::InterferenceModel::nvlink_defaults(),
-        };
-        let samples = mist_sim::benchmark_interference(args.platform, 400, 0xAB5EED);
-        mist_interference::fit(&prior, &samples, 3000, 0xAB5EED ^ 0x5EED).0
-    };
+    let budget = args
+        .budget_gib
+        .map_or(cluster.gpu.memory_bytes, |gib| gib * GIB);
+    // One calibration for the whole sweep.
+    let interference = mist_sim::calibrate(args.platform, mist_sim::DEFAULT_SEED);
     let db = OpCostDb::new(cluster.gpu.clone());
 
     let mut failed = 0u32;
@@ -858,6 +717,11 @@ fn run_verify_plan(args: VerifyArgs) -> Result<bool, String> {
         if !embedded_ok {
             failures.push("embedded certificate disagrees with re-derivation".into());
         }
+        let stages = &report.certificate.stages;
+        let peak = stages
+            .iter()
+            .map(|s| s.mem_fwd.hi.max(s.mem_bwd.hi))
+            .fold(0.0, f64::max);
         if args.json {
             models_json.push(serde_json::json!({
                 "model": model.name,
@@ -866,32 +730,16 @@ fn run_verify_plan(args: VerifyArgs) -> Result<bool, String> {
                 "stages": outcome.plan.num_stages(),
                 "grad_accum": outcome.plan.grad_accum,
                 "objective_s": report.certificate.objective,
-                "peak_mem_hi": report
-                    .certificate
-                    .stages
-                    .iter()
-                    .map(|s| s.mem_fwd.hi.max(s.mem_bwd.hi))
-                    .fold(0.0, f64::max),
+                "peak_mem_hi": peak,
                 "failures": failures,
             }));
         } else if ok {
-            let peak = report
-                .certificate
-                .stages
-                .iter()
-                .map(|s| s.mem_fwd.hi.max(s.mem_bwd.hi))
-                .fold(0.0, f64::max);
             println!(
                 "{}: certified (S={} G={}, {} roots checked, peak mem {:.1}/{:.1} GiB)",
                 model.name,
                 outcome.plan.num_stages(),
                 outcome.plan.grad_accum,
-                report
-                    .certificate
-                    .stages
-                    .iter()
-                    .map(|s| s.roots_checked)
-                    .sum::<u32>(),
+                stages.iter().map(|s| s.roots_checked).sum::<u32>(),
                 peak / GIB,
                 budget / GIB,
             );
@@ -923,8 +771,6 @@ fn run_verify_plan(args: VerifyArgs) -> Result<bool, String> {
     Ok(failed == 0)
 }
 
-/// Runs the CLI on already-split arguments (excluding the program name)
-/// and returns the process exit code.
 struct ServeArgs {
     listen: String,
     cache: Option<String>,
@@ -937,25 +783,12 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
         cache: None,
         threads: None,
     };
-    let mut it = argv.iter();
-    let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--listen" => args.listen = need(&mut it, "--listen")?,
-            "--cache" => args.cache = Some(need(&mut it, "--cache")?),
-            "--threads" => {
-                let n: usize = need(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(n);
-            }
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--listen" => args.listen = flags.value(arg)?,
+            "--cache" => args.cache = Some(flags.value(arg)?),
+            "--threads" => args.threads = Some(flags.positive(arg)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -993,85 +826,38 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
     let mut control: Option<&str> = None;
     let mut req = mist_service::PlanRequest::default();
     let mut has_plan_field = false;
-    let mut it = argv.iter();
-    let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    let int = |s: String, flag: &str| -> Result<u64, String> {
-        s.parse().map_err(|_| format!("{flag} expects an integer"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = need(&mut it, "--connect")?,
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--connect" => connect = flags.value(arg)?,
             "--ping" => control = Some("ping"),
             "--stats" => control = Some("stats"),
             "--shutdown" => control = Some("shutdown"),
-            "--model" => {
-                req.model = need(&mut it, "--model")?;
+            _ => {
                 has_plan_field = true;
-            }
-            "--platform" => {
-                req.platform = need(&mut it, "--platform")?;
-                has_plan_field = true;
-            }
-            "--gpus" => {
-                req.gpus = int(need(&mut it, "--gpus")?, "--gpus")? as u32;
-                has_plan_field = true;
-            }
-            "--batch" => {
-                req.batch = int(need(&mut it, "--batch")?, "--batch")?;
-                has_plan_field = true;
-            }
-            "--space" => {
-                req.space = need(&mut it, "--space")?;
-                has_plan_field = true;
-            }
-            "--seq" => {
-                req.seq = Some(int(need(&mut it, "--seq")?, "--seq")?);
-                has_plan_field = true;
-            }
-            "--budget-gib" => {
-                let gib: f64 = need(&mut it, "--budget-gib")?
-                    .parse()
-                    .map_err(|_| "--budget-gib expects a number".to_string())?;
-                if gib <= 0.0 {
-                    return Err("--budget-gib must be positive".into());
+                match arg {
+                    "--model" => req.model = flags.value(arg)?,
+                    "--platform" => req.platform = flags.value(arg)?,
+                    "--gpus" => req.gpus = flags.parse(arg)?,
+                    "--batch" => req.batch = flags.parse(arg)?,
+                    "--space" => req.space = flags.value(arg)?,
+                    "--seq" => req.seq = Some(flags.parse(arg)?),
+                    "--budget-gib" => req.budget_gib = Some(flags.positive(arg)?),
+                    "--qos" => req.qos = mist_service::Qos::parse(&flags.value(arg)?)?,
+                    "--no-cache" => req.no_cache = true,
+                    "--no-flash" => req.flash = false,
+                    "--seed" => {
+                        let raw = flags.value(arg)?;
+                        let parsed = raw
+                            .strip_prefix("0x")
+                            .map(|hex| u64::from_str_radix(hex, 16))
+                            .unwrap_or_else(|| raw.parse());
+                        req.seed = parsed.map_err(|e| format!("--seed `{raw}`: {e}"))?;
+                    }
+                    "--max-grad-accum" => req.max_grad_accum = flags.positive(arg)?,
+                    other => return Err(format!("unknown option `{other}`")),
                 }
-                req.budget_gib = Some(gib);
-                has_plan_field = true;
             }
-            "--qos" => {
-                req.qos = mist_service::Qos::parse(&need(&mut it, "--qos")?)?;
-                has_plan_field = true;
-            }
-            "--no-cache" => {
-                req.no_cache = true;
-                has_plan_field = true;
-            }
-            "--no-flash" => {
-                req.flash = false;
-                has_plan_field = true;
-            }
-            "--seed" => {
-                let raw = need(&mut it, "--seed")?;
-                let parsed = raw
-                    .strip_prefix("0x")
-                    .map(|hex| u64::from_str_radix(hex, 16))
-                    .unwrap_or_else(|| raw.parse());
-                req.seed = parsed.map_err(|_| "--seed expects an integer".to_string())?;
-                has_plan_field = true;
-            }
-            "--max-grad-accum" => {
-                let cap = int(need(&mut it, "--max-grad-accum")?, "--max-grad-accum")? as u32;
-                if cap == 0 {
-                    return Err("--max-grad-accum must be at least 1".into());
-                }
-                req.max_grad_accum = cap;
-                has_plan_field = true;
-            }
-            other => return Err(format!("unknown option `{other}`")),
         }
     }
     if connect.is_empty() {
@@ -1106,85 +892,48 @@ fn run_query(args: &QueryArgs) -> Result<bool, String> {
     Ok(ok)
 }
 
+/// Runs the CLI on already-split arguments (excluding the program name)
+/// and returns the process exit code: 0 on success, 1 when a check
+/// failed (`lint-ir`, `verify-plan`, a `query` answered with ok=false),
+/// 2 on a usage error or an infeasible `tune`.
 pub fn run(argv: &[String]) -> u8 {
-    match argv.first().map(String::as_str) {
-        Some("tune") => match parse_args(&argv[1..]).and_then(run_tune) {
-            Ok(()) => 0,
-            Err(e) => {
-                if e != "infeasible" {
-                    eprintln!("error: {e}\n\n{}", usage());
-                }
-                2
-            }
-        },
-        Some("explain") => match parse_explain_args(&argv[1..])
+    let rest = argv.get(1..).unwrap_or_default();
+    let passed = match argv.first().map(String::as_str) {
+        Some("tune") => parse_args(rest).and_then(run_tune).map(|()| true),
+        Some("explain") => parse_explain_args(rest)
             .and_then(|a| crate::explain::run_explain(&a.file, a.json, a.top))
-        {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                2
-            }
-        },
-        Some("lint-ir") => match parse_lint_args(&argv[1..]).and_then(run_lint_ir) {
-            Ok(true) => 0,
-            Ok(false) => 1,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                2
-            }
-        },
-        Some("verify-plan") => match parse_verify_args(&argv[1..]).and_then(run_verify_plan) {
-            Ok(true) => 0,
-            Ok(false) => 1,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                2
-            }
-        },
-        Some("serve") => match parse_serve_args(&argv[1..]).and_then(|a| run_serve(&a)) {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                2
-            }
-        },
-        Some("query") => match parse_query_args(&argv[1..]).and_then(|a| run_query(&a)) {
-            Ok(true) => 0,
-            Ok(false) => 1,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                2
-            }
-        },
+            .map(|()| true),
+        Some("lint-ir") => parse_lint_args(rest).and_then(run_lint_ir),
+        Some("verify-plan") => parse_verify_args(rest).and_then(run_verify_plan),
+        Some("serve") => parse_serve_args(rest)
+            .and_then(|a| run_serve(&a))
+            .map(|()| true),
+        Some("query") => parse_query_args(rest).and_then(|a| run_query(&a)),
         Some("models") => {
-            for family in ["gpt3", "llama", "falcon"] {
-                for size in ["1.3b", "2.6b", "6.7b", "13b", "22b", "40b"] {
-                    println!("{family}-{size}");
-                }
-            }
-            0
+            preset_names().iter().for_each(|name| println!("{name}"));
+            Ok(true)
         }
         Some("spaces") => {
-            for s in [
-                "mist",
-                "mist-fine",
-                "megatron",
-                "deepspeed",
-                "aceso",
-                "alpa",
-                "uniform",
-            ] {
-                println!("{s}");
-            }
-            0
+            SPACE_PRESETS.iter().for_each(|name| println!("{name}"));
+            Ok(true)
         }
         Some("help") | None => {
             println!("{}", usage());
-            0
+            Ok(true)
         }
         Some(other) => {
             eprintln!("unknown command `{other}`\n\n{}", usage());
+            return 2;
+        }
+    };
+    match passed {
+        Ok(true) => 0,
+        Ok(false) => 1,
+        Err(e) => {
+            // `tune` has already explained an infeasible workload.
+            if e != "infeasible" {
+                eprintln!("error: {e}\n\n{}", usage());
+            }
             2
         }
     }
@@ -1297,7 +1046,6 @@ mod tests {
             "--ping",
             "--stats",
             "--shutdown",
-            "--no-mono-prune",
             "--max-outer-candidates",
         ] {
             assert!(usage().contains(flag), "usage() must document {flag}");
@@ -1337,21 +1085,13 @@ mod tests {
         assert!(a.json);
         assert!(parse_verify_args(&sv(&["--budget-gib", "0"])).is_err());
         assert!(parse_verify_args(&sv(&["--bogus"])).is_err());
-    }
-
-    #[test]
-    fn parse_args_accepts_no_mono_prune() {
-        let a = parse_args(&sv(&[
-            "--model",
-            "gpt3-1.3b",
-            "--gpus",
-            "2",
-            "--batch",
-            "8",
-            "--no-mono-prune",
-        ]))
-        .unwrap();
-        assert!(!a.mono_prune);
+        // Out-of-range integers are errors, never truncations.
+        for flag in ["--gpus", "--max-grad-accum", "--max-outer-candidates"] {
+            assert!(
+                parse_verify_args(&sv(&[flag, "4294967298"])).is_err(),
+                "{flag}"
+            );
+        }
     }
 
     #[test]
@@ -1383,6 +1123,21 @@ mod tests {
         assert!(
             parse_query_args(&sv(&["--connect", "x:1", "--ping", "--model", "gpt3-1.3b"])).is_err(),
             "control commands exclude plan flags"
+        );
+
+        assert!(
+            parse_query_args(&sv(&[
+                "--connect",
+                "x:1",
+                "--model",
+                "gpt3-1.3b",
+                "--gpus",
+                "4294967298",
+                "--batch",
+                "8",
+            ]))
+            .is_err(),
+            "--gpus out of u32 range must not truncate"
         );
 
         let ping = parse_query_args(&sv(&["--connect", "x:1", "--ping"])).unwrap();

@@ -56,14 +56,17 @@ pub use mist_schedule::{
     averaged_objective, mist_objective, overlap_template, stable_only_objective, stage_times,
     IterationSchedule, StagePlan, StageStreams, TrainingPlan,
 };
-pub use mist_sim::{benchmark_interference, simulate, GroundTruth, SimReport, TaskKind};
+pub use mist_sim::{
+    benchmark_interference, calibrate, interference_prior, simulate, GroundTruth, SimReport,
+    TaskKind,
+};
 pub use mist_telemetry as telemetry;
 pub use mist_tuner::{CkptMode, SearchSpace, TuneOutcome, Tuner};
 
 /// Model presets (GPT-3 / LLaMa / Falcon at Table 4 sizes).
 pub mod presets {
     pub use mist_models::{
-        falcon, gpt3, gpt3_with_layers, llama, AttentionImpl, Family, ModelSize, ModelSpec,
-        ModelStats,
+        falcon, gpt3, gpt3_with_layers, llama, preset, preset_names, AttentionImpl, Family,
+        ModelSize, ModelSpec, ModelStats,
     };
 }

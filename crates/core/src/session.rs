@@ -2,11 +2,11 @@
 
 use mist_graph::StageAnalyzer;
 use mist_hardware::{ClusterSpec, OpCostDb, Platform};
-use mist_interference::{fit, InterferenceModel};
+use mist_interference::InterferenceModel;
 use mist_models::ModelSpec;
 use mist_schedule::IterationSchedule;
-use mist_sim::{benchmark_interference, simulate, GroundTruth, SimReport};
-use mist_tuner::{SearchSpace, TuneOutcome, Tuner};
+use mist_sim::{calibrate, interference_prior, simulate, GroundTruth, SimReport};
+use mist_tuner::{SearchSpace, TuneOutcome, Tuner, DEFAULT_MAX_GRAD_ACCUM};
 
 use crate::report::{AccuracyReport, AccuracySample};
 
@@ -16,10 +16,8 @@ pub struct SessionBuilder {
     cluster: ClusterSpec,
     space: SearchSpace,
     fit_interference: bool,
-    calibration_samples: usize,
     max_grad_accum: u32,
     seed: u64,
-    mono_prune: bool,
 }
 
 impl SessionBuilder {
@@ -48,38 +46,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables the tuner's proof-licensed monotone pruning
-    /// (on by default; results are byte-identical either way).
-    pub fn monotone_prune(mut self, enabled: bool) -> Self {
-        self.mono_prune = enabled;
-        self
-    }
-
-    /// Number of concurrent-kernel mixes benchmarked during calibration.
-    pub fn calibration_samples(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.calibration_samples = n;
-        self
-    }
-
     /// Calibrates and builds the session.
     pub fn build(self) -> MistSession {
         let db = OpCostDb::new(self.cluster.gpu.clone());
-        let prior = match self.cluster.platform {
-            Platform::GcpL4 => InterferenceModel::pcie_defaults(),
-            Platform::AwsA100 => InterferenceModel::nvlink_defaults(),
-        };
-        // The data-driven calibration loop of §5.2.2: benchmark concurrent
-        // kernel mixes on the target (here: the simulator's hidden law),
-        // then fit the slowdown factors.
         let interference = if self.fit_interference {
-            let _span =
-                mist_telemetry::span!("session.calibrate", samples = self.calibration_samples);
-            let samples =
-                benchmark_interference(self.cluster.platform, self.calibration_samples, self.seed);
-            fit(&prior, &samples, 3000, self.seed ^ 0x5EED).0
+            calibrate(self.cluster.platform, self.seed)
         } else {
-            prior
+            interference_prior(self.cluster.platform)
         };
         MistSession {
             model: self.model,
@@ -88,7 +61,6 @@ impl SessionBuilder {
             space: self.space,
             interference,
             max_grad_accum: self.max_grad_accum,
-            mono_prune: self.mono_prune,
         }
     }
 }
@@ -101,7 +73,6 @@ pub struct MistSession {
     space: SearchSpace,
     interference: InterferenceModel,
     max_grad_accum: u32,
-    mono_prune: bool,
 }
 
 impl MistSession {
@@ -118,10 +89,8 @@ impl MistSession {
             cluster,
             space: SearchSpace::mist(),
             fit_interference: true,
-            calibration_samples: 400,
-            max_grad_accum: 256,
-            seed: 0xAB5EED,
-            mono_prune: true,
+            max_grad_accum: DEFAULT_MAX_GRAD_ACCUM,
+            seed: mist_sim::DEFAULT_SEED,
         }
     }
 
@@ -160,7 +129,6 @@ impl MistSession {
             &self.interference,
         )
         .with_max_grad_accum(self.max_grad_accum)
-        .with_monotone_prune(self.mono_prune)
         .tune(global_batch)
     }
 

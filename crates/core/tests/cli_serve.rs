@@ -1,8 +1,9 @@
 //! Spawns the real `mist-cli` binary as a daemon over a Unix socket and
 //! drives the cold → exact-hit → warm-start → shutdown lifecycle with
-//! `mist-cli query`.
+//! `mist-cli query`, then feeds it hostile request lines.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
 
 use serde_json::Value;
@@ -22,6 +23,25 @@ impl Drop for DaemonGuard {
         self.0.kill().ok();
         self.0.wait().ok();
     }
+}
+
+/// Starts `mist-cli serve --listen <socket> <extra>` and waits for its
+/// `READY` banner.
+fn serve(socket: &str, extra: &[&str]) -> DaemonGuard {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mist-cli"))
+        .args(["serve", "--listen", socket, "--threads", "2"])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn mist-cli serve");
+    let stdout = child.stdout.take().expect("captured stdout");
+    let guard = DaemonGuard(child);
+    // The daemon announces readiness; no polling needed.
+    let mut ready = String::new();
+    BufReader::new(stdout).read_line(&mut ready).unwrap();
+    assert!(ready.starts_with("READY "), "unexpected banner: {ready}");
+    guard
 }
 
 fn query(socket: &str, extra: &[&str]) -> (Value, bool) {
@@ -74,27 +94,7 @@ fn daemon_cold_hit_warm_lifecycle() {
     let socket = dir.join("planner.sock").display().to_string();
     let cache = dir.join("plans.jsonl").display().to_string();
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mist-cli"))
-        .args([
-            "serve",
-            "--listen",
-            &socket,
-            "--cache",
-            &cache,
-            "--threads",
-            "2",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn mist-cli serve");
-    let stdout = child.stdout.take().expect("captured stdout");
-    let mut guard = DaemonGuard(child);
-
-    // The daemon announces readiness; no polling needed.
-    let mut ready = String::new();
-    BufReader::new(stdout).read_line(&mut ready).unwrap();
-    assert!(ready.starts_with("READY "), "unexpected banner: {ready}");
+    let mut guard = serve(&socket, &["--cache", &cache]);
 
     let (pong, ok) = query(&socket, &["--ping"]);
     assert!(ok);
@@ -153,26 +153,7 @@ fn daemon_cold_hit_warm_lifecycle() {
 
     // The persisted cache survives a restart: a fresh daemon answers the
     // original query as an exact hit.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mist-cli"))
-        .args([
-            "serve",
-            "--listen",
-            &socket,
-            "--cache",
-            &cache,
-            "--threads",
-            "2",
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("respawn mist-cli serve");
-    let stdout = child.stdout.take().expect("captured stdout");
-    let mut guard = DaemonGuard(child);
-    let mut ready = String::new();
-    BufReader::new(stdout).read_line(&mut ready).unwrap();
-    assert!(ready.starts_with("READY "), "unexpected banner: {ready}");
-
+    let mut guard = serve(&socket, &["--cache", &cache]);
     let rehit = plan_query(&socket, "8", &[]);
     assert_eq!(work_field(&rehit, "source"), &Value::Str("hit".into()));
     assert_eq!(
@@ -183,5 +164,49 @@ fn daemon_cold_hit_warm_lifecycle() {
 
     query(&socket, &["--shutdown"]);
     guard.0.wait().expect("daemon exits after shutdown");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Hostile lines against the real process, one connection, one response
+/// per line: an in-process test cannot see the daemon's connection
+/// thread overflow its stack and abort the whole binary.
+#[test]
+fn daemon_answers_hostile_lines_and_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("mist-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("planner.sock").display().to_string();
+    let mut guard = serve(&socket, &[]);
+
+    let mut stream = UnixStream::connect(&socket).expect("connect to daemon");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| -> Value {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        serde_json::from_str(response.trim())
+            .unwrap_or_else(|e| panic!("response must be JSON ({e}): {response}"))
+    };
+    let error = |v: &Value| match (get(v, "ok"), get(v, "error")) {
+        (Some(Value::Bool(false)), Some(Value::Str(e))) => e.clone(),
+        _ => panic!("expected an ok:false error, got {v:?}"),
+    };
+
+    // Under the 64 KiB line cap, so it reaches the JSON parser.
+    let nested = ask(&"[".repeat(60_000));
+    assert!(error(&nested).contains("nesting too deep"), "{nested:?}");
+    // Values past u32 must be rejected, not truncated to a 2-GPU query.
+    let out_of_range =
+        ask(r#"{"model":"gpt3-1.3b","gpus":4294967298,"batch":8,"max_grad_accum":4294967304}"#);
+    assert!(
+        error(&out_of_range).contains("out of range"),
+        "{out_of_range:?}"
+    );
+    let pong = ask(r#"{"cmd":"ping"}"#);
+    assert_eq!(get(&pong, "pong"), Some(&Value::Bool(true)), "{pong:?}");
+
+    ask(r#"{"cmd":"shutdown"}"#);
+    let status = guard.0.wait().expect("daemon exits after shutdown");
+    assert!(status.success(), "daemon must exit cleanly: {status:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -36,6 +36,34 @@ pub enum Platform {
     AwsA100,
 }
 
+impl Platform {
+    /// Parses a platform name: `l4` or `gcp`, `a100` or `aws`, in any case.
+    pub fn parse(name: &str) -> Result<Platform, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "l4" | "gcp" => Ok(Platform::GcpL4),
+            "a100" | "aws" => Ok(Platform::AwsA100),
+            other => Err(format!("unknown platform `{other}` (l4|a100)")),
+        }
+    }
+
+    /// Canonical short name, the inverse of [`Platform::parse`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Platform::GcpL4 => "l4",
+            Platform::AwsA100 => "a100",
+        }
+    }
+
+    /// Default training sequence length on this testbed (the paper's
+    /// L4 runs use 2048 tokens, the A100 runs 4096).
+    pub fn default_seq(self) -> u64 {
+        match self {
+            Platform::GcpL4 => 2048,
+            Platform::AwsA100 => 4096,
+        }
+    }
+}
+
 /// A homogeneous GPU cluster: `num_nodes` nodes of `gpus_per_node` GPUs.
 ///
 /// Matches the shape of the paper's device mesh `(N, M)` (§5.3). The two
@@ -85,6 +113,18 @@ impl ClusterSpec {
             intra_node: LinkSpec::new(235e9, 5e-6),
             inter_node: LinkSpec::new(45e9, 18e-6),
         }
+    }
+
+    /// Checks that `total_gpus` is a Table 3 cluster shape — 1 to 8 GPUs
+    /// in one node, or whole 8-GPU nodes — the shapes
+    /// [`ClusterSpec::for_gpu_count`] accepts.
+    pub fn check_gpu_count(total_gpus: u32) -> Result<(), String> {
+        if total_gpus == 0 || (total_gpus > 8 && !total_gpus.is_multiple_of(8)) {
+            return Err(format!(
+                "{total_gpus} is not a Table-3 cluster shape (1-8, or a multiple of 8)"
+            ));
+        }
+        Ok(())
     }
 
     /// Builds the Table 3 cluster shape for a total GPU count: 2, 4 and 8

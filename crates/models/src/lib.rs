@@ -11,5 +11,5 @@ mod presets;
 mod stats;
 
 pub use arch::{AttentionImpl, Family, LayerOp, LayerOpKind, ModelSpec, Shard};
-pub use presets::{falcon, gpt3, gpt3_with_layers, llama, ModelSize};
+pub use presets::{falcon, gpt3, gpt3_with_layers, llama, preset, preset_names, ModelSize};
 pub use stats::ModelStats;

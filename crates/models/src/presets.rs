@@ -128,6 +128,52 @@ pub fn falcon(size: ModelSize, seq_len: u64, attention: AttentionImpl) -> ModelS
     }
 }
 
+/// Every preset size, in ascending order.
+const SIZES: [ModelSize; 6] = [
+    ModelSize::B1_3,
+    ModelSize::B2_6,
+    ModelSize::B6_7,
+    ModelSize::B13,
+    ModelSize::B22,
+    ModelSize::B40,
+];
+
+/// The 18 `family-size` preset names [`preset`] accepts, in listing
+/// order: `gpt3-1.3b` … `falcon-40b`.
+pub fn preset_names() -> Vec<String> {
+    ["gpt3", "llama", "falcon"]
+        .iter()
+        .flat_map(|family| {
+            SIZES
+                .iter()
+                .map(move |size| format!("{family}-{}", size.label().to_ascii_lowercase()))
+        })
+        .collect()
+}
+
+/// Builds a model from a `family-size` preset name, in any case:
+/// family `gpt3` (or `gpt`), `llama` or `falcon`; size one of
+/// [`ModelSize::label`], or the motivating examples' `2.7b` and `7b`.
+pub fn preset(name: &str, seq_len: u64, attention: AttentionImpl) -> Result<ModelSpec, String> {
+    let (family, size) = name
+        .split_once('-')
+        .ok_or_else(|| format!("bad model name `{name}` (expected family-size)"))?;
+    let size = match size.to_ascii_lowercase().as_str() {
+        "2.7b" => ModelSize::B2_6,
+        "7b" => ModelSize::B6_7,
+        other => *SIZES
+            .iter()
+            .find(|s| s.label().eq_ignore_ascii_case(other))
+            .ok_or_else(|| format!("unknown model size `{other}`"))?,
+    };
+    match family.to_ascii_lowercase().as_str() {
+        "gpt3" | "gpt" => Ok(gpt3(size, seq_len, attention)),
+        "llama" => Ok(llama(size, seq_len, attention)),
+        "falcon" => Ok(falcon(size, seq_len, attention)),
+        other => Err(format!("unknown model family `{other}`")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

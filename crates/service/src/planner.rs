@@ -6,9 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mist_hardware::{ClusterSpec, OpCostDb, Platform, GIB};
-use mist_interference::{fit, InterferenceModel};
-use mist_models::{falcon, gpt3, llama, AttentionImpl, ModelSize, ModelSpec};
-use mist_sim::benchmark_interference;
+use mist_interference::InterferenceModel;
+use mist_models::{AttentionImpl, ModelSpec};
 use mist_tuner::{SearchSpace, TuneOutcome, Tuner};
 use parking_lot::{Condvar, Mutex};
 use serde::Value;
@@ -16,11 +15,6 @@ use serde::Value;
 use crate::cache::{CacheEntry, PlanCache, QuerySummary};
 use crate::fingerprint::canonical_fingerprint;
 use crate::protocol::{error_response, Command, PlanRequest, Request};
-
-/// Calibration-benchmark sample count (matches `MistSession`).
-const CALIBRATION_SAMPLES: usize = 400;
-/// Interference-fit iteration count (matches `MistSession`).
-const FIT_ITERATIONS: usize = 3000;
 
 /// A fully resolved query: every default applied, every preset
 /// expanded. Fingerprints are taken over this, never over the wire
@@ -48,8 +42,8 @@ pub enum Control {
 /// The resident planner backing `mist-cli serve`.
 pub struct PlannerService {
     cache: Mutex<PlanCache>,
-    // One interference model per (platform, seed): `benchmark_interference`
-    // + `fit` depend on nothing else, so all queries share the result.
+    // One interference model per (platform, seed): `mist_sim::calibrate`
+    // depends on nothing else, so all queries share the result.
     calibrations: Mutex<HashMap<(Platform, u64), Arc<InterferenceModel>>>,
     // Single-flight: exact fingerprints currently being tuned. A second
     // query for the same fingerprint waits and then hits the cache
@@ -321,13 +315,7 @@ impl PlannerService {
         if let Some(hit) = self.calibrations.lock().get(&(platform, seed)) {
             return hit.clone();
         }
-        let prior = match platform {
-            Platform::GcpL4 => InterferenceModel::pcie_defaults(),
-            Platform::AwsA100 => InterferenceModel::nvlink_defaults(),
-        };
-        let _span = mist_telemetry::span!("session.calibrate", samples = CALIBRATION_SAMPLES);
-        let samples = benchmark_interference(platform, CALIBRATION_SAMPLES, seed);
-        let model = Arc::new(fit(&prior, &samples, FIT_ITERATIONS, seed ^ 0x5EED).0);
+        let model = Arc::new(mist_sim::calibrate(platform, seed));
         // First insert wins if two queries raced on the same key.
         self.calibrations
             .lock()
@@ -352,32 +340,21 @@ impl PlannerService {
 
     /// Resolves the wire request into specs and fingerprints.
     fn resolve(&self, req: &PlanRequest) -> Result<Resolved, String> {
-        let platform = match req.platform.to_ascii_lowercase().as_str() {
-            "l4" | "gcp" => Platform::GcpL4,
-            "a100" | "aws" => Platform::AwsA100,
-            other => return Err(format!("unknown platform `{other}` (l4|a100)")),
+        let platform = Platform::parse(&req.platform)?;
+        let platform_name = platform.name();
+        let seq = req.seq.unwrap_or(platform.default_seq());
+        ClusterSpec::check_gpu_count(req.gpus).map_err(|e| format!("gpus {e}"))?;
+        let attention = if req.flash {
+            AttentionImpl::Flash
+        } else {
+            AttentionImpl::Standard
         };
-        let platform_name = match platform {
-            Platform::GcpL4 => "l4",
-            Platform::AwsA100 => "a100",
-        };
-        let seq = req.seq.unwrap_or(match platform {
-            Platform::GcpL4 => 2048,
-            Platform::AwsA100 => 4096,
-        });
-        if req.gpus > 8 && !req.gpus.is_multiple_of(8) {
-            return Err(format!(
-                "gpus {} is not a Table-3 cluster shape (1-8, or a multiple of 8)",
-                req.gpus
-            ));
-        }
-        let model = parse_model(&req.model, seq, req.flash)?;
+        let model = mist_models::preset(&req.model, seq, attention)?;
         let cluster = ClusterSpec::for_gpu_count(platform, req.gpus);
-        let space = req.qos.restrict(&parse_space(&req.space)?);
-        let budget = match req.budget_gib {
-            Some(gib) => gib * GIB,
-            None => cluster.gpu.memory_bytes,
-        };
+        let space = req.qos.restrict(&mist_baselines::space_preset(&req.space)?);
+        let budget = req
+            .budget_gib
+            .map_or(cluster.gpu.memory_bytes, |gib| gib * GIB);
 
         let arch = serde_json::to_value(&model).map_err(|e| e.to_string())?;
         let space_value = serde_json::to_value(&space).map_err(|e| e.to_string())?;
@@ -440,47 +417,6 @@ impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         self.planner.inflight.lock().remove(&self.exact);
         self.planner.inflight_cv.notify_all();
-    }
-}
-
-/// Parses a `family-size` model preset name (mirrors the CLI grammar).
-fn parse_model(name: &str, seq: u64, flash: bool) -> Result<ModelSpec, String> {
-    let attn = if flash {
-        AttentionImpl::Flash
-    } else {
-        AttentionImpl::Standard
-    };
-    let (family, size) = name
-        .split_once('-')
-        .ok_or_else(|| format!("bad model name `{name}` (expected family-size)"))?;
-    let size = match size.to_ascii_lowercase().as_str() {
-        "1.3b" => ModelSize::B1_3,
-        "2.6b" | "2.7b" => ModelSize::B2_6,
-        "6.7b" | "7b" => ModelSize::B6_7,
-        "13b" => ModelSize::B13,
-        "22b" => ModelSize::B22,
-        "40b" => ModelSize::B40,
-        other => return Err(format!("unknown model size `{other}`")),
-    };
-    match family.to_ascii_lowercase().as_str() {
-        "gpt3" | "gpt" => Ok(gpt3(size, seq, attn)),
-        "llama" => Ok(llama(size, seq, attn)),
-        "falcon" => Ok(falcon(size, seq, attn)),
-        other => Err(format!("unknown model family `{other}`")),
-    }
-}
-
-/// Parses a search-space preset name (mirrors the CLI grammar).
-fn parse_space(name: &str) -> Result<SearchSpace, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "mist" => Ok(SearchSpace::mist()),
-        "mist-fine" => Ok(SearchSpace::mist_fine()),
-        "megatron" | "megatron-lm" => Ok(mist_baselines::Baseline::MegatronLM.space()),
-        "deepspeed" => Ok(mist_baselines::Baseline::DeepSpeed.space()),
-        "aceso" => Ok(mist_baselines::Baseline::Aceso.space()),
-        "alpa" => Ok(mist_baselines::Baseline::Alpa.space()),
-        "uniform" => Ok(mist_baselines::Baseline::UniformHeuristic.space()),
-        other => Err(format!("unknown search space `{other}`")),
     }
 }
 

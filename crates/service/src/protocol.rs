@@ -12,12 +12,6 @@ use serde::Value;
 
 use crate::qos::Qos;
 
-/// Default calibration seed (matches the CLI's default).
-pub const DEFAULT_SEED: u64 = 0xAB5EED;
-
-/// Default gradient-accumulation cap (matches `MistSession`).
-pub const DEFAULT_MAX_GRAD_ACCUM: u32 = 256;
-
 /// Non-query protocol commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
@@ -80,8 +74,8 @@ impl Default for PlanRequest {
             budget_gib: None,
             qos: Qos::Exhaustive,
             no_cache: false,
-            seed: DEFAULT_SEED,
-            max_grad_accum: DEFAULT_MAX_GRAD_ACCUM,
+            seed: mist_sim::DEFAULT_SEED,
+            max_grad_accum: mist_tuner::DEFAULT_MAX_GRAD_ACCUM,
         }
     }
 }
@@ -95,6 +89,10 @@ fn want_u64(v: &Value, key: &str) -> Result<u64, String> {
         .filter(|&i| i >= 0)
         .map(|i| i as u64)
         .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+}
+
+fn want_u32(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(want_u64(v, key)?).map_err(|_| format!("`{key}` is out of range"))
 }
 
 fn want_str(v: &Value, key: &str) -> Result<String, String> {
@@ -141,7 +139,7 @@ impl PlanRequest {
                 "cmd" => {}
                 "model" => req.model = want_str(value, key)?,
                 "platform" => req.platform = want_str(value, key)?,
-                "gpus" => req.gpus = want_u64(value, key)? as u32,
+                "gpus" => req.gpus = want_u32(value, key)?,
                 "batch" => req.batch = want_u64(value, key)?,
                 "space" => req.space = want_str(value, key)?,
                 "seq" => req.seq = Some(want_u64(value, key)?),
@@ -158,7 +156,7 @@ impl PlanRequest {
                 "no_cache" => req.no_cache = want_bool(value, key)?,
                 "seed" => req.seed = want_u64(value, key)?,
                 "max_grad_accum" => {
-                    let cap = want_u64(value, key)? as u32;
+                    let cap = want_u32(value, key)?;
                     if cap == 0 {
                         return Err("`max_grad_accum` must be at least 1".into());
                     }
@@ -236,7 +234,7 @@ mod tests {
         assert_eq!(plan.qos, Qos::Exhaustive);
         assert!(plan.flash);
         assert!(!plan.no_cache);
-        assert_eq!(plan.seed, DEFAULT_SEED);
+        assert_eq!(plan.seed, mist_sim::DEFAULT_SEED);
     }
 
     #[test]
@@ -267,6 +265,8 @@ mod tests {
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "wat": 1}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "qos": "fast"}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "budget_gib": -1}"#,
+            r#"{"model": "gpt3-1.3b", "gpus": 4294967298, "batch": 8}"#,
+            r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "max_grad_accum": 4294967304}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "{bad} must be rejected");
         }

@@ -13,7 +13,8 @@
 //! differ from the analyzer defaults and which adds deterministic
 //! per-task jitter; the analyzer's interference model must be *fitted* to
 //! benchmark samples produced by [`benchmark_interference`] — the same
-//! data-driven loop the paper runs on real hardware.
+//! data-driven loop the paper runs on real hardware. [`calibrate`] runs
+//! that loop with the one recipe every front door shares.
 
 mod ledger;
 mod run;
@@ -23,4 +24,4 @@ mod truth;
 pub use ledger::MemoryLedger;
 pub use run::{simulate, SimReport, TaskKind, TaskRecord};
 pub use trace::STREAM_LANES;
-pub use truth::{benchmark_interference, GroundTruth};
+pub use truth::{benchmark_interference, calibrate, interference_prior, GroundTruth, DEFAULT_SEED};

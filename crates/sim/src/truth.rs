@@ -7,7 +7,7 @@
 //! (seeded, so experiments reproduce bit-for-bit).
 
 use mist_hardware::Platform;
-use mist_interference::InterferenceModel;
+use mist_interference::{fit, InterferenceModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,10 +125,36 @@ pub fn benchmark_interference(platform: Platform, n: usize, seed: u64) -> Vec<([
     out
 }
 
+/// Default calibration seed of every front door (`MistSession`,
+/// `mist-cli`, the planner daemon).
+pub const DEFAULT_SEED: u64 = 0xAB5EED;
+
+/// Concurrent-kernel mixes benchmarked per calibration.
+const CALIBRATION_SAMPLES: usize = 400;
+
+/// The analyzer's uncalibrated interference factors for a platform:
+/// PCIe contention on L4, NVLink on A100.
+pub fn interference_prior(platform: Platform) -> InterferenceModel {
+    match platform {
+        Platform::GcpL4 => InterferenceModel::pcie_defaults(),
+        Platform::AwsA100 => InterferenceModel::nvlink_defaults(),
+    }
+}
+
+/// The calibration pass of §5.2.2: benchmark 400 concurrent kernel
+/// mixes on the target (here the hidden ground truth) and fit the
+/// platform prior's slowdown factors to them in 3000 iterations. A pure
+/// function of `(platform, seed)`, recorded as the `session.calibrate`
+/// span.
+pub fn calibrate(platform: Platform, seed: u64) -> InterferenceModel {
+    let _span = mist_telemetry::span!("session.calibrate", samples = CALIBRATION_SAMPLES);
+    let samples = benchmark_interference(platform, CALIBRATION_SAMPLES, seed);
+    fit(&interference_prior(platform), &samples, 3000, seed ^ 0x5EED).0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mist_interference::fit;
 
     #[test]
     fn ground_truth_differs_from_analyzer_priors() {

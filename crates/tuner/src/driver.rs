@@ -74,6 +74,9 @@ pub struct TuneOutcome {
     pub certificate: crate::PlanCertificate,
 }
 
+/// Default cap on the gradient-accumulation sweep.
+pub const DEFAULT_MAX_GRAD_ACCUM: u32 = 256;
+
 /// Top-level auto-tuner for one `(model, cluster, search space)`.
 pub struct Tuner<'a> {
     model: &'a ModelSpec,
@@ -103,7 +106,7 @@ impl<'a> Tuner<'a> {
             db,
             space,
             interference,
-            max_grad_accum: 256,
+            max_grad_accum: DEFAULT_MAX_GRAD_ACCUM,
             max_outer: u32::MAX,
             budget: None,
             seed: None,
@@ -143,7 +146,8 @@ impl<'a> Tuner<'a> {
     /// Enables or disables proof-licensed monotone pruning of the
     /// intra-stage sweep (default on). Pruning never changes the plan —
     /// it only skips rows a monotonicity proof shows are out of memory
-    /// — so the toggle exists for A/B studies and byte-identity tests.
+    /// — so the toggle exists as the reference of the byte-identity
+    /// test.
     pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
         self
@@ -420,131 +424,70 @@ impl<'a> Tuner<'a> {
         stats.configs_evaluated = intra.configs_evaluated();
         stats.elapsed_secs = start.elapsed().as_secs_f64();
 
-        // Publish the tuner's own counters into the global registry, then
-        // capture everything this tune added on top of the baseline. The
-        // explicit inserts keep `telemetry` self-contained even when the
-        // collector is disabled and the publish above was a no-op.
+        // Publish the tuner's own counters and gauges into the global
+        // registry, then capture everything this tune added on top of the
+        // baseline. Inserting the same list into the snapshot keeps
+        // `telemetry` self-contained even when the collector is disabled
+        // and the publish was a no-op.
         let rej = intra.rejections();
-        let (rej_oom, rej_nonfinite, rej_dominated, rej_mono_pruned) = (
-            rej.oom.value(),
-            rej.nonfinite.value(),
-            rej.dominated.value(),
-            rej.mono_pruned.value(),
-        );
-        let frontier_size = intra.frontier_size_high_water();
+        let mut counters: Vec<(&str, u64)> = Vec::new();
+        // Published only when a warm-start seed fired or the monotone
+        // pruner skipped rows, so cold-run telemetry stays byte-identical
+        // to older builds.
         let seeded = intra.seeded_frontiers();
         if seeded > 0 {
-            // Published only when a warm-start seed actually fired, so
-            // cold-run telemetry stays byte-identical to older builds.
-            collector.counter_add("tuner.seeded_frontiers", seeded);
+            counters.push(("tuner.seeded_frontiers", seeded));
         }
-        if rej_mono_pruned > 0 {
-            // Same cold-stability rule: the key only appears when the
-            // monotone pruner actually skipped rows.
-            collector.counter_add("tuner.rejections.mono_pruned", rej_mono_pruned);
+        if rej.mono_pruned.value() > 0 {
+            counters.push(("tuner.rejections.mono_pruned", rej.mono_pruned.value()));
         }
-        collector.counter_add("tuner.configs_evaluated", stats.configs_evaluated);
-        collector.counter_add("tuner.outer_candidates", stats.outer_candidates as u64);
-        collector.counter_add("tuner.inter_solves", stats.milp_solves as u64);
-        collector.counter_add("tuner.rejections.oom", rej_oom);
-        collector.counter_add("tuner.rejections.nonfinite", rej_nonfinite);
-        collector.counter_add("tuner.rejections.dominated", rej_dominated);
-        collector.counter_add("tuner.rejections.out_of_budget", out_of_budget);
-        collector.counter_add("tuner.rejections.bound_pruned", bound_pruned);
-        collector.gauge_set("frontier.size", frontier_size);
-        collector.gauge_set("tuner.elapsed_secs", stats.elapsed_secs);
-        collector.gauge_set("tuner.intra_secs", stats.intra_secs);
-        collector.gauge_set("tuner.inter_secs", stats.inter_secs);
+        counters.extend([
+            ("tuner.configs_evaluated", stats.configs_evaluated),
+            ("tuner.outer_candidates", stats.outer_candidates as u64),
+            ("tuner.inter_solves", stats.milp_solves as u64),
+            ("tuner.rejections.oom", rej.oom.value()),
+            ("tuner.rejections.nonfinite", rej.nonfinite.value()),
+            ("tuner.rejections.dominated", rej.dominated.value()),
+            ("tuner.rejections.out_of_budget", out_of_budget),
+            ("tuner.rejections.bound_pruned", bound_pruned),
+        ]);
+        let mut gauges: Vec<(String, f64)> = vec![
+            ("frontier.size".into(), intra.frontier_size_high_water()),
+            ("tuner.elapsed_secs".into(), stats.elapsed_secs),
+            ("tuner.intra_secs".into(), stats.intra_secs),
+            ("tuner.inter_secs".into(), stats.inter_secs),
+        ];
         // The sweep's phase split: wall-clock like `tuner.intra_secs`,
         // and only measured while the collector is on.
-        let phase_secs: Vec<(String, f64)> = if collector.is_enabled() {
-            intra
-                .phase_secs()
-                .map(|(name, secs)| (format!("intra.phase_secs.{name}"), secs))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for (name, secs) in &phase_secs {
-            collector.gauge_set(name, *secs);
+        if collector.is_enabled() {
+            gauges.extend(
+                intra
+                    .phase_secs()
+                    .map(|(name, secs)| (format!("intra.phase_secs.{name}"), secs)),
+            );
         }
         // `pool.workers` is set when a pool is constructed, which can
-        // predate the collector being enabled — refresh it here.
-        // (`pool.tasks_stolen` is published by the pool itself as steals
-        // happen, so it is not re-published.)
-        collector.gauge_set("pool.workers", intra.pool().threads() as f64);
-        let mut telemetry = collector.snapshot_delta(&baseline);
-        if seeded > 0 {
-            telemetry
-                .counters
-                .entry("tuner.seeded_frontiers".to_owned())
-                .or_insert(seeded);
-        }
-        if rej_mono_pruned > 0 {
-            telemetry
-                .counters
-                .entry("tuner.rejections.mono_pruned".to_owned())
-                .or_insert(rej_mono_pruned);
-        }
-        telemetry
-            .counters
-            .entry("tuner.configs_evaluated".to_owned())
-            .or_insert(stats.configs_evaluated);
-        telemetry
-            .counters
-            .entry("tuner.outer_candidates".to_owned())
-            .or_insert(stats.outer_candidates as u64);
-        telemetry
-            .counters
-            .entry("tuner.inter_solves".to_owned())
-            .or_insert(stats.milp_solves as u64);
-        telemetry
-            .counters
-            .entry("tuner.rejections.oom".to_owned())
-            .or_insert(rej_oom);
-        telemetry
-            .counters
-            .entry("tuner.rejections.nonfinite".to_owned())
-            .or_insert(rej_nonfinite);
-        telemetry
-            .counters
-            .entry("tuner.rejections.dominated".to_owned())
-            .or_insert(rej_dominated);
-        telemetry
-            .counters
-            .entry("tuner.rejections.out_of_budget".to_owned())
-            .or_insert(out_of_budget);
-        telemetry
-            .counters
-            .entry("tuner.rejections.bound_pruned".to_owned())
-            .or_insert(bound_pruned);
-        telemetry
-            .gauges
-            .entry("frontier.size".to_owned())
-            .or_insert(frontier_size);
-        telemetry
-            .gauges
-            .entry("tuner.elapsed_secs".to_owned())
-            .or_insert(stats.elapsed_secs);
-        telemetry
-            .gauges
-            .entry("tuner.intra_secs".to_owned())
-            .or_insert(stats.intra_secs);
-        telemetry
-            .gauges
-            .entry("tuner.inter_secs".to_owned())
-            .or_insert(stats.inter_secs);
-        for (name, secs) in phase_secs {
-            telemetry.gauges.entry(name).or_insert(secs);
-        }
-        // Pool stats are scheduling-dependent (like the wall-clocks above,
+        // predate the collector being enabled — refresh it here. Pool
+        // stats are scheduling-dependent (like the wall-clocks above,
         // they vary run to run and with --threads): consumers comparing
         // outcomes for determinism must strip them alongside the timing
         // fields.
-        telemetry
-            .gauges
-            .entry("pool.workers".to_owned())
-            .or_insert(intra.pool().threads() as f64);
+        gauges.push(("pool.workers".into(), intra.pool().threads() as f64));
+        for &(name, value) in &counters {
+            collector.counter_add(name, value);
+        }
+        for (name, value) in &gauges {
+            collector.gauge_set(name, *value);
+        }
+        let mut telemetry = collector.snapshot_delta(&baseline);
+        for (name, value) in counters {
+            telemetry.counters.entry(name.to_owned()).or_insert(value);
+        }
+        for (name, value) in gauges {
+            telemetry.gauges.entry(name).or_insert(value);
+        }
+        // The pool publishes `pool.tasks_stolen` itself as steals happen;
+        // the snapshot gets this tune's share of both task counters.
         telemetry
             .counters
             .entry("pool.tasks_stolen".to_owned())

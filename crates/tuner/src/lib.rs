@@ -29,7 +29,7 @@ mod seed;
 mod space;
 
 pub use certify::{certify_plan, CertBound, CertReport, PlanCertificate, StageCert};
-pub use driver::{TuneOutcome, TuneStats, Tuner};
+pub use driver::{TuneOutcome, TuneStats, Tuner, DEFAULT_MAX_GRAD_ACCUM};
 pub use inter::{
     enumerate_inter_stage, solve_inter_stage, solve_inter_stage_dp, solve_inter_stage_milp,
     solve_inter_stage_with_cutoff, InterStageSolution, StageChoice,

@@ -41,7 +41,9 @@
 #      the gate
 #   9. planner daemon: start `mist-cli serve` on a Unix socket and drive
 #      the GPT-3 6.7B workload through cold → exact-hit → warm-start
-#      queries; the hit and warm responses must be byte-identical to
+#      queries; the cold answer's plan and predicted throughput must
+#      equal stage 6's `mist-cli tune` output for the same workload,
+#      the hit and warm responses must be byte-identical to
 #      the cold one once the run-variable `work` subtree is stripped
 #      (scripts/golden_diff.py), the warm query must evaluate strictly
 #      fewer configs, and the daemon must shut down cleanly (the EXIT
@@ -212,8 +214,10 @@ python3 scripts/golden_diff.py "$tmpdir/daemon/cold16.json" "$tmpdir/daemon/hit1
 python3 scripts/golden_diff.py "$tmpdir/daemon/cold32.json" "$tmpdir/daemon/warm32.json"
 
 # Provenance and work accounting: sources, strictly fewer configs on
-# the warm path, and the daemon's own cache counters.
-python3 - "$tmpdir/daemon" <<'PY'
+# the warm path, and the daemon's own cache counters. The daemon and
+# the CLI are two front doors onto one tuner: the cold query must
+# return stage 6's `mist-cli tune` plan and predicted throughput.
+python3 - "$tmpdir/daemon" "$tmpdir/tune_6_7b.json" <<'PY'
 import json, sys
 
 d = sys.argv[1]
@@ -223,6 +227,12 @@ def load(name):
 
 cold16, hit16 = load("cold16"), load("hit16")
 warm32, cold32 = load("warm32"), load("cold32")
+with open(sys.argv[2]) as f:
+    tuned = json.load(f)
+for key in ("plan", "predicted_throughput"):
+    assert cold16["result"][key] == tuned[key], (
+        f"daemon and `mist-cli tune` disagree on {key}"
+    )
 for name, resp, source in [
     ("cold16", cold16, "cold"),
     ("hit16", hit16, "hit"),

@@ -1,17 +1,17 @@
 //! The calibration loop: simulator benchmarks → interference fitting →
 //! better predictions (paper §5.2.2 on our synthetic substrate).
 
-use mist::{benchmark_interference, fit_interference, GroundTruth, InterferenceModel, Platform};
+use mist::{
+    benchmark_interference, fit_interference, interference_prior, GroundTruth, InterferenceModel,
+    Platform,
+};
 
 #[test]
 fn fitted_model_predicts_hidden_truth_better_than_priors() {
     for platform in [Platform::GcpL4, Platform::AwsA100] {
         let truth = GroundTruth::noiseless(platform);
         let samples = benchmark_interference(platform, 400, 17);
-        let prior = match platform {
-            Platform::GcpL4 => InterferenceModel::pcie_defaults(),
-            Platform::AwsA100 => InterferenceModel::nvlink_defaults(),
-        };
+        let prior = interference_prior(platform);
         let (fitted, report) = fit_interference(&prior, &samples, 3000, 23);
         assert!(report.final_error <= report.initial_error);
         // Holdout check against the hidden law.
