@@ -71,7 +71,7 @@ OPTIONS:
     --json         emit machine-readable JSON instead of text
     --journal <FILE>
                    record the tuner's decision journal (candidate
-                   rejections, Pareto frontier summaries, DP/MILP
+                   rejections, Pareto frontier summaries, DP
                    pruning) plus the span timeline as JSONL, for
                    `mist-cli explain`
 

@@ -6,11 +6,10 @@
 //! enumerated configuration attributed to exactly one outcome, a
 //! rejection-reason histogram, the incumbent's evolution, the top-k
 //! runner-up plans with the constraint that killed each one, per-solve
-//! DP statistics, MILP node tallies and a self-time tree reconstructed
-//! from span parentage, with the intra-stage sweep's phase split
-//! grafted under `intra.frontier`. An
-//! outcome file only carries the aggregate counters, so its digest is
-//! the aggregate subset.
+//! DP statistics and a self-time tree reconstructed from span
+//! parentage, with the intra-stage sweep's phase split grafted under
+//! `intra.frontier`. An outcome file only carries the aggregate
+//! counters, so its digest is the aggregate subset.
 //!
 //! All wall-clock-derived values live under the single `timing` key of
 //! the JSON digest so deterministic golden comparisons can strip one
@@ -18,9 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mist_telemetry::{
-    JournalEvent, JournalRecord, MetricsSnapshot, MilpNodeKind, OuterOutcome, SpanRecord,
-};
+use mist_telemetry::{JournalEvent, JournalRecord, MetricsSnapshot, OuterOutcome, SpanRecord};
 use mist_tuner::{TuneStats, SWEEP_PHASES};
 use serde::{Deserialize as _, Serialize as _, Value};
 
@@ -198,10 +195,6 @@ struct Tallies {
     // Inter-stage DP.
     dp_states: u64,
     bound_pruned: u64,
-    // MILP branch-and-bound nodes.
-    milp_open: u64,
-    milp_pruned: u64,
-    milp_incumbent: u64,
 }
 
 /// One runner-up plan with the constraint that killed it.
@@ -391,11 +384,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                     "result": result,
                 }));
             }
-            JournalEvent::MilpNode { kind, .. } => match kind {
-                MilpNodeKind::Open => t.milp_open += 1,
-                MilpNodeKind::Pruned => t.milp_pruned += 1,
-                MilpNodeKind::Incumbent => t.milp_incumbent += 1,
-            },
             JournalEvent::MonotonePrune {
                 mesh_nodes,
                 mesh_gpus,
@@ -691,11 +679,6 @@ fn digest_to_json(d: &Digest) -> Value {
             "floors": Value::Array(d.prune_events.clone()),
         }),
         "certificates": Value::Array(d.cert_checks.clone()),
-        "milp": serde_json::json!({
-            "open": t.milp_open,
-            "pruned": t.milp_pruned,
-            "incumbents": t.milp_incumbent,
-        }),
         "spans": serde_json::json!({ "total": d.span_count, "orphans": d.orphans }),
         "journal": serde_json::json!({ "dropped": d.dropped }),
         "timing": timing,
@@ -812,12 +795,6 @@ fn render_text(d: &Digest) -> String {
         t.bound_pruned,
         d.dp_solves.len()
     ));
-    if t.milp_open + t.milp_pruned + t.milp_incumbent > 0 {
-        line(format!(
-            "milp nodes: {} open, {} pruned, {} incumbents",
-            t.milp_open, t.milp_pruned, t.milp_incumbent
-        ));
-    }
     line(format!("max frontier size: {}", t.frontier_size_max));
     if !d.cert_checks.is_empty() {
         let ok = d

@@ -18,7 +18,7 @@
 //!    batched value substitution,
 //! 3. **Imbalance-aware hierarchical tuning** — intra-stage Pareto
 //!    frontiers of (stable time, first/last-microbatch delta) feeding an
-//!    inter-stage MILP.
+//!    exact inter-stage DP for the paper's Eq. 2 MILP.
 //!
 //! Real GPUs are replaced by a calibrated analytic hardware model plus a
 //! discrete-event cluster simulator (see `DESIGN.md` for the substitution

@@ -1,6 +1,6 @@
 //! Static analysis over compiled symbolic SSA programs.
 //!
-//! Every number Mist reports — stage runtimes, peak memory, the MILP
+//! Every number Mist reports — stage runtimes, peak memory, the pipeline
 //! objective — comes out of a compiled [`Program`](mist_symbolic::Program),
 //! yet evaluation alone cannot tell a correct cost model from one that
 //! adds bytes to seconds or divides by a tuner knob that sweeps through

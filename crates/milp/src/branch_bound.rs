@@ -205,11 +205,6 @@ impl<'a> Search<'a> {
                 obj,
                 path: path.to_vec(),
             });
-            mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::MilpNode {
-                kind: mist_telemetry::MilpNodeKind::Incumbent,
-                bound: obj,
-                depth: path.len() as u32,
-            });
         }
     }
 
@@ -231,11 +226,6 @@ impl<'a> Search<'a> {
                 };
                 if node.bound >= self.opts.cutoff || node.bound >= gap_cut {
                     st.final_bound = st.final_bound.min(node.bound);
-                    mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::MilpNode {
-                        kind: mist_telemetry::MilpNodeKind::Pruned,
-                        bound: node.bound,
-                        depth: node.path.len() as u32,
-                    });
                     continue; // Subtree cannot beat the incumbent/cutoff.
                 }
                 if st.nodes >= self.opts.max_nodes {
@@ -254,11 +244,6 @@ impl<'a> Search<'a> {
                 let ticket = st.next_ticket;
                 st.next_ticket += 1;
                 st.inflight.push((ticket, node.bound));
-                mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::MilpNode {
-                    kind: mist_telemetry::MilpNodeKind::Open,
-                    bound: node.bound,
-                    depth: node.path.len() as u32,
-                });
                 return Some((ticket, node));
             }
             if st.inflight.is_empty() {

@@ -1,9 +1,9 @@
 //! A small work-stealing thread pool with deterministic ordered joins.
 //!
-//! The tuner's hot loops — the intra-stage frontier sweep and the MILP
-//! branch-and-bound — decompose into coarse independent tasks. This crate
-//! runs them on `std::thread` workers with per-worker deques and a global
-//! injector, exposing two primitives:
+//! The tuner's hot loop — the intra-stage frontier sweep — decomposes
+//! into coarse independent tasks (as does `mist-milp`'s branch-and-bound).
+//! This crate runs them on `std::thread` workers with per-worker deques
+//! and a global injector, exposing two primitives:
 //!
 //! - [`ThreadPool::scope`], a structured-concurrency scope in the style
 //!   of `std::thread::scope`: tasks may borrow from the caller's stack,

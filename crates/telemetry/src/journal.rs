@@ -1,13 +1,13 @@
 //! Append-only decision journal: typed provenance events from the
-//! tuner and the MILP solver.
+//! tuner.
 //!
 //! Spans answer *where wall-clock went*; the journal answers *why the
 //! search went the way it did*: which candidates were rejected and for
-//! what reason, how each Pareto frontier was carved down, and which
-//! branch-and-bound nodes were opened or pruned. Every record is stamped with the enclosing span id
-//! (see [`crate::current_span_id`]) so traces and decisions cross-link,
-//! and with a monotone per-journal sequence number so emission order
-//! survives serialization.
+//! what reason, how each Pareto frontier was carved down, and what each
+//! inter-stage DP solve kept and pruned. Every record is stamped with
+//! the enclosing span id (see [`crate::current_span_id`]) so traces and
+//! decisions cross-link, and with a monotone per-journal sequence number
+//! so emission order survives serialization.
 //!
 //! Like `span!`, emission is zero-cost when disabled: [`journal_event`]
 //! takes a closure and returns after one relaxed atomic load without
@@ -43,18 +43,6 @@ pub enum OuterOutcome {
     OutOfBudget,
     /// No feasible layer assignment at all (every split OOMs).
     Infeasible,
-}
-
-/// Kind of a MILP branch-and-bound node event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MilpNodeKind {
-    /// Node popped from the best-bound heap and expanded.
-    Open,
-    /// Node discarded because its relaxation bound crossed the cutoff
-    /// or the incumbent-derived gap bound.
-    Pruned,
-    /// An integral solution replaced the incumbent.
-    Incumbent,
 }
 
 /// One typed provenance event.
@@ -181,15 +169,6 @@ pub enum JournalEvent {
         bound_pruned: u64,
         /// `"solved"`, `"cutoff"` or `"infeasible"`.
         result: String,
-    },
-    /// One MILP branch-and-bound node event.
-    MilpNode {
-        /// Open / pruned / incumbent.
-        kind: MilpNodeKind,
-        /// The node's relaxation bound (objective for incumbents).
-        bound: f64,
-        /// Branch depth (length of the branch path).
-        depth: u32,
     },
 }
 

@@ -16,8 +16,8 @@
 //!   timelines (the simulator's per-stage Gantt) into Chrome Trace
 //!   Event Format JSON, loadable in Perfetto or `chrome://tracing`.
 //! - The decision [`journal`]: an append-only bounded ring of typed
-//!   provenance events (candidate rejections, frontier snapshots, MILP
-//!   node fates), each stamped with the
+//!   provenance events (candidate rejections, frontier snapshots, DP
+//!   solve summaries), each stamped with the
 //!   enclosing span id. Disabled by default with the same
 //!   one-atomic-load cost model as `span!`; see [`journal_event`].
 //! - Phase accounting ([`PhaseClock`], [`PhaseTotals`]): lap timers that
@@ -50,7 +50,7 @@ pub use collector::{
     ArgValue, Collector, ParentGuard, SpanGuard, SpanRecord,
 };
 pub use journal::{
-    global_journal, journal_event, Journal, JournalEvent, JournalRecord, MilpNodeKind, OuterOutcome,
+    global_journal, journal_event, Journal, JournalEvent, JournalRecord, OuterOutcome,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot};
 pub use phase::{PhaseClock, PhaseTotals};

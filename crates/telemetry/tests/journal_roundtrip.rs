@@ -5,7 +5,7 @@
 //! (finite floats only — the journal never emits NaN/infinity, both of
 //! which JSON cannot represent).
 
-use mist_telemetry::{JournalEvent, JournalRecord, MilpNodeKind, OuterOutcome};
+use mist_telemetry::{JournalEvent, JournalRecord, OuterOutcome};
 use proptest::prelude::*;
 
 /// Finite floats with both round and awkward (non-dyadic) values.
@@ -40,14 +40,6 @@ fn arb_outcome() -> impl Strategy<Value = OuterOutcome> {
         OuterOutcome::Dominated,
         OuterOutcome::OutOfBudget,
         OuterOutcome::Infeasible,
-    ])
-}
-
-fn arb_kind() -> impl Strategy<Value = MilpNodeKind> {
-    prop::sample::select(vec![
-        MilpNodeKind::Open,
-        MilpNodeKind::Pruned,
-        MilpNodeKind::Incumbent,
     ])
 }
 
@@ -141,10 +133,7 @@ fn arb_event() -> BoxedStrategy<JournalEvent> {
             },
         )
         .boxed();
-    let milp = (arb_kind(), arb_f64(), 0u32..64)
-        .prop_map(|(kind, bound, depth)| JournalEvent::MilpNode { kind, bound, depth })
-        .boxed();
-    prop_oneof![frontier, outer, incumbent, dp, milp].boxed()
+    prop_oneof![frontier, outer, incumbent, dp].boxed()
 }
 
 proptest! {

@@ -3,12 +3,12 @@
 //! Enumerates the outer loop the paper describes in §5.3 — gradient
 //! accumulation steps `G` and pipeline shapes `(S, device assignment)` —
 //! and for each runs intra-stage tuning (Pareto frontiers per layer
-//! count) followed by inter-stage MILP selection. The best plan under the
+//! count) followed by the exact inter-stage DP. The best plan under the
 //! space's own selector metric wins; its *true* Eq. 1 objective is
 //! reported.
 //!
 //! Uniform-stage spaces (Megatron-LM, DeepSpeed, the Yuan-et-al.
-//! heuristic of §3.3) bypass the MILP: every stage is forced to the same
+//! heuristic of §3.3) bypass the DP: every stage is forced to the same
 //! layer count and optimization knobs, and the driver enumerates those
 //! directly.
 
@@ -18,13 +18,15 @@ use mist_graph::{StageCandidate, StageConfigValues, StagePoint, StageRole};
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
 use mist_models::ModelSpec;
-use mist_schedule::{mist_objective, StagePlan, StageStreams, TrainingPlan};
+use mist_schedule::{StagePlan, TrainingPlan};
 use mist_telemetry::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
 use std::sync::Arc;
 
-use crate::inter::{solve_inter_stage_dp_stats, InterSolveStats};
+use crate::inter::{
+    selector_objective, solve_inter_stage, true_objective, InterSolveStats, InterStageSolution,
+};
 use crate::intra::{FrontierKey, IntraStageTuner, ParetoPoint};
 use crate::seed::FrontierExport;
 use crate::space::{CkptMode, SearchSpace};
@@ -34,7 +36,9 @@ use crate::space::{CkptMode, SearchSpace};
 pub struct TuneStats {
     /// Configurations evaluated through the symbolic tapes.
     pub configs_evaluated: u64,
-    /// Inter-stage MILP solves.
+    /// Inter-stage DP solves (one per non-uniform `(G, S)` candidate).
+    /// The name predates the DP; it stays so that serialized outcomes,
+    /// the daemon's plan cache and the committed results keep their key.
     pub milp_solves: u32,
     /// `(G, S)` outer-loop candidates examined.
     pub outer_candidates: u32,
@@ -43,7 +47,7 @@ pub struct TuneStats {
     /// Seconds spent computing intra-stage frontiers (the pool fan-out;
     /// for uniform-stage spaces, the whole enumeration).
     pub intra_secs: f64,
-    /// Seconds spent in inter-stage (MILP/DP) selection.
+    /// Seconds spent in inter-stage (DP) selection.
     pub inter_secs: f64,
 }
 
@@ -63,8 +67,8 @@ pub struct TuneOutcome {
     pub stats: TuneStats,
     /// Telemetry accumulated during this tune: the tuner's own counters
     /// plus, when the global collector is enabled, everything the
-    /// instrumented library layers recorded (MILP nodes/pivots, cache
-    /// hits, symbolic program sizes, ...).
+    /// instrumented library layers recorded (DP states, cache hits,
+    /// symbolic program sizes, ...).
     pub telemetry: MetricsSnapshot,
     /// Independently re-derived proof (through the `mist-irlint`
     /// interval framework) that the plan's memory claims fit the budget
@@ -250,9 +254,9 @@ impl<'a> Tuner<'a> {
         let mut stats = TuneStats::default();
         let pool_stolen0 = intra.pool().tasks_stolen();
         let pool_executed0 = intra.pool().tasks_executed();
-        let mut best: Option<(f64, Vec<ParetoPoint>, u32)> = None; // (selector, points, G)
-                                                                   // Outer-level rejection attribution (sequential driver loop, so
-                                                                   // plain accumulators are deterministic at any thread count).
+        let mut best: Option<(InterStageSolution, u32)> = None;
+        // Outer-level rejection attribution (sequential driver loop, so
+        // plain accumulators are deterministic at any thread count).
         let mut out_of_budget: u64 = 0;
         let mut bound_pruned: u64 = 0;
 
@@ -318,24 +322,13 @@ impl<'a> Tuner<'a> {
                     let refs: Vec<&Vec<Vec<ParetoPoint>>> =
                         frontier_handles.iter().map(|h| h.as_ref()).collect();
                     stats.milp_solves += 1;
-                    let cutoff = best.as_ref().map_or(f64::INFINITY, |(b, _, _)| *b);
+                    let cutoff = best
+                        .as_ref()
+                        .map_or(f64::INFINITY, |(b, _)| b.selector_objective);
                     let _solve_span =
                         mist_telemetry::span!("inter.solve", stages = s, grad_accum = g);
                     let t_inter = Instant::now();
-                    let sol = solve_inter_stage_dp_stats(
-                        &refs,
-                        l,
-                        g,
-                        self.space,
-                        cutoff,
-                        &mut solve_stats,
-                    )
-                    .map(|sol| {
-                        (
-                            sol.selector_objective,
-                            sol.choices.into_iter().map(|c| c.point).collect::<Vec<_>>(),
-                        )
-                    });
+                    let sol = solve_inter_stage(&refs, l, g, self.space, cutoff, &mut solve_stats);
                     stats.inter_secs += t_inter.elapsed().as_secs_f64();
                     bound_pruned += solve_stats.bound_pruned;
                     mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::DpSummary {
@@ -353,16 +346,10 @@ impl<'a> Tuner<'a> {
                     });
                     sol
                 };
-                let incumbent = best.as_ref().map(|(b, _, _)| *b);
+                let incumbent = best.as_ref().map(|(b, _)| b.selector_objective);
                 match solution {
-                    Some((selector, points)) => {
-                        let objective = {
-                            let streams: Vec<StageStreams> = points
-                                .iter()
-                                .map(|p| StageStreams { t: p.t, d: p.d })
-                                .collect();
-                            mist_objective(&streams, g)
-                        };
+                    Some(sol) => {
+                        let (selector, objective) = (sol.selector_objective, sol.objective);
                         let takes_lead = incumbent.is_none_or(|b| selector < b);
                         mist_telemetry::journal_event(|| {
                             mist_telemetry::JournalEvent::OuterCandidate {
@@ -375,7 +362,7 @@ impl<'a> Tuner<'a> {
                                 },
                                 selector: Some(selector),
                                 objective: Some(objective),
-                                layers: points.iter().map(|p| p.config.layers).collect(),
+                                layers: sol.choices.iter().map(|p| p.config.layers).collect(),
                                 incumbent,
                                 bound: None,
                             }
@@ -389,7 +376,7 @@ impl<'a> Tuner<'a> {
                                     objective,
                                 }
                             });
-                            best = Some((selector, points, g));
+                            best = Some((sol, g));
                         }
                     }
                     None => {
@@ -497,13 +484,8 @@ impl<'a> Tuner<'a> {
             .entry("pool.tasks_executed".to_owned())
             .or_insert(intra.pool().tasks_executed() - pool_executed0);
 
-        let (_, points, g) = best?;
-
-        let streams: Vec<StageStreams> = points
-            .iter()
-            .map(|p| StageStreams { t: p.t, d: p.d })
-            .collect();
-        let predicted = mist_objective(&streams, g);
+        let (sol, g) = best?;
+        let (predicted, points) = (sol.objective, sol.choices);
         let plan = TrainingPlan {
             grad_accum: g,
             stages: points
@@ -556,13 +538,13 @@ impl<'a> Tuner<'a> {
         s: u32,
         mesh: DeviceMesh,
         _global_batch: u64,
-    ) -> Option<(f64, Vec<ParetoPoint>)> {
+    ) -> Option<InterStageSolution> {
         let l_total = self.model.num_layers;
         if !l_total.is_multiple_of(s) {
             return None;
         }
         let l = l_total / s;
-        let mut best: Option<(f64, Vec<ParetoPoint>)> = None;
+        let mut best: Option<InterStageSolution> = None;
         for (dp, tp, b) in intra.parallelism_options(mesh, g) {
             for &zero in self.space.zero_levels() {
                 for off in self.space.offload_combos() {
@@ -600,24 +582,17 @@ impl<'a> Tuner<'a> {
                             }
                             points.push(p);
                         }
-                        let streams: Vec<StageStreams> = points
-                            .iter()
-                            .map(|p| StageStreams { t: p.t, d: p.d })
-                            .collect();
-                        let selector = if self.space.imbalance_aware {
-                            mist_objective(&streams, g)
-                        } else {
-                            let blended: Vec<StageStreams> = streams
-                                .iter()
-                                .map(|st| StageStreams {
-                                    t: st.t + st.d / g as f64,
-                                    d: 0.0,
-                                })
-                                .collect();
-                            mist_objective(&blended, g)
-                        };
-                        if best.as_ref().is_none_or(|(bsel, _)| selector < *bsel) {
-                            best = Some((selector, points));
+                        let picked: Vec<&ParetoPoint> = points.iter().collect();
+                        let selector = selector_objective(&picked, g, self.space.imbalance_aware);
+                        if best
+                            .as_ref()
+                            .is_none_or(|b| selector < b.selector_objective)
+                        {
+                            best = Some(InterStageSolution {
+                                objective: true_objective(&picked, g),
+                                selector_objective: selector,
+                                choices: points,
+                            });
                         }
                         combo_feasible = true;
                         break; // Minimal feasible ckpt found for this combo.

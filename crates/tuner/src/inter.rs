@@ -1,41 +1,49 @@
-//! Inter-stage tuning: layer partitioning + Pareto-point selection as an
-//! MILP (paper §5.3, Eq. 2).
+//! Inter-stage tuning: layer partitioning + Pareto-point selection
+//! (paper §5.3, Eq. 2), solved exactly by a Pareto-state dynamic program.
 //!
 //! Given per-stage-index Pareto frontiers (one family per layer count),
 //! choose one `(l_i, f_i)` per stage such that `Σ l_i = L` and the
-//! imbalance-aware pipeline objective (Eq. 1) is minimal. The objective's
-//! two `max` terms linearize with standard MILP tricks:
+//! imbalance-aware pipeline objective (Eq. 1) is minimal:
 //!
-//! * `T ≥ Σ_c t_c · x_{i,c}` for every stage `i` (pipeline bottleneck),
-//! * `U ≥ Σ_c d_c · x_{i,c} − Σ_{j<i} Σ_c t_c · x_{j,c}` (the delta of
-//!   stage `i` minus the fill time before it — deltas hide in bubbles).
+//! `(G−1)·max_i t_i + Σ_i t_i + max(0, max_i (d_i − Σ_{j<i} t_j))`.
 //!
-//! objective `= (G−1)·T + Σ t + U`.
+//! The paper hands Eq. 2 to an off-the-shelf MILP solver. The objective
+//! is not separable, but after a stage prefix its *sufficient statistic*
+//! is the triple `(max t, Σ t, max exposed d)`, where stage `i`'s exposed
+//! delta is `d_i − Σ_{j<i} t_j` (deltas hide in the fill bubble before
+//! them). [`solve_inter_stage`] runs a forward DP over `(stage, layers
+//! used)` cells, each holding the non-dominated triples of the prefixes
+//! that reach it. The DP is exact because domination is componentwise
+//! and every completion preserves it: a prefix with no larger `max t`
+//! and `Σ t` never has a larger bottleneck or sum term, and although a
+//! smaller `Σ t` raises each later exposed term, it raises it by at most
+//! what it saves in the `Σ t` term. So some optimal assignment always
+//! extends a retained prefix.
+//!
+//! The DP's only inexactness is the `1e-15` tie tolerance of
+//! `dominates`: a state may be dropped for one that is worse by at
+//! most that much per component. Cells stay small in practice, so no
+//! cap is needed: across the fig binaries, the test suite and CLI
+//! tunes up to Falcon-40B on 64 A100s, the largest held 100 states.
 //!
 //! When the space is *not* imbalance-aware (prior systems), candidate
-//! times are pre-blended to `t + d/G` and the `U` machinery is dropped —
-//! exactly the "averaged microbatch" approximation of Shortcoming #3.
-//! An exhaustive enumerator cross-checks the MILP on small instances.
+//! times are pre-blended to `t + d/G` and deltas are dropped — exactly
+//! the "averaged microbatch" approximation of Shortcoming #3.
+//! [`enumerate_inter_stage`] is the brute-force reference the DP is
+//! tested against.
 
-use mist_milp::{solve_milp, ConstraintOp, Lp, Milp, MilpOptions, MilpOutcome};
 use mist_schedule::{mist_objective, StageStreams};
 use serde::{Deserialize, Serialize};
 
 use crate::intra::ParetoPoint;
 use crate::space::SearchSpace;
 
-/// One stage's chosen candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageChoice {
-    /// The chosen Pareto point (carries layers, config, streams).
-    pub point: ParetoPoint,
-}
-
 /// Result of inter-stage tuning for one `(G, S, device assignment)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InterStageSolution {
-    /// Per-stage choices, pipeline order.
-    pub choices: Vec<StageChoice>,
+    /// The chosen Pareto point of each stage (carrying layers, config
+    /// and streams), pipeline order.
+    pub choices: Vec<ParetoPoint>,
     /// The true Eq. 1 objective of the chosen plan (seconds/iteration).
     pub objective: f64,
     /// The objective *as the space's own predictor sees it* — equals
@@ -45,7 +53,8 @@ pub struct InterStageSolution {
     pub selector_objective: f64,
 }
 
-fn true_objective(choices: &[&ParetoPoint], g: u32) -> f64 {
+/// The Eq. 1 objective of one stage assignment.
+pub(crate) fn true_objective(choices: &[&ParetoPoint], g: u32) -> f64 {
     let streams: Vec<StageStreams> = choices
         .iter()
         .map(|p| StageStreams { t: p.t, d: p.d })
@@ -54,7 +63,7 @@ fn true_objective(choices: &[&ParetoPoint], g: u32) -> f64 {
 }
 
 /// The objective as a (possibly imbalance-unaware) predictor sees it.
-fn selector_objective(choices: &[&ParetoPoint], g: u32, imbalance_aware: bool) -> f64 {
+pub(crate) fn selector_objective(choices: &[&ParetoPoint], g: u32, imbalance_aware: bool) -> f64 {
     if imbalance_aware {
         return true_objective(choices, g);
     }
@@ -68,12 +77,15 @@ fn selector_objective(choices: &[&ParetoPoint], g: u32, imbalance_aware: bool) -
     mist_objective(&blended, g)
 }
 
-/// Layer counts stage `i` may take: `L/S ± window`, clamped to `[1, L]`.
+/// Layer counts stage `i` may take: `L/S ± window`, clamped to `[1, L]`
+/// (`u32::MAX` disables the window).
 fn layer_candidates(total_layers: u32, num_stages: u32, window: u32) -> Vec<u32> {
     let base = total_layers / num_stages;
     let lo = base.saturating_sub(window).max(1);
-    let hi =
-        (base + window + u32::from(!total_layers.is_multiple_of(num_stages))).min(total_layers);
+    let hi = base
+        .saturating_add(window)
+        .saturating_add(u32::from(!total_layers.is_multiple_of(num_stages)))
+        .min(total_layers);
     (lo..=hi).collect()
 }
 
@@ -100,205 +112,6 @@ pub struct InterSolveStats {
     pub pruned_bound: Option<f64>,
 }
 
-/// Solves the inter-stage problem with the MILP formulation.
-///
-/// `frontiers[i][l − 1]` is the sampled frontier of stage `i` with `l`
-/// layers. Returns `None` when no feasible assignment exists.
-pub fn solve_inter_stage(
-    frontiers: &[&Vec<Vec<ParetoPoint>>],
-    total_layers: u32,
-    grad_accum: u32,
-    space: &SearchSpace,
-) -> Option<InterStageSolution> {
-    solve_inter_stage_with_cutoff(frontiers, total_layers, grad_accum, space, f64::INFINITY)
-}
-
-/// [`solve_inter_stage`] with an external selector-objective cutoff: the
-/// driver passes its best plan so far, letting a cheap lower bound skip
-/// hopeless `(G, S)` candidates entirely.
-///
-/// The default engine is the Pareto-state dynamic program
-/// ([`solve_inter_stage_dp`]); [`solve_inter_stage_milp`] solves the same
-/// instance through the MILP formulation and is used as a cross-check.
-pub fn solve_inter_stage_with_cutoff(
-    frontiers: &[&Vec<Vec<ParetoPoint>>],
-    total_layers: u32,
-    grad_accum: u32,
-    space: &SearchSpace,
-    cutoff: f64,
-) -> Option<InterStageSolution> {
-    let mut stats = InterSolveStats::default();
-    solve_inter_stage_dp_stats(
-        frontiers,
-        total_layers,
-        grad_accum,
-        space,
-        cutoff,
-        &mut stats,
-    )
-}
-
-/// MILP-based inter-stage solve (Eq. 2 as written in the paper).
-pub fn solve_inter_stage_milp(
-    frontiers: &[&Vec<Vec<ParetoPoint>>],
-    total_layers: u32,
-    grad_accum: u32,
-    space: &SearchSpace,
-    cutoff: f64,
-) -> Option<InterStageSolution> {
-    let s = frontiers.len();
-    assert!(s >= 1);
-    if s == 1 {
-        // Single stage: pick the best point of the full layer count.
-        let pts = frontiers[0].get(total_layers as usize - 1)?;
-        let best = pts.iter().min_by(|a, b| {
-            selector_objective(&[a], grad_accum, space.imbalance_aware)
-                .total_cmp(&selector_objective(&[b], grad_accum, space.imbalance_aware))
-        })?;
-        return Some(InterStageSolution {
-            choices: vec![StageChoice {
-                point: best.clone(),
-            }],
-            objective: true_objective(&[best], grad_accum),
-            selector_objective: selector_objective(&[best], grad_accum, space.imbalance_aware),
-        });
-    }
-
-    // Candidate list per stage: (t_for_milp, d_for_milp, point).
-    let g = grad_accum as f64;
-    let lcands = layer_candidates(total_layers, s as u32, space.layer_window);
-    let mut cands: Vec<Vec<&ParetoPoint>> = Vec::with_capacity(s);
-    for fr in frontiers {
-        let mut list: Vec<&ParetoPoint> = Vec::new();
-        for &l in &lcands {
-            if let Some(points) = fr.get(l as usize - 1) {
-                list.extend(points.iter());
-            }
-        }
-        if list.is_empty() {
-            return None;
-        }
-        cands.push(list);
-    }
-
-    let milp_t = |p: &ParetoPoint| {
-        if space.imbalance_aware {
-            p.t
-        } else {
-            p.t + p.d / g
-        }
-    };
-    let milp_d = |p: &ParetoPoint| if space.imbalance_aware { p.d } else { 0.0 };
-
-    // Cheap lower bound: each stage at its fastest candidate, layer
-    // constraint relaxed. Skips the MILP entirely for hopeless shapes.
-    if cutoff.is_finite() {
-        let tmins: Vec<f64> = cands
-            .iter()
-            .map(|list| list.iter().map(|p| milp_t(p)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let max_t = tmins.iter().cloned().fold(0.0, f64::max);
-        let sum_t: f64 = tmins.iter().sum();
-        if (g - 1.0) * max_t + sum_t >= cutoff {
-            return None;
-        }
-    }
-
-    // Variable layout: per-stage candidate binaries, then T, then U.
-    let mut offsets = Vec::with_capacity(s);
-    let mut nvars = 0usize;
-    for list in &cands {
-        offsets.push(nvars);
-        nvars += list.len();
-    }
-    let t_var = nvars;
-    let u_var = nvars + 1;
-    nvars += 2;
-
-    let mut obj = vec![0.0; nvars];
-    for (i, list) in cands.iter().enumerate() {
-        for (c, p) in list.iter().enumerate() {
-            obj[offsets[i] + c] = milp_t(p);
-        }
-    }
-    obj[t_var] = g - 1.0;
-    obj[u_var] = 1.0;
-
-    let mut lp = Lp::new(nvars, obj);
-    for v in 0..t_var {
-        lp.set_bounds(v, 0.0, 1.0);
-    }
-    lp.set_bounds(t_var, 0.0, f64::INFINITY);
-    lp.set_bounds(u_var, 0.0, f64::INFINITY);
-
-    // Pick exactly one candidate per stage.
-    for (i, list) in cands.iter().enumerate() {
-        let coeffs = (0..list.len()).map(|c| (offsets[i] + c, 1.0)).collect();
-        lp.constrain(coeffs, ConstraintOp::Eq, 1.0);
-    }
-    // Layers sum to L.
-    let mut layer_coeffs = Vec::new();
-    for (i, list) in cands.iter().enumerate() {
-        for (c, p) in list.iter().enumerate() {
-            layer_coeffs.push((offsets[i] + c, p.config.layers as f64));
-        }
-    }
-    lp.constrain(layer_coeffs, ConstraintOp::Eq, total_layers as f64);
-    // T is the bottleneck.
-    for (i, list) in cands.iter().enumerate() {
-        let mut coeffs = vec![(t_var, 1.0)];
-        for (c, p) in list.iter().enumerate() {
-            coeffs.push((offsets[i] + c, -milp_t(p)));
-        }
-        lp.constrain(coeffs, ConstraintOp::Ge, 0.0);
-    }
-    // U covers every stage's exposed delta (imbalance-aware only).
-    if space.imbalance_aware {
-        for i in 0..s {
-            let mut coeffs = vec![(u_var, 1.0)];
-            for (c, p) in cands[i].iter().enumerate() {
-                coeffs.push((offsets[i] + c, -milp_d(p)));
-            }
-            for (j, list) in cands.iter().enumerate().take(i) {
-                for (c, p) in list.iter().enumerate() {
-                    coeffs.push((offsets[j] + c, milp_t(p)));
-                }
-            }
-            lp.constrain(coeffs, ConstraintOp::Ge, 0.0);
-        }
-    }
-
-    let milp = Milp {
-        lp,
-        integer_vars: (0..t_var).collect(),
-    };
-    let opts = MilpOptions {
-        max_nodes: 2_000,
-        cutoff,
-        ..Default::default()
-    };
-    let outcome = solve_milp(&milp, opts);
-    let (x, _) = match &outcome {
-        MilpOutcome::Optimal { x, objective } => (x, objective),
-        MilpOutcome::Feasible { x, objective, .. } => (x, objective),
-        _ => return None,
-    };
-
-    let mut choices = Vec::with_capacity(s);
-    for (i, list) in cands.iter().enumerate() {
-        let c = (0..list.len()).find(|&c| x[offsets[i] + c] > 0.5)?;
-        choices.push(StageChoice {
-            point: list[c].clone(),
-        });
-    }
-    let picked: Vec<&ParetoPoint> = choices.iter().map(|ch| &ch.point).collect();
-    Some(InterStageSolution {
-        objective: true_objective(&picked, grad_accum),
-        selector_objective: selector_objective(&picked, grad_accum, space.imbalance_aware),
-        choices,
-    })
-}
-
 /// One DP state: sufficient statistics of a stage prefix plus the
 /// back-pointer for plan reconstruction.
 #[derive(Debug, Clone, Copy)]
@@ -310,45 +123,22 @@ struct State {
     back: (usize, usize),
 }
 
+/// Componentwise domination, with a `1e-15` tie tolerance that keeps
+/// near-duplicate states out of the cells.
 fn dominates(a: &State, b: &State) -> bool {
     a.max_t <= b.max_t + 1e-15 && a.sum_t <= b.sum_t + 1e-15 && a.exposed <= b.exposed + 1e-15
 }
 
-/// Exact forward dynamic program over `(stage, layers used)` with
-/// Pareto-pruned value states.
+/// Solves the inter-stage problem exactly with the Pareto-state DP.
 ///
-/// The Eq. 1 objective is not separable — it mixes `max t`, `Σ t` and the
-/// prefix-dependent exposed-delta term — but its *sufficient statistics*
-/// after a stage prefix are exactly the triple
-/// `(max_t, Σ t, max_i(d_i − Σ_{j<i} t_j))`. The DP carries the set of
-/// non-dominated triples per `(stage, layers)` cell; since domination is
-/// component-wise, any optimal completion extends a non-dominated prefix,
-/// making the DP exact while staying polynomial in practice (state sets
-/// stay small). This replaces the off-the-shelf MILP solver of the paper
-/// on the hot path; the MILP formulation is retained as a cross-check.
-pub fn solve_inter_stage_dp(
-    frontiers: &[&Vec<Vec<ParetoPoint>>],
-    total_layers: u32,
-    grad_accum: u32,
-    space: &SearchSpace,
-    cutoff: f64,
-) -> Option<InterStageSolution> {
-    let mut stats = InterSolveStats::default();
-    solve_inter_stage_dp_stats(
-        frontiers,
-        total_layers,
-        grad_accum,
-        space,
-        cutoff,
-        &mut stats,
-    )
-}
-
-/// [`solve_inter_stage_dp`] that also reports solve statistics — the
-/// live DP state count, how many transitions the cutoff bound pruned,
-/// and whether a `None` result was cutoff-caused — for the tuner's
-/// provenance journal.
-pub fn solve_inter_stage_dp_stats(
+/// `frontiers[i][l − 1]` is the sampled frontier of stage `i` with `l`
+/// layers. `cutoff` is the driver's best selector objective so far:
+/// transitions whose objective lower bound reaches it are pruned, and a
+/// best assignment that reaches it is rejected. `stats` receives the
+/// live state count, the pruned transitions and, for a `None` result,
+/// whether the cutoff caused it. Returns `None` when no assignment
+/// beats the cutoff or none is feasible.
+pub fn solve_inter_stage(
     frontiers: &[&Vec<Vec<ParetoPoint>>],
     total_layers: u32,
     grad_accum: u32,
@@ -359,35 +149,14 @@ pub fn solve_inter_stage_dp_stats(
     let s = frontiers.len();
     assert!(s >= 1);
     let g = grad_accum as f64;
-    let milp_t = |p: &ParetoPoint| {
+    let stage_t = |p: &ParetoPoint| {
         if space.imbalance_aware {
             p.t
         } else {
             p.t + p.d / g
         }
     };
-    let milp_d = |p: &ParetoPoint| if space.imbalance_aware { p.d } else { 0.0 };
-
-    if s == 1 {
-        let pts = frontiers[0].get(total_layers as usize - 1)?;
-        let best = pts.iter().min_by(|a, b| {
-            selector_objective(&[a], grad_accum, space.imbalance_aware)
-                .total_cmp(&selector_objective(&[b], grad_accum, space.imbalance_aware))
-        })?;
-        let sel = selector_objective(&[best], grad_accum, space.imbalance_aware);
-        if sel >= cutoff {
-            stats.cutoff_hit = true;
-            stats.best_rejected = Some(sel);
-            return None;
-        }
-        return Some(InterStageSolution {
-            choices: vec![StageChoice {
-                point: best.clone(),
-            }],
-            objective: true_objective(&[best], grad_accum),
-            selector_objective: sel,
-        });
-    }
+    let stage_d = |p: &ParetoPoint| if space.imbalance_aware { p.d } else { 0.0 };
 
     // Candidate lists per stage, restricted to the layer window.
     let lcands = layer_candidates(total_layers, s as u32, space.layer_window);
@@ -406,10 +175,7 @@ pub fn solve_inter_stage_dp_stats(
     }
 
     let lmax = total_layers as usize;
-    // table[stage][layers] = Pareto-pruned states. The cap bounds worst-case
-    // memory; if it ever binds the DP becomes a (very good) heuristic — the
-    // dp-vs-milp tests cover the realistic regime where it does not.
-    const STATE_CAP: usize = 128;
+    // table[stage][layers] = Pareto-pruned states.
     let mut prev: Vec<Vec<State>> = vec![Vec::new(); lmax + 1];
     let mut backs: Vec<Vec<Vec<State>>> = Vec::with_capacity(s);
 
@@ -420,16 +186,16 @@ pub fn solve_inter_stage_dp_stats(
             continue;
         }
         let st = State {
-            max_t: milp_t(p),
-            sum_t: milp_t(p),
-            exposed: milp_d(p),
+            max_t: stage_t(p),
+            sum_t: stage_t(p),
+            exposed: stage_d(p),
             back: (c, usize::MAX),
         };
-        insert_state(&mut prev[l], st, STATE_CAP);
+        insert_state(&mut prev[l], st);
     }
     backs.push(prev.clone());
 
-    for (stage, stage_cands) in cands.iter().enumerate().take(s).skip(1) {
+    for (stage, stage_cands) in cands.iter().enumerate().skip(1) {
         let mut next: Vec<Vec<State>> = vec![Vec::new(); lmax + 1];
         for (layers, states) in prev.iter().enumerate() {
             if states.is_empty() {
@@ -445,8 +211,8 @@ pub fn solve_inter_stage_dp_stats(
                     if l > lmax {
                         continue;
                     }
-                    let t = milp_t(p);
-                    let d = milp_d(p);
+                    let t = stage_t(p);
+                    let d = stage_d(p);
                     let ns = State {
                         max_t: st.max_t.max(t),
                         sum_t: st.sum_t + t,
@@ -462,7 +228,7 @@ pub fn solve_inter_stage_dp_stats(
                             Some(stats.pruned_bound.map_or(lb, |prev| prev.min(lb)));
                         continue;
                     }
-                    insert_state(&mut next[l], ns, STATE_CAP);
+                    insert_state(&mut next[l], ns);
                 }
             }
         }
@@ -498,56 +264,39 @@ pub fn solve_inter_stage_dp_stats(
     }
 
     // Reconstruct: walk back pointers through the per-stage tables.
-    let mut picked_rev: Vec<&ParetoPoint> = Vec::with_capacity(s);
+    let mut picked: Vec<&ParetoPoint> = Vec::with_capacity(s);
     let mut layers = lmax;
     let mut state = finals[best_idx];
     for stage in (0..s).rev() {
         let (c, back_idx) = state.back;
         let p = cands[stage][c];
-        picked_rev.push(p);
+        picked.push(p);
         layers -= p.config.layers as usize;
         if stage > 0 {
             state = backs[stage - 1][layers][back_idx];
         }
     }
-    picked_rev.reverse();
-    let choices: Vec<StageChoice> = picked_rev
-        .iter()
-        .map(|p| StageChoice {
-            point: (*p).clone(),
-        })
-        .collect();
+    picked.reverse();
     Some(InterStageSolution {
-        objective: true_objective(&picked_rev, grad_accum),
+        objective: true_objective(&picked, grad_accum),
         selector_objective: best_sel,
-        choices,
+        choices: picked.into_iter().cloned().collect(),
     })
 }
 
-/// Inserts a state keeping the cell's Pareto set, capped at `cap` by
-/// dropping the worst (largest objective-proxy) states.
-fn insert_state(cell: &mut Vec<State>, st: State, cap: usize) {
-    for existing in cell.iter() {
-        if dominates(existing, &st) {
-            return;
-        }
+/// Inserts a state unless the cell already holds one that dominates it,
+/// evicting the states it dominates.
+fn insert_state(cell: &mut Vec<State>, st: State) {
+    if cell.iter().any(|existing| dominates(existing, &st)) {
+        return;
     }
     cell.retain(|e| !dominates(&st, e));
     cell.push(st);
-    if cell.len() > cap {
-        // Drop the state with the worst sum of components.
-        let (worst, _) = cell
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.max_t + e.sum_t + e.exposed))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("nonempty");
-        cell.swap_remove(worst);
-    }
 }
 
-/// Exhaustive inter-stage solver for cross-checking the MILP. Only
-/// practical for small instances (a few stages, narrow windows).
+/// Exhaustive inter-stage solver: the brute-force reference for
+/// [`solve_inter_stage`]. Only practical for small instances (a few
+/// stages, narrow windows).
 pub fn enumerate_inter_stage(
     frontiers: &[&Vec<Vec<ParetoPoint>>],
     total_layers: u32,
@@ -578,12 +327,7 @@ pub fn enumerate_inter_stage(
             let better = best.as_ref().is_none_or(|b| sel < b.selector_objective);
             if better {
                 *best = Some(InterStageSolution {
-                    choices: stack
-                        .iter()
-                        .map(|p| StageChoice {
-                            point: (*p).clone(),
-                        })
-                        .collect(),
+                    choices: stack.iter().map(|p| (*p).clone()).collect(),
                     objective: true_objective(stack, grad_accum),
                     selector_objective: sel,
                 });
@@ -633,7 +377,6 @@ mod tests {
     use mist_hardware::DeviceMesh;
 
     fn mk_point(l: u32, t: f64, d: f64) -> ParetoPoint {
-        let _zero4 = [0.0; 4];
         ParetoPoint {
             t,
             d,
@@ -681,60 +424,188 @@ mod tests {
         }
     }
 
+    /// The DP with no cutoff.
+    fn solve(
+        frontiers: &[&Vec<Vec<ParetoPoint>>],
+        total_layers: u32,
+        grad_accum: u32,
+        space: &SearchSpace,
+    ) -> Option<InterStageSolution> {
+        let mut stats = InterSolveStats::default();
+        solve_inter_stage(
+            frontiers,
+            total_layers,
+            grad_accum,
+            space,
+            f64::INFINITY,
+            &mut stats,
+        )
+    }
+
     #[test]
     fn single_stage_picks_best_point() {
         let f = family(8, 1.0);
-        let sol = solve_inter_stage(&[&f], 8, 4, &space()).unwrap();
+        let sol = solve(&[&f], 8, 4, &space()).unwrap();
         assert_eq!(sol.choices.len(), 1);
-        assert_eq!(sol.choices[0].point.config.layers, 8);
+        assert_eq!(sol.choices[0].config.layers, 8);
         // With G=4 the 0.8·t / 0.6·d point wins: 4·6.4+0.6 < 4·8.
-        assert!(sol.choices[0].point.d > 0.0);
+        assert!(sol.choices[0].d > 0.0);
+    }
+
+    /// Seeded frontier families on a dyadic grid, with some layer counts
+    /// left empty. `t` is a multiple of 1/64 and `d` of 3/64, so the
+    /// blended `t + d/G` of every tested `G` is a multiple of 1/256 and
+    /// every sum and `(G−1)·max` the objective forms is exact.
+    fn dyadic_families(stages: usize, max_l: u32, seed: u64) -> Vec<Vec<Vec<ParetoPoint>>> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        (0..stages)
+            .map(|_| {
+                (1..=max_l)
+                    .map(|l| {
+                        (0..next(4))
+                            .map(|_| {
+                                let t = (l as u64 * 16 + next(48)) as f64 / 64.0;
+                                let d = (3 * next(32)) as f64 / 64.0;
+                                mk_point(l, t, d)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn dp_matches_milp_on_heterogeneous_families() {
+    fn dp_matches_brute_force_oracle() {
+        const L: u32 = 7;
+        let (mut seed, mut solved) = (0u64, 0);
+        for stages in 1..=4usize {
+            for g in [1u32, 4, 12, 32] {
+                for imbalance_aware in [true, false] {
+                    for layer_window in [0, 1, u32::MAX] {
+                        for _ in 0..3 {
+                            seed += 1;
+                            let owned = dyadic_families(stages, L, seed);
+                            let fr: Vec<&Vec<Vec<ParetoPoint>>> = owned.iter().collect();
+                            let sp = SearchSpace {
+                                imbalance_aware,
+                                layer_window,
+                                ..SearchSpace::mist()
+                            };
+                            let case = format!(
+                                "S={stages} G={g} aware={imbalance_aware} \
+                                 window={layer_window} seed={seed}"
+                            );
+                            solved += usize::from(check_against_oracle(&fr, L, g, &sp, &case));
+                        }
+                    }
+                }
+            }
+        }
+        // 235 of the 288 instances are feasible; the rest check that the
+        // DP agrees on infeasibility.
+        assert!(solved > 200, "only {solved} feasible instances");
+    }
+
+    /// The hand-built `family` fixtures, with stages of different speeds and
+    /// per-layer costs off the dyadic grid.
+    #[test]
+    fn dp_matches_oracle_on_heterogeneous_families() {
+        let sp = space();
         for (g, scale) in [(4u32, 1.0f64), (12, 1.7), (32, 0.6)] {
-            let f0 = family(12, 1.0 * scale);
+            let f0 = family(12, scale);
             let f1 = family(12, 1.5 * scale);
             let f2 = family(12, 0.8 * scale);
-            let fr = [&f0, &f1, &f2];
-            let sp = space();
-            let dp = solve_inter_stage_dp(&fr, 12, g, &sp, f64::INFINITY).unwrap();
-            let milp = solve_inter_stage_milp(&fr, 12, g, &sp, f64::INFINITY).unwrap();
-            assert!(
-                (dp.selector_objective - milp.selector_objective).abs() < 1e-6,
-                "G={g}: dp {} vs milp {}",
-                dp.selector_objective,
-                milp.selector_objective
-            );
+            let case = format!("S=3 G={g} scale={scale}");
+            assert!(check_against_oracle(&[&f0, &f1, &f2], 12, g, &sp, &case));
         }
+        let f0 = family(12, 1.0);
+        let f1 = family(12, 1.5);
+        assert!(check_against_oracle(&[&f0, &f1], 12, 6, &sp, "S=2 G=6"));
     }
 
-    #[test]
-    fn milp_matches_exhaustive_enumeration() {
-        let f0 = family(12, 1.0);
-        let f1 = family(12, 1.5); // Slower stage → fewer layers.
-        let fr = [&f0, &f1];
-        let sp = space();
-        let milp = solve_inter_stage(&fr, 12, 6, &sp).unwrap();
-        let brute = enumerate_inter_stage(&fr, 12, 6, &sp).unwrap();
-        assert!(
-            (milp.objective - brute.objective).abs() < 1e-6,
-            "milp {} vs brute {}",
-            milp.objective,
-            brute.objective
+    /// Checks the DP on one instance and returns whether it is feasible.
+    fn check_against_oracle(
+        fr: &[&Vec<Vec<ParetoPoint>>],
+        total_layers: u32,
+        g: u32,
+        sp: &SearchSpace,
+        case: &str,
+    ) -> bool {
+        let oracle = enumerate_inter_stage(fr, total_layers, g, sp);
+        let mut stats = InterSolveStats::default();
+        let dp = solve_inter_stage(fr, total_layers, g, sp, f64::INFINITY, &mut stats);
+        let Some(best) = oracle else {
+            assert!(dp.is_none(), "{case}: the oracle finds no assignment");
+            assert!(!stats.cutoff_hit, "{case}");
+            // Infeasible stays infeasible under any cutoff.
+            let mut stats = InterSolveStats::default();
+            assert!(solve_inter_stage(fr, total_layers, g, sp, 1.0, &mut stats).is_none());
+            return false;
+        };
+        let dp = dp.unwrap_or_else(|| panic!("{case}: the oracle solves it, the DP does not"));
+        let picked: Vec<&ParetoPoint> = dp.choices.iter().collect();
+        assert_eq!(
+            dp.selector_objective.to_bits(),
+            best.selector_objective.to_bits(),
+            "{case}"
         );
-        let layers: u32 = milp.choices.iter().map(|c| c.point.config.layers).sum();
-        assert_eq!(layers, 12);
+        assert_eq!(
+            dp.selector_objective.to_bits(),
+            selector_objective(&picked, g, sp.imbalance_aware).to_bits(),
+            "{case}"
+        );
+        let streams: Vec<StageStreams> = picked
+            .iter()
+            .map(|p| StageStreams { t: p.t, d: p.d })
+            .collect();
+        assert_eq!(
+            dp.objective.to_bits(),
+            mist_objective(&streams, g).to_bits(),
+            "{case}"
+        );
+        let layers: u32 = dp.choices.iter().map(|p| p.config.layers).sum();
+        assert_eq!(layers, total_layers, "{case}");
+        assert!(
+            stats.dp_states >= fr.len() as u64,
+            "{case}: states not counted"
+        );
+
+        // A cutoff strictly above the optimum keeps it; one at or below
+        // rejects the shape and says so.
+        for (cutoff, solved) in [
+            (best.selector_objective + 1.0 / 64.0, true),
+            (best.selector_objective, false),
+            (best.selector_objective / 2.0, false),
+        ] {
+            let mut stats = InterSolveStats::default();
+            let sol = solve_inter_stage(fr, total_layers, g, sp, cutoff, &mut stats);
+            assert_eq!(sol.is_some(), solved, "{case} cutoff={cutoff}");
+            match sol {
+                Some(sol) => assert_eq!(
+                    sol.selector_objective.to_bits(),
+                    best.selector_objective.to_bits(),
+                    "{case} cutoff={cutoff}"
+                ),
+                None => assert!(stats.cutoff_hit, "{case} cutoff={cutoff}"),
+            }
+        }
+        true
     }
 
     #[test]
     fn faster_stage_gets_more_layers() {
         let f0 = family(12, 0.5); // Twice as fast.
         let f1 = family(12, 1.0);
-        let sol = solve_inter_stage(&[&f0, &f1], 12, 8, &space()).unwrap();
-        let l0 = sol.choices[0].point.config.layers;
-        let l1 = sol.choices[1].point.config.layers;
+        let sol = solve(&[&f0, &f1], 12, 8, &space()).unwrap();
+        let l0 = sol.choices[0].config.layers;
+        let l1 = sol.choices[1].config.layers;
         assert!(l0 > l1, "fast stage {l0} should outweigh slow stage {l1}");
     }
 
@@ -756,10 +627,10 @@ mod tests {
             imbalance_aware: false,
             ..aware.clone()
         };
-        let sa = solve_inter_stage(&fr, 2, 16, &aware).unwrap();
-        let su = solve_inter_stage(&fr, 2, 16, &unaware).unwrap();
-        assert_eq!(sa.choices[0].point.d, 0.0, "aware avoids the exposed delta");
-        assert!(su.choices[0].point.d > 0.0, "unaware takes the trap");
+        let sa = solve(&fr, 2, 16, &aware).unwrap();
+        let su = solve(&fr, 2, 16, &unaware).unwrap();
+        assert_eq!(sa.choices[0].d, 0.0, "aware avoids the exposed delta");
+        assert!(su.choices[0].d > 0.0, "unaware takes the trap");
         // Both report the TRUE objective; the unaware one is worse.
         assert!(su.objective > sa.objective);
     }
@@ -774,13 +645,13 @@ mod tests {
             layer_window: 0,
             ..SearchSpace::mist()
         };
-        assert!(solve_inter_stage(&fr, 10, 2, &sp).is_none());
+        assert!(solve(&fr, 10, 2, &sp).is_none());
     }
 
     #[test]
     fn deltas_hidden_in_bubbles_are_free() {
         // Stage 1 may take d=0.5 for a cheaper t; the fill before it
-        // (t_0 = 1.0) hides the delta entirely, so the MILP should take it.
+        // (t_0 = 1.0) hides the delta entirely, so the DP should take it.
         let f0: Vec<Vec<ParetoPoint>> = vec![vec![mk_point(1, 1.0, 0.0)]];
         let f1: Vec<Vec<ParetoPoint>> = vec![vec![mk_point(1, 1.0, 0.0), mk_point(1, 0.95, 0.5)]];
         let fr = [&f0, &f1];
@@ -788,10 +659,7 @@ mod tests {
             layer_window: 1,
             ..SearchSpace::mist()
         };
-        let sol = solve_inter_stage(&fr, 2, 8, &sp).unwrap();
-        assert!(
-            sol.choices[1].point.d > 0.0,
-            "hidden delta should be exploited"
-        );
+        let sol = solve(&fr, 2, 8, &sp).unwrap();
+        assert!(sol.choices[1].d > 0.0, "hidden delta should be exploited");
     }
 }

@@ -7,11 +7,12 @@
 //!   the Pareto frontier of `(t, d)` pairs over micro-batch/DP/TP
 //!   factorizations, ZeRO levels, checkpointing counts and the four
 //!   offloading ratios (Eq. 4), using batched symbolic evaluation.
-//! * **Inter-stage tuning** ([`solve_inter_stage`]) — an MILP over the
-//!   per-stage Pareto samples choosing layer counts and frontier points
-//!   that minimize the imbalance-aware pipeline objective (Eq. 1/2),
-//!   solved with `mist-milp` and cross-checked by exhaustive enumeration
-//!   on small instances.
+//! * **Inter-stage tuning** ([`solve_inter_stage`]) — Eq. 2 over the
+//!   per-stage Pareto samples: choose layer counts and frontier points
+//!   that minimize the imbalance-aware pipeline objective (Eq. 1). The
+//!   paper uses a MILP solver; here an exact Pareto-state dynamic
+//!   program solves it, tested against the brute-force
+//!   [`enumerate_inter_stage`].
 //! * **The driver** ([`Tuner`]) — enumerates gradient-accumulation steps
 //!   and stage counts/device assignments, runs the two levels, and emits
 //!   the best [`mist_schedule::TrainingPlan`].
@@ -30,10 +31,7 @@ mod space;
 
 pub use certify::{certify_plan, CertBound, CertReport, PlanCertificate, StageCert};
 pub use driver::{TuneOutcome, TuneStats, Tuner, DEFAULT_MAX_GRAD_ACCUM};
-pub use inter::{
-    enumerate_inter_stage, solve_inter_stage, solve_inter_stage_dp, solve_inter_stage_milp,
-    solve_inter_stage_with_cutoff, InterStageSolution, StageChoice,
-};
+pub use inter::{enumerate_inter_stage, solve_inter_stage, InterSolveStats, InterStageSolution};
 pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint, SWEEP_PHASES};
 pub use pareto::{pareto_frontier, sample_frontier};
 pub use seed::{BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};

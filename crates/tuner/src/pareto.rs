@@ -2,9 +2,10 @@
 //!
 //! Intra-stage tuning produces many `(t, d)` pairs per candidate; only the
 //! non-dominated ones can appear in an optimal pipeline (paper §5.3). The
-//! frontier is extracted exactly, then down-sampled to `K` points spread
-//! along the trade-off — the equivalent of the paper's uniform `α`
-//! sampling of `α·G·t + (1−α)·d`.
+//! frontier is extracted exactly, then down-sampled to `K` points picked
+//! evenly by index. That is *not* the paper's uniform-`α` sampling of
+//! `α·G·t + (1−α)·d`, and it can drop the point an optimal plan needs
+//! (DESIGN.md, "Pareto sampling gap").
 
 /// Returns the indices of the Pareto-optimal `(t, d)` points (minimizing
 /// both), sorted by increasing `t`.

@@ -25,8 +25,8 @@
 #      accounting, rejection histogram, runner-ups, frontier digests —
 #      is deterministic at any thread count); then tune the fig16
 #      GPT-3 22B / 32-GPU workload at --threads 1 and --threads 2 and
-#      require byte-identical outcomes (pool fan-out of the columnar
-#      sweep over many pipeline shapes)
+#      require byte-identical outcomes and explain digests (pool
+#      fan-out of the columnar sweep over many pipeline shapes)
 #   7. IR lint: run the mist-irlint static analyzer over the fused stage
 #      programs and memory pairs of every model preset in every pipeline
 #      role; any error-severity diagnostic (unit mismatch, reachable division by
@@ -151,16 +151,23 @@ else
     exit 1
 fi
 # Thread-count determinism on the many-shape workload (the determinism
-# integration test covers GPT-3 6.7B only).
+# integration test covers GPT-3 6.7B only): both the outcome and the
+# explain digest of its decision journal (every DP solve's states and
+# pruned transitions, the runner-ups) must not depend on --threads.
 for t in 1 2; do
     target/release/mist-cli tune --model gpt3-22b --platform l4 --gpus 32 \
-        --batch 256 --threads "$t" --json > "$tmpdir/tune_22b_t$t.json"
+        --batch 256 --threads "$t" --json \
+        --journal "$tmpdir/journal_22b_t$t.jsonl" > "$tmpdir/tune_22b_t$t.json"
+    target/release/mist-cli explain --json "$tmpdir/journal_22b_t$t.jsonl" \
+        > "$tmpdir/explain_22b_t$t.json"
 done
 if python3 scripts/golden_diff.py "$tmpdir/tune_22b_t1.json" \
-        "$tmpdir/tune_22b_t2.json"; then
-    echo "    gpt3-22b tune: byte-identical at --threads 1 and 2"
+        "$tmpdir/tune_22b_t2.json" \
+    && python3 scripts/golden_diff.py "$tmpdir/explain_22b_t1.json" \
+        "$tmpdir/explain_22b_t2.json"; then
+    echo "    gpt3-22b tune and explain digest: byte-identical at --threads 1 and 2"
 else
-    echo "gpt3-22b tune differs between --threads 1 and 2" >&2
+    echo "gpt3-22b tune or explain digest differs between --threads 1 and 2" >&2
     exit 1
 fi
 

@@ -3,8 +3,8 @@
 
 use mist::presets::{falcon, gpt3, AttentionImpl, ModelSize};
 use mist::{
-    CkptMode, ClusterSpec, DeviceMesh, GpuSpec, MistSession, OpCostDb, Platform, SearchSpace,
-    StageAnalyzer, StageCandidate, StageConfigValues, StageRole,
+    Baseline, CkptMode, ClusterSpec, DeviceMesh, GpuSpec, InterferenceModel, MistSession, OpCostDb,
+    Platform, SearchSpace, StageAnalyzer, StageCandidate, StageConfigValues, StageRole, Tuner,
 };
 
 /// §3.1 / Fig. 2(a): with standard attention at long sequence length,
@@ -132,4 +132,31 @@ fn ladder_is_monotone_at_small_scale() {
         );
         prev = prev.max(thr);
     }
+}
+
+/// Metamorphic check of the inter-stage DP's exactness: the uniform
+/// heuristic's plan is a point of Mist's space once Pareto sampling is
+/// off, so Mist can never predict a slower iteration. (With the default
+/// 6 samples per frontier it does here — see DESIGN.md's sampling gap.)
+#[test]
+fn unsampled_mist_is_no_worse_than_the_uniform_heuristic() {
+    let model = gpt3(ModelSize::B2_6, 2048, AttentionImpl::Flash);
+    let cluster = ClusterSpec::for_gpu_count(Platform::GcpL4, 4);
+    let db = OpCostDb::new(GpuSpec::l4());
+    let intf = InterferenceModel::pcie_defaults();
+    let predict = |space: &SearchSpace| {
+        Tuner::new(&model, &cluster, &db, space, &intf)
+            .tune(8)
+            .expect("GPT-3 2.6B fits on 4 L4s")
+            .predicted_iteration
+    };
+    let mist = predict(&SearchSpace {
+        pareto_samples: usize::MAX,
+        ..SearchSpace::mist()
+    });
+    let uniform = predict(&Baseline::UniformHeuristic.space());
+    assert!(
+        mist <= uniform,
+        "unsampled Mist {mist} s is slower than the uniform heuristic {uniform} s"
+    );
 }
