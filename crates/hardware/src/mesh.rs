@@ -109,7 +109,7 @@ impl DeviceMesh {
     pub fn dp_tp_choices(&self) -> Vec<(u32, u32)> {
         let total = self.total();
         let mut out = Vec::new();
-        let mut tp = 1;
+        let mut tp = 1u32;
         while tp <= total {
             if total.is_multiple_of(tp) {
                 let dp = total / tp;
@@ -117,7 +117,10 @@ impl DeviceMesh {
                     out.push((dp, tp));
                 }
             }
-            tp *= 2;
+            // Past 2^31 GPUs, doubling wraps `u32` before it exceeds
+            // `total`: stop there instead of looping forever.
+            let Some(next) = tp.checked_mul(2) else { break };
+            tp = next;
         }
         out
     }
@@ -176,11 +179,15 @@ mod tests {
 
     #[test]
     fn dp_tp_choices_multiply_to_total() {
-        let mesh = DeviceMesh::new(1, 8);
-        let choices = mesh.dp_tp_choices();
-        assert!(!choices.is_empty());
-        for (dp, tp) in choices {
-            assert_eq!(dp * tp, 8);
+        // 536870911 nodes of 8 = 4294967288 GPUs: doubling `tp` past
+        // 2^31 wraps a `u32`, so the scan must stop there instead of
+        // looping forever.
+        for mesh in [DeviceMesh::new(1, 8), DeviceMesh::new(536_870_911, 8)] {
+            let choices = mesh.dp_tp_choices();
+            assert!(!choices.is_empty());
+            for (dp, tp) in choices {
+                assert_eq!(u64::from(dp) * u64::from(tp), u64::from(mesh.total()));
+            }
         }
     }
 }

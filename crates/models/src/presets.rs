@@ -151,10 +151,21 @@ pub fn preset_names() -> Vec<String> {
         .collect()
 }
 
+/// Longest sequence a preset accepts. With micro-batches of at most
+/// 512 and at most 64 heads, this keeps the tracer's integer products
+/// such as `b·heads·s²` (≤ 2^55) inside `u64`.
+const MAX_SEQ_LEN: u64 = 1 << 20;
+
 /// Builds a model from a `family-size` preset name, in any case:
 /// family `gpt3` (or `gpt`), `llama` or `falcon`; size one of
 /// [`ModelSize::label`], or the motivating examples' `2.7b` and `7b`.
+/// `seq_len` must lie in `1..=2^20`.
 pub fn preset(name: &str, seq_len: u64, attention: AttentionImpl) -> Result<ModelSpec, String> {
+    if !(1..=MAX_SEQ_LEN).contains(&seq_len) {
+        return Err(format!(
+            "sequence length {seq_len} is outside 1..={MAX_SEQ_LEN}"
+        ));
+    }
     let (family, size) = name
         .split_once('-')
         .ok_or_else(|| format!("bad model name `{name}` (expected family-size)"))?;
@@ -221,6 +232,15 @@ mod tests {
         for size in ModelSize::table4() {
             let (_, h, heads) = size.dims();
             assert_eq!(h % heads, 0, "{size:?}");
+        }
+    }
+
+    #[test]
+    fn preset_bounds_sequence_length() {
+        let flash = AttentionImpl::Flash;
+        assert!(preset("gpt3-6.7b", MAX_SEQ_LEN, flash).is_ok());
+        for seq in [0, MAX_SEQ_LEN + 1, 1 << 62] {
+            assert!(preset("gpt3-6.7b", seq, flash).is_err(), "seq {seq}");
         }
     }
 

@@ -436,22 +436,19 @@ mod tests {
         }
     }
 
-    fn result_json(v: &Value) -> String {
+    fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
         let Value::Object(fields) = v else {
-            panic!("response must be an object")
+            panic!("expected an object, got {v:?}")
         };
-        let result = serde::get_field(fields, "result").expect("result field");
-        serde_json::to_string(result).unwrap()
+        serde::get_field(fields, key).unwrap_or_else(|_| panic!("missing `{key}`"))
+    }
+
+    fn result_json(v: &Value) -> String {
+        serde_json::to_string(field(v, "result")).unwrap()
     }
 
     fn work_str<'a>(v: &'a Value, key: &str) -> &'a Value {
-        let Value::Object(fields) = v else {
-            panic!("response must be an object")
-        };
-        let Value::Object(work) = serde::get_field(fields, "work").expect("work field") else {
-            panic!("work must be an object")
-        };
-        serde::get_field(work, key).expect(key)
+        field(field(v, "work"), key)
     }
 
     #[test]
@@ -615,6 +612,49 @@ mod tests {
             &Value::Bool(false)
         );
         assert_eq!(planner.cache.lock().len(), 0);
+    }
+
+    /// Answers one request line on a helper thread and returns the
+    /// response, failing (instead of hanging the suite) when none
+    /// arrives within `secs` seconds or the handler panics.
+    fn answer_within(planner: &Arc<PlannerService>, line: &str, secs: u64) -> Value {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (planner, line) = (planner.clone(), line.to_owned());
+        let handler = std::thread::spawn(move || tx.send(planner.handle_line(&line)).ok());
+        let (response, control) = rx
+            .recv_timeout(std::time::Duration::from_secs(secs))
+            .unwrap_or_else(|e| panic!("no response within {secs} s: {e}"));
+        handler.join().expect("handler thread");
+        assert_eq!(control, Control::Continue);
+        assert!(!response.contains('\n'), "exactly one response line");
+        serde_json::from_str(&response).expect("response is JSON")
+    }
+
+    #[test]
+    fn huge_gpu_count_answers_infeasible_instead_of_hanging() {
+        // A multiple of 8 past 2^31: the mesh's TP doubling used to wrap.
+        let planner = Arc::new(PlannerService::new(PlanCache::in_memory()));
+        let v = answer_within(
+            &planner,
+            r#"{"model": "gpt3-1.3b", "gpus": 4294967288, "batch": 8}"#,
+            120,
+        );
+        assert_eq!(field(&v, "ok"), &Value::Bool(true));
+        assert_eq!(field(field(&v, "result"), "feasible"), &Value::Bool(false));
+    }
+
+    #[test]
+    fn huge_seq_is_rejected_and_the_daemon_keeps_answering() {
+        // `b·s` used to overflow while tracing and panic the handler.
+        let planner = Arc::new(PlannerService::new(PlanCache::in_memory()));
+        let v = answer_within(
+            &planner,
+            r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "seq": 4611686018427387904}"#,
+            120,
+        );
+        assert_eq!(field(&v, "ok"), &Value::Bool(false));
+        let pong = answer_within(&planner, r#"{"cmd": "ping"}"#, 10);
+        assert_eq!(field(&pong, "pong"), &Value::Bool(true));
     }
 
     #[test]

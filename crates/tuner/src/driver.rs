@@ -157,29 +157,13 @@ impl<'a> Tuner<'a> {
         self
     }
 
-    /// Gradient-accumulation candidates: divisors of the global batch.
+    /// Gradient-accumulation candidates: the divisors of the global
+    /// batch up to the cap, ascending.
     fn grad_accum_candidates(&self, global_batch: u64) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut g = 1u64;
-        while g <= global_batch && g <= self.max_grad_accum as u64 {
-            if global_batch.is_multiple_of(g) {
-                out.push(g as u32);
-            }
-            g *= 2;
-        }
-        // Include non-power-of-two divisors for odd batch sizes.
-        if !global_batch.is_power_of_two() {
-            let mut d = 3u64;
-            while d * d <= global_batch && d <= self.max_grad_accum as u64 {
-                if global_batch.is_multiple_of(d) {
-                    out.push(d as u32);
-                }
-                d += 2;
-            }
-            out.sort_unstable();
-            out.dedup();
-        }
-        out
+        (1..=self.max_grad_accum)
+            .take_while(|&g| u64::from(g) <= global_batch)
+            .filter(|&g| global_batch.is_multiple_of(u64::from(g)))
+            .collect()
     }
 
     /// Pipeline shapes: `S` equal sub-meshes covering the cluster.
@@ -273,7 +257,7 @@ impl<'a> Tuner<'a> {
                     let sol = {
                         let _sweep_span =
                             mist_telemetry::span!("intra.sweep", grad_accum = g, stages = s);
-                        self.solve_uniform(intra, g, s, mesh, global_batch)
+                        self.solve_uniform(intra, g, s, mesh)
                     };
                     stats.intra_secs += t_intra.elapsed().as_secs_f64();
                     sol
@@ -537,7 +521,6 @@ impl<'a> Tuner<'a> {
         g: u32,
         s: u32,
         mesh: DeviceMesh,
-        _global_batch: u64,
     ) -> Option<InterStageSolution> {
         let l_total = self.model.num_layers;
         if !l_total.is_multiple_of(s) {
@@ -545,7 +528,7 @@ impl<'a> Tuner<'a> {
         }
         let l = l_total / s;
         let mut best: Option<InterStageSolution> = None;
-        for (dp, tp, b) in intra.parallelism_options(mesh, g) {
+        for (dp, tp, b) in intra.parallelism_candidates(mesh, g) {
             for &zero in self.space.zero_levels() {
                 for off in self.space.offload_combos() {
                     // Uniform checkpoint count: smallest that fits every
@@ -669,15 +652,23 @@ mod tests {
 
     #[test]
     fn grad_accum_candidates_divide_batch() {
+        // Every divisor of the batch up to the cap, ascending.
         let (model, cluster, db, intf) = setup(2);
         let space = SearchSpace::mist();
         let tuner = Tuner::new(&model, &cluster, &db, &space, &intf);
-        for b in [8u64, 48, 96] {
-            for g in tuner.grad_accum_candidates(b) {
-                assert_eq!(b % g as u64, 0, "G={g} must divide B={b}");
-            }
+        let table: [(u64, &[u32]); 6] = [
+            (8, &[1, 2, 4, 8]),
+            (15, &[1, 3, 5, 15]),
+            (48, &[1, 2, 3, 4, 6, 8, 12, 16, 24, 48]),
+            (96, &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 96]),
+            (100, &[1, 2, 4, 5, 10, 20, 25, 50, 100]),
+            (256, &[1, 2, 4, 8, 16, 32, 64, 128, 256]),
+        ];
+        for (batch, want) in table {
+            assert_eq!(tuner.grad_accum_candidates(batch), want, "B={batch}");
         }
-        assert!(tuner.grad_accum_candidates(48).contains(&3));
+        let capped = Tuner::new(&model, &cluster, &db, &space, &intf).with_max_grad_accum(10);
+        assert_eq!(capped.grad_accum_candidates(48), [1, 2, 3, 4, 6, 8]);
     }
 
     #[test]

@@ -94,11 +94,10 @@ type TapeKey = (DeviceMesh, u32, u32, u64, StageRole);
 /// `intra.phase_secs.<name>` gauges when the telemetry collector is on.
 /// They tile every `intra.frontier` span (each lap charges the time
 /// since the previous one), so they sum to the sweep's wall time.
-pub const SWEEP_PHASES: [&str; 8] = [
+pub const SWEEP_PHASES: [&str; 7] = [
     "tapes",
     "analyses",
     "ckpt_resolve",
-    "mem_filter",
     "full_eval",
     "interference",
     "walk",
@@ -110,11 +109,10 @@ mod phase {
     pub const TAPES: usize = 0;
     pub const ANALYSES: usize = 1;
     pub const CKPT_RESOLVE: usize = 2;
-    pub const MEM_FILTER: usize = 3;
-    pub const FULL_EVAL: usize = 4;
-    pub const INTERFERENCE: usize = 5;
-    pub const WALK: usize = 6;
-    pub const PARETO: usize = 7;
+    pub const FULL_EVAL: usize = 3;
+    pub const INTERFERENCE: usize = 4;
+    pub const WALK: usize = 5;
+    pub const PARETO: usize = 6;
 }
 
 type SweepClock = PhaseClock<{ SWEEP_PHASES.len() }>;
@@ -137,8 +135,8 @@ struct FeasibleRow {
 
 /// The sweep of one `(dp, tp, b)` candidate: feasible rows per layer
 /// count (in `per_l` append order) and the 22 stage-root output columns
-/// of the rows that survived the memory filter, which
-/// [`FeasibleRow::surv`] indexes.
+/// of the rows checkpoint resolution kept, which [`FeasibleRow::surv`]
+/// indexes.
 struct CandidateSweep {
     candidate: StageCandidate,
     per_l: Vec<Vec<FeasibleRow>>,
@@ -186,9 +184,10 @@ pub(crate) struct SweepTally {
     /// Rows skipped without evaluation because a monotonicity proof
     /// extrapolated an all-OOM outcome from a smaller in-flight count.
     pub mono_pruned: u64,
-    /// Whether the memory budget influenced any row: an OOM rejection
-    /// (including mono-pruned rows, which are extrapolated OOMs), or
-    /// (under tuned checkpointing) a nonzero resolved `ckpt`. Drives
+    /// Whether the memory budget influenced any row: a resolved `ckpt`
+    /// other than the mode's budget-free choice (L under full
+    /// checkpointing, 0 otherwise; the `∞` OOM marker included), or a
+    /// mono-pruned row (an extrapolated OOM). Drives
     /// [`BudgetProof::Sensitive`] for warm-start reuse.
     pub budget_bound: bool,
     /// Interval-proven upper bound on peak memory across all candidates
@@ -434,17 +433,14 @@ impl<'a> IntraStageTuner<'a> {
     /// Because floors only ever cover all-OOM groups, the returned
     /// frontiers are byte-identical to pruning disabled; only the
     /// number of evaluated rows changes. Level-sequential commits make
-    /// that count deterministic at any thread count.
+    /// that count deterministic at any thread count. With pruning
+    /// disabled, sweeps neither record nor read floors and the same
+    /// level loop just evaluates every key.
     pub fn frontiers_batch(
         &self,
         keys: &[FrontierKey],
         max_layers: u32,
     ) -> Vec<Arc<Vec<Vec<ParetoPoint>>>> {
-        if !self.mono_prune {
-            return self
-                .pool
-                .map_ordered(keys.to_vec(), |k| self.frontiers(k, max_layers));
-        }
         // Group by in-flight level, ascending; first-seen order within a
         // level preserves the caller's submission order.
         let mut levels: Vec<(u32, Vec<usize>)> = Vec::new();
@@ -634,8 +630,8 @@ impl<'a> IntraStageTuner<'a> {
                 candidates,
                 budget: self.budget,
                 // Conservative default: a family with no recorded proof
-                // (e.g. produced by `evaluate_config`-style paths) is
-                // treated as budget-sensitive.
+                // is treated as budget-sensitive. Every swept or seeded
+                // family records one, so this is a backstop only.
                 proof: proofs.get(&key).copied().unwrap_or(BudgetProof::Sensitive),
                 per_l: per_l.as_ref().clone(),
             });
@@ -677,12 +673,6 @@ impl<'a> IntraStageTuner<'a> {
         }
     }
 
-    /// Public access to the valid `(dp, tp, b)` parallelism candidates of
-    /// a mesh under gradient accumulation `g`.
-    pub fn parallelism_options(&self, mesh: DeviceMesh, g: u32) -> Vec<(u32, u32, u64)> {
-        self.parallelism_candidates(mesh, g)
-    }
-
     fn tapes(&self, cand: &StageCandidate) -> Arc<StageTapes> {
         let key: TapeKey = (cand.mesh, cand.dp, cand.tp, cand.micro_batch, cand.role);
         if let Some(hit) = self.tape_cache.lock().get(&key) {
@@ -696,8 +686,9 @@ impl<'a> IntraStageTuner<'a> {
         self.tape_cache.lock().entry(key).or_insert(tapes).clone()
     }
 
-    /// Valid `(dp, tp, b)` candidates for a mesh under `G`.
-    fn parallelism_candidates(&self, mesh: DeviceMesh, g: u32) -> Vec<(u32, u32, u64)> {
+    /// The valid `(dp, tp, b)` parallelism candidates of a mesh under
+    /// gradient accumulation `g`.
+    pub fn parallelism_candidates(&self, mesh: DeviceMesh, g: u32) -> Vec<(u32, u32, u64)> {
         let mut out = Vec::new();
         for (dp, tp) in mesh.dp_tp_choices() {
             let denom = dp as u64 * g as u64;
@@ -851,11 +842,12 @@ impl<'a> IntraStageTuner<'a> {
     /// `(l, zero, offload)` sweep produced, so downstream Pareto
     /// reduction sees a byte-identical input sequence.
     ///
-    /// Evaluation is memory-first: `ckpt` is resolved by three
-    /// `mem_pair` passes over the whole batch, one more `mem_pair` pass
-    /// at the resolved counts rejects every row whose peak memory busts
-    /// the budget, and only the survivors — compacted in row order — run
-    /// the 22-root stage program.
+    /// Evaluation is memory-first: checkpoint resolution — one
+    /// `mem_pair` pass over the whole batch (three under tuned
+    /// checkpointing) — is the only memory test before the 22-root
+    /// stage program, which runs on the rows some `ckpt` fits,
+    /// compacted in row order. The walk re-checks their peak memory
+    /// once, as the safety check on the linear checkpoint solve.
     fn sweep_candidate(
         &self,
         cand: StageCandidate,
@@ -954,27 +946,38 @@ impl<'a> IntraStageTuner<'a> {
             batch.set_values(name, col.clone());
         }
         batch.set_scalar("inflight", f64::from(key.inflight));
-        let peaks = |ws: &CompiledWorkspace| -> Vec<f64> {
-            ws.output(0)
+
+        // Checkpoint resolution is the memory filter. Every mode resolves
+        // its `ckpt` column from peak-memory probes of the two-root
+        // `mem_pair` program: `None` probes ckpt 0 and `Full` probes
+        // ckpt L once each, `Tuned` probes ckpt 0, 1 and L and solves
+        // for the minimal fitting count. Rows that no count fits get the
+        // `∞` marker; every finite row runs the 22-root program.
+        let free_col = match self.space.ckpt {
+            CkptMode::Full => l_col.clone(),
+            CkptMode::None | CkptMode::Tuned => vec![0.0; n],
+        };
+        let mut peaks_at = |ckpt: Vec<f64>| -> Vec<f64> {
+            batch.set_values("ckpt", ckpt);
+            mem.eval_batch(&batch, &mut ws.mem)
+                .expect("mem_pair program");
+            ws.mem
+                .output(0)
                 .iter()
-                .zip(ws.output(1))
+                .zip(ws.mem.output(1))
                 .map(|(&f, &b)| f.max(b))
                 .collect()
         };
-
-        // Resolve the checkpoint count per row through the two-root
-        // `mem_pair` program (peak memory only — the feasibility probes
-        // do not need all 22 roots).
         let ckpt_col: Vec<f64> = match self.space.ckpt {
-            CkptMode::None => vec![0.0; n],
-            CkptMode::Full => l_col.clone(),
+            CkptMode::None | CkptMode::Full => {
+                let peaks = peaks_at(free_col.clone());
+                free_col
+                    .iter()
+                    .zip(peaks)
+                    .map(|(&c, m)| if m > self.budget { f64::INFINITY } else { c })
+                    .collect()
+            }
             CkptMode::Tuned => {
-                let mut peaks_at = |ckpt: Vec<f64>| {
-                    batch.set_values("ckpt", ckpt);
-                    mem.eval_batch(&batch, &mut ws.mem)
-                        .expect("mem_pair program");
-                    peaks(&ws.mem)
-                };
                 let m0 = peaks_at(vec![0.0; n]);
                 let m1 = peaks_at(vec![1.0; n]);
                 let ml = peaks_at(l_col.clone());
@@ -983,33 +986,17 @@ impl<'a> IntraStageTuner<'a> {
                     .collect()
             }
         };
-        // A nonzero tuned checkpoint count (incl. the `∞` infeasibility
-        // marker) means the budget shaped this row — the sweep is not
-        // reusable under other budgets.
-        if self.space.ckpt == CkptMode::Tuned && ckpt_col.iter().any(|&c| c != 0.0) {
-            tally.budget_bound = true;
-        }
-        clock.lap(phase::CKPT_RESOLVE);
-
-        // Memory-first filter: rows whose resolved `ckpt` is the `∞`
-        // marker or whose peak memory busts the budget are rejected
-        // without ever paying for the 22-root program. Rows with the
-        // marker are out of the program's domain; their outputs are
-        // never read.
-        batch.set_values("ckpt", ckpt_col.clone());
-        mem.eval_batch(&batch, &mut ws.mem)
-            .expect("mem_pair program");
-        let mem_peaks = peaks(&ws.mem);
         drop(batch);
-        // The survivor predicate must be the exact complement of the
-        // rejection tests in the walk below, or a NaN peak (never
-        // > budget, never <= budget) would desynchronize the cursor:
-        // `!(a > b)` rather than `a <= b`.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let survivors: Vec<usize> = (0..n)
-            .filter(|&r| !ckpt_col[r].is_infinite() && !(mem_peaks[r] > self.budget))
-            .collect();
-        clock.lap(phase::MEM_FILTER);
+        // The budget shaped a row exactly when its resolved `ckpt`
+        // differs from the mode's budget-free choice (the `∞` marker
+        // included); such a sweep is not reusable under other budgets.
+        // The walk's re-check adds nothing here: at a probed `ckpt` the
+        // 22-root program recomputes the probe's memory roots bit for
+        // bit, so it can only reject rows whose tuned `ckpt` came from
+        // the linear solve, and those are already budget-shaped.
+        tally.budget_bound |= ckpt_col != free_col;
+        let survivors: Vec<usize> = (0..n).filter(|&r| !ckpt_col[r].is_infinite()).collect();
+        clock.lap(phase::CKPT_RESOLVE);
 
         // One 22-root pass over the survivors, compacted in row order.
         if !survivors.is_empty() {
@@ -1028,21 +1015,13 @@ impl<'a> IntraStageTuner<'a> {
         }
         clock.lap(phase::FULL_EVAL);
 
-        // Time and imbalance of every survivor that passes the
-        // conservative re-check of the linear checkpoint solve.
+        // Time and imbalance of every survivor.
         let td: Vec<(f64, f64)> = (0..survivors.len())
-            .map(|j| {
-                let point = tapes.point_at_compiled(&ws.stage, j);
-                if point.mem_peak() > self.budget {
-                    (f64::NAN, f64::NAN) // Rejected by the walk's re-check.
-                } else {
-                    self.stage_td(&point)
-                }
-            })
+            .map(|j| self.stage_td(&tapes.point_at_compiled(&ws.stage, j)))
             .collect();
         clock.lap(phase::INTERFERENCE);
 
-        // Classify every row in sweep order. Per retained layer count:
+        // Classify every survivor in sweep order. Per retained layer count:
         // whether any row was feasible or non-finite, and whether any
         // OOM came from a budget recheck rather than the analytic
         // `ckpt = ∞` path. An all-OOM layer count becomes a floor for
@@ -1060,26 +1039,12 @@ impl<'a> IntraStageTuner<'a> {
                 ws.stage.output(stage_roots::MEM_BWD),
             )
         };
-        let mut cursor = 0usize;
-        for r in 0..n {
+        tally.oom += (n - survivors.len()) as u64; // No feasible checkpoint count.
+        for (j, &r) in survivors.iter().enumerate() {
             let i = r % nr;
-            let ckpt = ckpt_col[r];
-            if ckpt.is_infinite() {
-                tally.oom += 1;
-                continue; // No feasible checkpoint count.
-            }
-            if mem_peaks[r] > self.budget {
-                tally.oom += 1;
-                tally.budget_bound = true;
-                recheck_oom[i] = true;
-                continue; // Rejected by the memory-first filter.
-            }
-            let j = cursor;
-            cursor += 1;
             let mem_peak = mem_fwd[j].max(mem_bwd[j]);
             if mem_peak > self.budget {
                 tally.oom += 1;
-                tally.budget_bound = true;
                 recheck_oom[i] = true;
                 continue; // Conservative re-check of the linear solve.
             }
@@ -1099,7 +1064,7 @@ impl<'a> IntraStageTuner<'a> {
                 mem_peak,
                 config: StageConfigValues {
                     layers: l,
-                    ckpt: ckpt as u32,
+                    ckpt: ckpt_col[r] as u32,
                     zero: zeros[group / combos.len()],
                     wo: off[0],
                     go: off[1],
@@ -1110,7 +1075,6 @@ impl<'a> IntraStageTuner<'a> {
                 surv: j as u32,
             });
         }
-        debug_assert_eq!(cursor, survivors.len(), "survivor cursor desynchronized");
         if any_feasible.iter().any(|&f| f) {
             sweep.outputs = (0..stage_roots::COUNT)
                 .map(|root| ws.stage.output(root).to_vec())
@@ -1347,18 +1311,21 @@ mod tests {
     /// `eval_scalar` path one at a time, `ckpt` is resolved from scalar
     /// probes at `ckpt ∈ {0, 1, L}`, every feasible row becomes a full
     /// `ParetoPoint`, and each layer count is reduced with
-    /// `pareto_frontier` + `sample_frontier`. No memory-first filter, no
-    /// survivor compaction, no monotone pruning.
+    /// `pareto_frontier` + `sample_frontier`. No batched checkpoint
+    /// resolution, no survivor compaction, no monotone pruning. Also
+    /// returns whether the budget shaped some row: an OOM, or a nonzero
+    /// tuned checkpoint count.
     fn oracle_frontiers(
         tuner: &IntraStageTuner<'_>,
         key: FrontierKey,
         max_layers: u32,
         tally: &mut OracleTally,
-    ) -> Vec<Vec<ParetoPoint>> {
+    ) -> (Vec<Vec<ParetoPoint>>, bool) {
         let space = tuner.space;
         let budget = tuner.budget();
+        let mut shaped = false;
         let mut per_l: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
-        for (dp, tp, b) in tuner.parallelism_options(key.mesh, key.grad_accum) {
+        for (dp, tp, b) in tuner.parallelism_candidates(key.mesh, key.grad_accum) {
             let cand = StageCandidate {
                 mesh: key.mesh,
                 dp,
@@ -1387,14 +1354,17 @@ mod tests {
                             CkptMode::Full => f64::from(l),
                             CkptMode::Tuned => minimal_ckpt(peak(0), peak(1), peak(l), l, budget),
                         };
+                        shaped |= space.ckpt == CkptMode::Tuned && ckpt > 0.0;
                         if ckpt.is_infinite() {
                             tally.oom += 1;
+                            shaped = true;
                             continue;
                         }
                         let config = cfg(ckpt as u32);
                         let point = tapes.eval_point(&config);
                         if point.mem_peak() > budget {
                             tally.oom += 1;
+                            shaped = true;
                             continue;
                         }
                         let (t, d) = if space.overlap_aware {
@@ -1431,14 +1401,15 @@ mod tests {
             tally.dominated += (points.len() - kept.len()) as u64;
             *points = kept;
         }
-        per_l
+        (per_l, shaped)
     }
 
     /// The columnar sweep must reproduce the scalar reference sweep
-    /// exactly: byte-identical serialized frontiers, and every
-    /// enumerated row in the same outcome bucket. Monotone pruning skips
-    /// rows the reference evaluates, so its rows must all be reference
-    /// OOMs. Covers tuned (`mist`, `aceso` with its serial predictor),
+    /// exactly: byte-identical serialized frontiers, every enumerated
+    /// row in the same outcome bucket, and each key's budget proof
+    /// `Sensitive` exactly when the budget shaped some reference row.
+    /// Monotone pruning skips rows the reference evaluates, so its rows
+    /// must all be reference OOMs. Covers tuned (`mist`, `aceso` with its serial predictor),
     /// full (`megatron`) and disabled checkpointing, tight to default
     /// budgets, two in-flight levels (so pruning floors commit between
     /// them) and 1 and 2 pool threads.
@@ -1469,6 +1440,8 @@ mod tests {
         let mut pruned_somewhere = false;
         let mut oom_somewhere = false;
         for space in &spaces {
+            // Which proof classes (budget-free, budget-shaped) the space saw.
+            let mut classes = [false; 2];
             for budget in [3e9, 8e9, 16e9, c.cluster.gpu.memory_bytes] {
                 let mk = || {
                     IntraStageTuner::new(&c.model, &c.cluster, &c.db, space, &c.interference, 8)
@@ -1476,19 +1449,29 @@ mod tests {
                 };
                 let reference = mk();
                 let mut want = OracleTally::default();
-                let want_frontiers: Vec<String> = keys
+                let (want_frontiers, want_shaped): (Vec<String>, Vec<bool>) = keys
                     .iter()
                     .map(|&k| {
-                        let f = oracle_frontiers(&reference, k, max_layers, &mut want);
-                        serde_json::to_string(&f).unwrap()
+                        let (f, shaped) = oracle_frontiers(&reference, k, max_layers, &mut want);
+                        (serde_json::to_string(&f).unwrap(), shaped)
                     })
-                    .collect();
+                    .unzip();
                 for threads in [1, 2] {
                     let tuner = mk().with_pool(Arc::new(ThreadPool::new(threads)));
                     let got = tuner.frontiers_batch(&keys, max_layers);
                     let ctx = format!("space {} budget {budget:e} threads {threads}", space.name);
                     for (g, w) in got.iter().zip(&want_frontiers) {
                         assert_eq!(&serde_json::to_string(g.as_ref()).unwrap(), w, "{ctx}");
+                    }
+                    for (k, &shaped) in keys.iter().zip(&want_shaped) {
+                        let proof = tuner.budget_proofs.lock()[k];
+                        let sensitive = proof == BudgetProof::Sensitive;
+                        assert_eq!(
+                            sensitive, shaped,
+                            "{ctx} inflight {}: {proof:?}",
+                            k.inflight
+                        );
+                        classes[usize::from(shaped)] = true;
                     }
                     let rej = tuner.rejections();
                     let pruned = rej.mono_pruned.value();
@@ -1500,6 +1483,11 @@ mod tests {
                     oom_somewhere |= rej.oom.value() > 0;
                 }
             }
+            assert_eq!(
+                classes, [true; 2],
+                "space {} must see budget-free and budget-shaped keys",
+                space.name
+            );
         }
         assert!(oom_somewhere, "some budget must reject rows as OOM");
         assert!(
@@ -1547,11 +1535,16 @@ mod tests {
 mod pruning_tests {
     use super::*;
     use mist_hardware::{GpuSpec, Platform};
-    use mist_models::{gpt3, AttentionImpl, ModelSize};
+    use mist_models::{gpt3, preset, preset_names, AttentionImpl, ModelSize};
 
     /// Validates the minimal-checkpoint pruning: enumerating every ckpt
     /// value exhaustively never finds a feasible configuration with a
-    /// better stable time than the analytically resolved minimal ckpt.
+    /// better stable time than the analytically resolved minimal ckpt,
+    /// and over a grid of every preset, role, activation-offload ratio,
+    /// ZeRO level and in-flight count, `minimal_ckpt` returns exactly
+    /// the smallest fitting count a scalar linear scan finds — at every
+    /// budget equal to some `m(ckpt)` (ties included) and every midpoint
+    /// between consecutive ones.
     #[test]
     fn minimal_ckpt_pruning_is_lossless() {
         let model = gpt3(ModelSize::B2_6, 2048, AttentionImpl::Flash);
@@ -1583,7 +1576,7 @@ mod pruning_tests {
                 continue;
             };
             let mut best_exhaustive = f64::INFINITY;
-            for (dp, tp, b) in tuner.parallelism_options(mesh, 4) {
+            for (dp, tp, b) in tuner.parallelism_candidates(mesh, 4) {
                 let cand = StageCandidate {
                     mesh,
                     dp,
@@ -1617,5 +1610,65 @@ mod pruning_tests {
                 best_exhaustive
             );
         }
+
+        let roles = [
+            StageRole::First,
+            StageRole::Middle,
+            StageRole::Last,
+            StageRole::Only,
+        ];
+        let mut cases = 0usize;
+        for name in preset_names() {
+            let model = preset(&name, 2048, AttentionImpl::Flash).unwrap();
+            let analyzer = StageAnalyzer::new(&model, &cluster, &db);
+            let n = model.num_layers;
+            for role in roles {
+                let tapes = analyzer.analyze(&StageCandidate {
+                    mesh,
+                    dp: 2,
+                    tp: 2,
+                    micro_batch: 2,
+                    role,
+                });
+                for ao in [0.0, 0.5, 1.0] {
+                    for zero in [0u8, 3] {
+                        for inflight in [1u32, 4] {
+                            for l in [1, 2, n / 2, n] {
+                                let m: Vec<f64> = (0..=l)
+                                    .map(|ckpt| {
+                                        let cfg = StageConfigValues {
+                                            layers: l,
+                                            ckpt,
+                                            zero,
+                                            wo: 0.0,
+                                            go: 0.0,
+                                            oo: 0.0,
+                                            ao,
+                                            inflight,
+                                        };
+                                        tapes.eval_point(&cfg).mem_peak()
+                                    })
+                                    .collect();
+                                let midpoints = m.windows(2).map(|w| 0.5 * (w[0] + w[1]));
+                                for budget in m.iter().copied().chain(midpoints) {
+                                    let scan = m
+                                        .iter()
+                                        .position(|&mc| mc <= budget)
+                                        .map_or(f64::INFINITY, |c| c as f64);
+                                    let solved = minimal_ckpt(m[0], m[1], m[l as usize], l, budget);
+                                    assert_eq!(
+                                        solved, scan,
+                                        "{name} {role:?} ao={ao} zero={zero} \
+                                         inflight={inflight} l={l} budget={budget}: {m:?}"
+                                    );
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 100_000, "grid too small: {cases} cases");
     }
 }

@@ -46,9 +46,12 @@
 #      the hit and warm responses must be byte-identical to
 #      the cold one once the run-variable `work` subtree is stripped
 #      (scripts/golden_diff.py), the warm query must evaluate strictly
-#      fewer configs, and the daemon must shut down cleanly (the EXIT
-#      trap kills it if the stage fails first); responses and daemon
-#      logs land in artifacts/daemon/
+#      fewer configs; two hostile queries (a GPU count past 2^31 and a
+#      sequence length that overflows tracing) must each get exactly one
+#      response within 10 s and the daemon must still answer `ping`;
+#      and the daemon must shut down cleanly (the EXIT trap kills it if
+#      the stage fails first); responses and daemon logs land in
+#      artifacts/daemon/
 #  10. history: append this run's stage-program and mem_pair evaluation
 #      throughput, the 6.7B tuning time and configs-evaluated count,
 #      and the daemon's cold/hit/warm query timings to
@@ -263,6 +266,48 @@ print(
     f"vs {cold_configs} cold "
     f"({100.0 * (1.0 - warm_configs / cold_configs):.1f}% fewer)"
 )
+PY
+
+# Hostile queries: a GPU count past 2^31 (doubling the TP degree used
+# to wrap and spin forever) and a sequence length whose token count
+# overflows while tracing (used to panic the handler and drop the
+# connection). Each must get exactly one JSON response within 10 s —
+# `feasible:false` and `ok:false` respectively — and the daemon must
+# still answer `ping` afterwards.
+hostile_query() { # hostile_query <outfile> [extra flags...]
+    local out="$1" rc=0
+    shift
+    timeout 10 target/release/mist-cli query --connect "$DAEMON_SOCK" \
+        --model gpt3-6.7b --platform l4 --batch 16 "$@" \
+        > "$tmpdir/daemon/$out" || rc=$?
+    # Exit 1 is a well-formed `ok:false` answer; anything else (124 is
+    # the timeout) means no answer.
+    if [ "$rc" -gt 1 ]; then
+        echo "hostile query $out: no response within 10 s (exit $rc)" >&2
+        exit 1
+    fi
+}
+hostile_query hostile_gpus.json --gpus 4294967288
+hostile_query hostile_seq.json --gpus 8 --seq 4611686018427387904
+timeout 10 target/release/mist-cli query --connect "$DAEMON_SOCK" --ping \
+    > "$tmpdir/daemon/ping_after_hostile.json"
+cp "$tmpdir/daemon/"hostile_*.json artifacts/daemon/
+python3 - "$tmpdir/daemon" <<'PY'
+import json, sys
+
+d = sys.argv[1]
+def answer(name):
+    with open(f"{d}/{name}.json") as f:
+        lines = f.read().splitlines()
+    assert len(lines) == 1, f"{name}: expected one response line, got {lines!r}"
+    return json.loads(lines[0])
+
+gpus = answer("hostile_gpus")
+assert gpus["ok"] is True and gpus["result"]["feasible"] is False, gpus
+seq = answer("hostile_seq")
+assert seq["ok"] is False and "sequence length" in seq["error"], seq
+assert answer("ping_after_hostile")["pong"] is True
+print("    hostile queries answered once each; daemon still answers ping")
 PY
 
 # Clean shutdown through the protocol; the trap covers failure paths.

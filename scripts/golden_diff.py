@@ -60,7 +60,6 @@ TIMING_FIELDS = {
     "intra.phase_secs.tapes",
     "intra.phase_secs.analyses",
     "intra.phase_secs.ckpt_resolve",
-    "intra.phase_secs.mem_filter",
     "intra.phase_secs.full_eval",
     "intra.phase_secs.interference",
     "intra.phase_secs.walk",
