@@ -166,6 +166,19 @@ impl<'a> Flags<'a> {
             Err(format!("{flag} must be positive"))
         }
     }
+
+    /// A gradient-accumulation cap: positive and at most
+    /// [`mist_tuner::MAX_GRAD_ACCUM`].
+    fn grad_accum_cap(&mut self, flag: &str) -> Result<u32, String> {
+        let cap = self.positive(flag)?;
+        if cap > mist_tuner::MAX_GRAD_ACCUM {
+            return Err(format!(
+                "{flag} must be at most {}",
+                mist_tuner::MAX_GRAD_ACCUM
+            ));
+        }
+        Ok(cap)
+    }
 }
 
 /// The named preset, or every preset when `name` is `None`.
@@ -645,7 +658,7 @@ fn parse_verify_args(argv: &[String]) -> Result<VerifyArgs, String> {
             "--seq" => args.seq = Some(flags.positive(arg)?),
             "--no-flash" => args.attention = AttentionImpl::Standard,
             "--budget-gib" => args.budget_gib = Some(flags.positive(arg)?),
-            "--max-grad-accum" => args.max_grad_accum = flags.positive(arg)?,
+            "--max-grad-accum" => args.max_grad_accum = flags.grad_accum_cap(arg)?,
             "--max-outer-candidates" => args.max_outer = Some(flags.positive(arg)?),
             "--threads" => args.threads = Some(flags.positive(arg)?),
             "--json" => args.json = true,
@@ -854,7 +867,7 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
                             .unwrap_or_else(|| raw.parse());
                         req.seed = parsed.map_err(|e| format!("--seed `{raw}`: {e}"))?;
                     }
-                    "--max-grad-accum" => req.max_grad_accum = flags.positive(arg)?,
+                    "--max-grad-accum" => req.max_grad_accum = flags.grad_accum_cap(arg)?,
                     other => return Err(format!("unknown option `{other}`")),
                 }
             }
@@ -1092,6 +1105,8 @@ mod tests {
                 "{flag}"
             );
         }
+        assert!(parse_verify_args(&sv(&["--max-grad-accum", "65536"])).is_ok());
+        assert!(parse_verify_args(&sv(&["--max-grad-accum", "65537"])).is_err());
     }
 
     #[test]

@@ -184,7 +184,6 @@ struct Tallies {
     feasible: u64,
     survived: u64,
     dominated: u64,
-    mono_pruned: u64,
     frontier_size_max: u64,
     // Outer-loop candidate fates.
     outer_total: u64,
@@ -218,7 +217,6 @@ struct Digest {
     evolution: Vec<Value>,
     runner_ups: Vec<RunnerUp>,
     dp_solves: Vec<Value>,
-    prune_events: Vec<Value>,
     cert_checks: Vec<Value>,
     span_count: u64,
     orphans: u64,
@@ -245,7 +243,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
     let mut evolution = Vec::new();
     let mut dp_solves = Vec::new();
     let mut runners: Vec<RunnerUp> = Vec::new();
-    let mut prune_events = Vec::new();
     let mut cert_checks = Vec::new();
 
     for r in &jf.records {
@@ -263,7 +260,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                 feasible,
                 survived,
                 dominated,
-                mono_pruned,
                 sizes,
             } => {
                 t.enumerated += enumerated;
@@ -272,7 +268,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                 t.feasible += feasible;
                 t.survived += survived;
                 t.dominated += dominated;
-                t.mono_pruned += mono_pruned;
                 let max_size = sizes.iter().copied().max().unwrap_or(0) as u64;
                 t.frontier_size_max = t.frontier_size_max.max(max_size);
                 frontiers.push((
@@ -296,7 +291,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                         "feasible": feasible,
                         "survived": survived,
                         "dominated": dominated,
-                        "mono_pruned": mono_pruned,
                         "max_frontier_size": max_size,
                     }),
                 ));
@@ -384,24 +378,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
                     "result": result,
                 }));
             }
-            JournalEvent::MonotonePrune {
-                mesh_nodes,
-                mesh_gpus,
-                role,
-                inflight,
-                floor,
-                layers,
-                rows,
-            } => {
-                prune_events.push(serde_json::json!({
-                    "mesh": format!("{mesh_nodes}x{mesh_gpus}"),
-                    "role": role,
-                    "inflight": inflight,
-                    "floor": floor,
-                    "layers": layers.clone(),
-                    "rows": rows,
-                }));
-            }
             JournalEvent::CertCheck {
                 phase,
                 stages,
@@ -486,7 +462,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
         evolution,
         runner_ups: runners,
         dp_solves,
-        prune_events,
         cert_checks,
         span_count: jf.spans.len() as u64,
         orphans,
@@ -540,11 +515,7 @@ fn digest_outcome(v: &Value) -> Result<Digest, String> {
     let gauges = get(telemetry, "gauges").cloned().unwrap_or(Value::Null);
     let c = |k: &str| get_u64(&counters, k);
     let mut t = Tallies {
-        // The evaluated-configs counter excludes proof-pruned rows;
-        // adding them back restores the full enumeration so one
-        // accounting identity covers both digest sources.
-        enumerated: c("tuner.configs_evaluated") + c("tuner.rejections.mono_pruned"),
-        mono_pruned: c("tuner.rejections.mono_pruned"),
+        enumerated: c("tuner.configs_evaluated"),
         oom: c("tuner.rejections.oom"),
         nonfinite: c("tuner.rejections.nonfinite"),
         dominated: c("tuner.rejections.dominated"),
@@ -555,9 +526,7 @@ fn digest_outcome(v: &Value) -> Result<Digest, String> {
         frontier_size_max: get_f64(&gauges, "frontier.size") as u64,
         ..Tallies::default()
     };
-    t.feasible = t
-        .enumerated
-        .saturating_sub(t.oom + t.nonfinite + t.mono_pruned);
+    t.feasible = t.enumerated.saturating_sub(t.oom + t.nonfinite);
     t.survived = t.feasible.saturating_sub(t.dominated);
     let run = serde_json::json!({
         "model": get_str(v, "model").unwrap_or("?"),
@@ -571,7 +540,6 @@ fn digest_outcome(v: &Value) -> Result<Digest, String> {
         evolution: Vec::new(),
         runner_ups: Vec::new(),
         dp_solves: Vec::new(),
-        prune_events: Vec::new(),
         cert_checks: Vec::new(),
         span_count: 0,
         orphans: 0,
@@ -586,8 +554,8 @@ fn digest_outcome(v: &Value) -> Result<Digest, String> {
 
 fn digest_to_json(d: &Digest) -> Value {
     let t = &d.tallies;
-    let accounted = t.enumerated == t.oom + t.nonfinite + t.feasible + t.mono_pruned
-        && t.feasible == t.survived + t.dominated;
+    let accounted =
+        t.enumerated == t.oom + t.nonfinite + t.feasible && t.feasible == t.survived + t.dominated;
     let runner_ups: Vec<Value> = d
         .runner_ups
         .iter()
@@ -647,7 +615,6 @@ fn digest_to_json(d: &Digest) -> Value {
             "feasible": t.feasible,
             "survived": t.survived,
             "dominated": t.dominated,
-            "mono_pruned": t.mono_pruned,
             "accounted": accounted,
         }),
         "rejections": serde_json::json!({
@@ -656,7 +623,6 @@ fn digest_to_json(d: &Digest) -> Value {
             "dominated": t.dominated,
             "out_of_budget": t.outer_out_of_budget,
             "bound_pruned": t.bound_pruned,
-            "mono_pruned": t.mono_pruned,
         }),
         "outer": serde_json::json!({
             "candidates": t.outer_total,
@@ -673,10 +639,6 @@ fn digest_to_json(d: &Digest) -> Value {
             "states": t.dp_states,
             "bound_pruned": t.bound_pruned,
             "solves": Value::Array(d.dp_solves.clone()),
-        }),
-        "pruning": serde_json::json!({
-            "mono_pruned": t.mono_pruned,
-            "floors": Value::Array(d.prune_events.clone()),
         }),
         "certificates": Value::Array(d.cert_checks.clone()),
         "spans": serde_json::json!({ "total": d.span_count, "orphans": d.orphans }),
@@ -720,19 +682,14 @@ fn render_text(d: &Digest) -> String {
         pct(t.nonfinite, t.enumerated)
     ));
     line(format!(
-        "    pruned     {:>12}  ({:.1}%, proof-licensed monotone skips)",
-        t.mono_pruned,
-        pct(t.mono_pruned, t.enumerated)
-    ));
-    line(format!(
         "    feasible   {:>12}  ({:.1}%)",
         t.feasible,
         pct(t.feasible, t.enumerated)
     ));
     line(format!("      survived  {:>11}", t.survived));
     line(format!("      dominated {:>11}", t.dominated));
-    let accounted = t.enumerated == t.oom + t.nonfinite + t.feasible + t.mono_pruned
-        && t.feasible == t.survived + t.dominated;
+    let accounted =
+        t.enumerated == t.oom + t.nonfinite + t.feasible && t.feasible == t.survived + t.dominated;
     line(format!(
         "  accounted: {}",
         if accounted {
@@ -906,12 +863,11 @@ mod tests {
                 grad_accum: 4,
                 max_layers: 8,
                 enumerated: 100,
-                oom: 28,
+                oom: 30,
                 nonfinite: 0,
                 feasible: 70,
                 survived: 20,
                 dominated: 50,
-                mono_pruned: 2,
                 sizes: vec![2, 2, 3, 3, 3, 3, 2, 2],
             },
         ));
@@ -961,7 +917,7 @@ mod tests {
         assert_eq!(d.tallies.enumerated, 100);
         assert_eq!(
             d.tallies.enumerated,
-            d.tallies.oom + d.tallies.nonfinite + d.tallies.feasible + d.tallies.mono_pruned
+            d.tallies.oom + d.tallies.nonfinite + d.tallies.feasible
         );
         assert_eq!(d.tallies.feasible, d.tallies.survived + d.tallies.dominated);
         assert_eq!(d.tallies.outer_total, 2);

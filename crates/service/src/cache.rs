@@ -16,10 +16,14 @@
 //! Persistence is one JSON line per entry. The vendored `serde_json`
 //! prints `f64`s in shortest round-trip form, so load → save reproduces
 //! the file byte-for-byte — the golden-testing contract the CI daemon
-//! stage relies on.
+//! stage relies on. A save after inserts only serializes the new
+//! entries: an entry's frontier export runs to megabytes, and
+//! re-serializing every cached entry made each query's save grow with
+//! the cache.
 
+use std::cell::Cell;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use mist_tuner::{FrontierExport, FrontierRecord, TuneOutcome};
@@ -66,6 +70,10 @@ pub struct CacheEntry {
 pub struct PlanCache {
     entries: Vec<CacheEntry>,
     path: Option<PathBuf>,
+    // `Some(k)` when the backing file holds exactly the lines of
+    // `entries[..k]`, as this cache last wrote them; `None` before the
+    // first save and after a replace or remove.
+    on_disk: Cell<Option<usize>>,
 }
 
 impl PlanCache {
@@ -74,6 +82,7 @@ impl PlanCache {
         PlanCache {
             entries: Vec::new(),
             path: None,
+            on_disk: Cell::new(None),
         }
     }
 
@@ -85,6 +94,7 @@ impl PlanCache {
         let mut cache = PlanCache {
             entries: Vec::new(),
             path: Some(path.clone()),
+            on_disk: Cell::new(None),
         };
         match fs::read_to_string(&path) {
             Ok(text) => {
@@ -165,6 +175,7 @@ impl PlanCache {
     pub fn insert(&mut self, entry: CacheEntry) {
         if let Some(existing) = self.entries.iter_mut().find(|e| e.exact == entry.exact) {
             *existing = entry;
+            self.on_disk.set(None);
         } else {
             self.entries.push(entry);
         }
@@ -176,29 +187,45 @@ impl PlanCache {
     pub fn remove(&mut self, exact: &str) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.exact != exact);
+        self.on_disk.set(None);
         self.entries.len() != before
     }
 
     /// The cache's JSONL serialization (one entry per line).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for entry in &self.entries {
-            out.push_str(&serde_json::to_string(entry).expect("cache entry serializes"));
-            out.push('\n');
-        }
-        out
+        jsonl(&self.entries)
     }
 
     /// Persists to the backing file (atomic: temp file + rename).
-    /// A no-op for in-memory caches.
+    /// When the file already holds the leading entries, it is copied
+    /// and only the entries inserted since are serialized. A no-op for
+    /// in-memory caches.
     pub fn save(&self) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.to_jsonl())?;
-        fs::rename(&tmp, path)
+        let written = match self.on_disk.take() {
+            Some(k) => fs::copy(path, &tmp).and_then(|_| {
+                let mut file = fs::OpenOptions::new().append(true).open(&tmp)?;
+                file.write_all(jsonl(&self.entries[k..]).as_bytes())
+            }),
+            None => fs::write(&tmp, self.to_jsonl()),
+        };
+        written.and_then(|()| fs::rename(&tmp, path))?;
+        self.on_disk.set(Some(self.entries.len()));
+        Ok(())
     }
+}
+
+/// One JSON line per entry.
+fn jsonl(entries: &[CacheEntry]) -> String {
+    let mut out = String::new();
+    for entry in entries {
+        out.push_str(&serde_json::to_string(entry).expect("cache entry serializes"));
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -294,6 +321,38 @@ mod tests {
         reloaded.save().unwrap();
         let second = fs::read_to_string(&path).unwrap();
         assert_eq!(first, second, "load → save must be byte-identical");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Saves that append, replace and remove entries leave exactly the
+    /// file a full rewrite of the current entries writes.
+    #[test]
+    fn every_save_writes_the_full_serialization() {
+        let dir = std::env::temp_dir().join(format!("mist-cache-inc-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.jsonl");
+        let mut cache = PlanCache::open(&path).unwrap();
+        let check = |cache: &PlanCache, step: &str| {
+            cache.save().unwrap();
+            assert_eq!(
+                fs::read_to_string(&path).unwrap(),
+                cache.to_jsonl(),
+                "{step}"
+            );
+        };
+        cache.insert(entry("a", "f", vec![record(1)]));
+        check(&cache, "first save");
+        cache.insert(entry("b", "f", vec![record(2)]));
+        cache.insert(entry("c", "f", vec![record(3)]));
+        check(&cache, "two appended entries");
+        check(&cache, "nothing new");
+        cache.insert(entry("b", "f", vec![record(4)]));
+        check(&cache, "replaced entry");
+        cache.remove("a");
+        check(&cache, "removed entry");
+        cache.insert(entry("d", "g", vec![record(5)]));
+        check(&cache, "appended after a rewrite");
+        assert_eq!(cache.len(), 3);
         fs::remove_dir_all(&dir).ok();
     }
 

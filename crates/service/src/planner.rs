@@ -658,6 +658,20 @@ mod tests {
     }
 
     #[test]
+    fn huge_grad_accum_cap_is_rejected_and_the_daemon_keeps_answering() {
+        // The divisor scan of `1..=min(cap, batch)` used to take ~17 s.
+        let planner = Arc::new(PlannerService::new(PlanCache::in_memory()));
+        let v = answer_within(
+            &planner,
+            r#"{"model": "gpt3-6.7b", "gpus": 8, "batch": 4611686018427387904, "max_grad_accum": 4294967295}"#,
+            10,
+        );
+        assert_eq!(field(&v, "ok"), &Value::Bool(false));
+        let pong = answer_within(&planner, r#"{"cmd": "ping"}"#, 10);
+        assert_eq!(field(&pong, "pong"), &Value::Bool(true));
+    }
+
+    #[test]
     fn handle_line_commands() {
         let planner = PlannerService::new(PlanCache::in_memory());
         let (pong, c) = planner.handle_line(r#"{"cmd": "ping"}"#);

@@ -157,8 +157,11 @@ impl PlanRequest {
                 "seed" => req.seed = want_u64(value, key)?,
                 "max_grad_accum" => {
                     let cap = want_u32(value, key)?;
-                    if cap == 0 {
-                        return Err("`max_grad_accum` must be at least 1".into());
+                    if !(1..=mist_tuner::MAX_GRAD_ACCUM).contains(&cap) {
+                        return Err(format!(
+                            "`max_grad_accum` must be in 1..={}",
+                            mist_tuner::MAX_GRAD_ACCUM
+                        ));
                     }
                     req.max_grad_accum = cap;
                 }
@@ -267,6 +270,7 @@ mod tests {
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "budget_gib": -1}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 4294967298, "batch": 8}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "max_grad_accum": 4294967304}"#,
+            r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "max_grad_accum": 65537}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "{bad} must be rejected");
         }

@@ -48,8 +48,8 @@ pub enum OuterOutcome {
 /// One typed provenance event.
 ///
 /// Counting identities the `explain` digest relies on (per
-/// `FrontierSummary`): `enumerated = oom + nonfinite + feasible +
-/// mono_pruned` and `feasible = survived + dominated` — every
+/// `FrontierSummary`): `enumerated = oom + nonfinite + feasible` and
+/// `feasible = survived + dominated` — every
 /// enumerated configuration is accounted for by exactly one outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JournalEvent {
@@ -82,33 +82,8 @@ pub enum JournalEvent {
         survived: u64,
         /// Feasible points dominated away (`feasible - survived`).
         dominated: u64,
-        /// Rows skipped without evaluation because a monotonicity proof
-        /// extrapolated an all-OOM outcome from a smaller in-flight
-        /// count (see `MonotonePrune`).
-        mono_pruned: u64,
         /// Sampled frontier size per layer count (index 0 = 1 layer).
         sizes: Vec<u32>,
-    },
-    /// One proof-licensed sweep skip: a stage candidate's layer counts
-    /// were dropped without evaluation because every row at a smaller
-    /// in-flight count was out of memory and the memory roots are
-    /// provably non-decreasing in `inflight`.
-    MonotonePrune {
-        /// Mesh nodes of the pruned candidate.
-        mesh_nodes: u32,
-        /// GPUs per node of the pruned candidate.
-        mesh_gpus: u32,
-        /// Stage role (`"First"` / `"Middle"` / `"Last"` / `"Only"`).
-        role: String,
-        /// In-flight count the skipped rows would have run at.
-        inflight: u32,
-        /// The smaller in-flight count whose all-OOM sweep licensed
-        /// the skip.
-        floor: u32,
-        /// Layer counts skipped for this candidate (ascending).
-        layers: Vec<u32>,
-        /// Sweep rows skipped (`layers × zero-modes × offload-combos`).
-        rows: u64,
     },
     /// One plan-certificate check: an independent re-derivation of a
     /// plan's memory and cost claims through the abstract-interpretation

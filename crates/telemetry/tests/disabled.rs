@@ -69,7 +69,6 @@ fn disabled_path_allocates_and_records_nothing() {
             feasible: 9,
             survived: 4,
             dominated: 5,
-            mono_pruned: 0,
             sizes: vec![1, 2, 1],
         });
     }

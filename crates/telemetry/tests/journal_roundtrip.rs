@@ -47,19 +47,14 @@ fn arb_event() -> BoxedStrategy<JournalEvent> {
     let frontier = (
         (1u32..16, 1u32..16, arb_role(), 1u32..64, 1u32..256),
         (1u32..128, 0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
-        (
-            0u64..1_000_000,
-            0u64..1_000_000,
-            0u64..1_000_000,
-            0u64..1_000_000,
-        ),
+        (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
         prop::collection::vec(0u32..1000, 0..8),
     )
         .prop_map(
             |(
                 (mesh_nodes, mesh_gpus, role, inflight, grad_accum),
                 (max_layers, enumerated, oom, nonfinite),
-                (feasible, survived, dominated, mono_pruned),
+                (feasible, survived, dominated),
                 sizes,
             )| {
                 JournalEvent::FrontierSummary {
@@ -75,7 +70,6 @@ fn arb_event() -> BoxedStrategy<JournalEvent> {
                     feasible,
                     survived,
                     dominated,
-                    mono_pruned,
                     sizes,
                 }
             },

@@ -81,6 +81,11 @@ pub struct TuneOutcome {
 /// Default cap on the gradient-accumulation sweep.
 pub const DEFAULT_MAX_GRAD_ACCUM: u32 = 256;
 
+/// Largest gradient-accumulation cap the front doors accept. The sweep
+/// scans `1..=min(cap, batch)` for divisors, so the cap bounds the work
+/// one query can ask for.
+pub const MAX_GRAD_ACCUM: u32 = 65_536;
+
 /// Top-level auto-tuner for one `(model, cluster, search space)`.
 pub struct Tuner<'a> {
     model: &'a ModelSpec,
@@ -92,7 +97,6 @@ pub struct Tuner<'a> {
     max_outer: u32,
     budget: Option<f64>,
     seed: Option<Arc<FrontierExport>>,
-    mono_prune: bool,
 }
 
 impl<'a> Tuner<'a> {
@@ -114,7 +118,6 @@ impl<'a> Tuner<'a> {
             max_outer: u32::MAX,
             budget: None,
             seed: None,
-            mono_prune: true,
         }
     }
 
@@ -144,16 +147,6 @@ impl<'a> Tuner<'a> {
     /// (see [`crate::seed`] for the soundness contract).
     pub fn with_frontier_seed(mut self, seed: Arc<FrontierExport>) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables proof-licensed monotone pruning of the
-    /// intra-stage sweep (default on). Pruning never changes the plan —
-    /// it only skips rows a monotonicity proof shows are out of memory
-    /// — so the toggle exists as the reference of the byte-identity
-    /// test.
-    pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
-        self.mono_prune = enabled;
         self
     }
 
@@ -209,7 +202,7 @@ impl<'a> Tuner<'a> {
         if let Some(seed) = &self.seed {
             intra = intra.with_seed(Arc::clone(seed));
         }
-        intra.with_monotone_prune(self.mono_prune)
+        intra
     }
 
     /// Runs the full hierarchical tuning loop.
@@ -287,10 +280,9 @@ impl<'a> Tuner<'a> {
                     let computed = {
                         let _sweep_span =
                             mist_telemetry::span!("intra.sweep", grad_accum = g, stages = s);
-                        // Batched: keys are processed in ascending
-                        // in-flight levels so monotone pruning can skip
-                        // provably-OOM rows of later levels.
-                        intra.frontiers_batch(&unique, max_layers)
+                        intra
+                            .pool()
+                            .map_ordered(unique.clone(), |k| intra.frontiers(k, max_layers))
                     };
                     stats.intra_secs += t_intra.elapsed().as_secs_f64();
                     let frontier_handles: Vec<_> = keys
@@ -402,15 +394,11 @@ impl<'a> Tuner<'a> {
         // and the publish was a no-op.
         let rej = intra.rejections();
         let mut counters: Vec<(&str, u64)> = Vec::new();
-        // Published only when a warm-start seed fired or the monotone
-        // pruner skipped rows, so cold-run telemetry stays byte-identical
-        // to older builds.
+        // Published only when a warm-start seed fired, so cold-run
+        // telemetry stays byte-identical to older builds.
         let seeded = intra.seeded_frontiers();
         if seeded > 0 {
             counters.push(("tuner.seeded_frontiers", seeded));
-        }
-        if rej.mono_pruned.value() > 0 {
-            counters.push(("tuner.rejections.mono_pruned", rej.mono_pruned.value()));
         }
         counters.extend([
             ("tuner.configs_evaluated", stats.configs_evaluated),
@@ -753,65 +741,6 @@ mod tests {
                 .counters
                 .contains_key("tuner.seeded_frontiers"),
             "cold runs must not grow new telemetry keys"
-        );
-    }
-
-    /// Monotone pruning must be invisible in the output: the plan, the
-    /// Pareto samples, and the predicted numbers are byte-identical with
-    /// pruning on and off, while the pruned run provably evaluates fewer
-    /// configurations. The workload is chosen so the memory budget is
-    /// tight enough that whole `(tape, layer-count)` groups OOM at low
-    /// in-flight and the proof-licensed floor extrapolates them away at
-    /// higher in-flight.
-    #[test]
-    fn monotone_pruning_is_byte_identical_and_cheaper() {
-        let model = gpt3(ModelSize::B6_7, 2048, AttentionImpl::Flash);
-        let cluster = ClusterSpec::for_gpu_count(Platform::GcpL4, 4);
-        let db = OpCostDb::new(GpuSpec::l4());
-        let intf = InterferenceModel::pcie_defaults();
-        let space = SearchSpace::mist();
-        let run = |prune: bool| {
-            Tuner::new(&model, &cluster, &db, &space, &intf)
-                .with_max_grad_accum(8)
-                .with_budget(3e9)
-                .with_monotone_prune(prune)
-                .tune(16)
-                .expect("6.7B at a 3 GB budget must still be tunable")
-        };
-        let off = run(false);
-        let on = run(true);
-
-        assert_eq!(
-            serde_json::to_string(&off.plan).unwrap(),
-            serde_json::to_string(&on.plan).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&off.stage_points).unwrap(),
-            serde_json::to_string(&on.stage_points).unwrap()
-        );
-        assert_eq!(
-            off.predicted_iteration.to_bits(),
-            on.predicted_iteration.to_bits()
-        );
-        assert_eq!(
-            off.predicted_throughput.to_bits(),
-            on.predicted_throughput.to_bits()
-        );
-        assert!(
-            on.stats.configs_evaluated < off.stats.configs_evaluated,
-            "pruned {} must evaluate strictly fewer configs than unpruned {}",
-            on.stats.configs_evaluated,
-            off.stats.configs_evaluated
-        );
-        assert!(
-            on.telemetry.counter("tuner.rejections.mono_pruned") > 0,
-            "the tight budget must trigger at least one proof-licensed skip"
-        );
-        assert!(
-            !off.telemetry
-                .counters
-                .contains_key("tuner.rejections.mono_pruned"),
-            "unpruned runs must not grow new telemetry keys"
         );
     }
 

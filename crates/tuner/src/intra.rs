@@ -25,7 +25,7 @@
 //!   single evaluation pass.
 //!
 //! Each `(dp, tp, b)` candidate is swept as **one columnar batch**: its
-//! rows are the retained layer counts × ZeRO levels × offload combos,
+//! rows are the layer counts × ZeRO levels × offload combos,
 //! with every knob a value column. Rows are group-major and layer-minor
 //! (`(zero, offload)` outer, `L` inner), so appending feasible rows to
 //! each layer count's list reproduces the order of a row-by-row sweep
@@ -36,7 +36,7 @@
 //! columns and materializes a [`ParetoPoint`] only for sampled rows.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mist_graph::{
     stage_roots, StageAnalyzer, StageCandidate, StageConfigValues, StagePoint, StageRole,
@@ -44,7 +44,7 @@ use mist_graph::{
 };
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
-use mist_irlint::{monotonicity, root_intervals, DomainMap, SymbolDomain};
+use mist_irlint::{root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
 use mist_schedule::stage_times;
@@ -181,13 +181,9 @@ pub(crate) struct SweepTally {
     pub oom: u64,
     /// Rows rejected because the predicted time was not finite.
     pub nonfinite: u64,
-    /// Rows skipped without evaluation because a monotonicity proof
-    /// extrapolated an all-OOM outcome from a smaller in-flight count.
-    pub mono_pruned: u64,
     /// Whether the memory budget influenced any row: a resolved `ckpt`
     /// other than the mode's budget-free choice (L under full
-    /// checkpointing, 0 otherwise; the `∞` OOM marker included), or a
-    /// mono-pruned row (an extrapolated OOM). Drives
+    /// checkpointing, 0 otherwise; the `∞` OOM marker included). Drives
     /// [`BudgetProof::Sensitive`] for warm-start reuse.
     pub budget_bound: bool,
     /// Interval-proven upper bound on peak memory across all candidates
@@ -202,7 +198,6 @@ impl Default for SweepTally {
             enumerated: 0,
             oom: 0,
             nonfinite: 0,
-            mono_pruned: 0,
             budget_bound: false,
             mem_hi: f64::NEG_INFINITY,
         }
@@ -214,7 +209,6 @@ impl SweepTally {
         self.enumerated += other.enumerated;
         self.oom += other.oom;
         self.nonfinite += other.nonfinite;
-        self.mono_pruned += other.mono_pruned;
         self.budget_bound |= other.budget_bound;
         self.mem_hi = self.mem_hi.max(other.mem_hi);
     }
@@ -231,8 +225,6 @@ pub(crate) struct RejectionCounters {
     pub nonfinite: mist_telemetry::Counter,
     /// Feasible points dominated away by Pareto reduction + sampling.
     pub dominated: mist_telemetry::Counter,
-    /// Rows skipped by proof-licensed monotone pruning.
-    pub mono_pruned: mist_telemetry::Counter,
 }
 
 impl RejectionCounters {
@@ -241,7 +233,6 @@ impl RejectionCounters {
             oom: mist_telemetry::Counter::new(),
             nonfinite: mist_telemetry::Counter::new(),
             dominated: mist_telemetry::Counter::new(),
-            mono_pruned: mist_telemetry::Counter::new(),
         }
     }
 }
@@ -260,7 +251,10 @@ pub struct IntraStageTuner<'a> {
     global_batch: u64,
     budget: f64,
     pool: Arc<ThreadPool>,
-    tape_cache: Mutex<HashMap<TapeKey, Arc<StageTapes>>>,
+    // One cell per tape key, so concurrent sweeps that share a
+    // candidate (same role, different in-flight count) wait for one
+    // analysis instead of each running their own.
+    tape_cache: Mutex<HashMap<TapeKey, Arc<OnceLock<Arc<StageTapes>>>>>,
     frontier_cache: Mutex<HashMap<FrontierKey, Arc<Vec<Vec<ParetoPoint>>>>>,
     // Warm-start seed: frontiers exported by an earlier, provably
     // compatible tune. Consulted on frontier-cache misses only.
@@ -270,30 +264,13 @@ pub struct IntraStageTuner<'a> {
     budget_proofs: Mutex<HashMap<FrontierKey, BudgetProof>>,
     // Frontier families taken from the seed instead of being swept.
     seeded: mist_telemetry::Counter,
-    // Proof-licensed monotone pruning of provably-OOM sweep rows.
-    mono_prune: bool,
-    // Committed all-OOM floors: (tape key, layer count) → smallest
-    // in-flight count at which every sweep row for that layer count was
-    // out of memory. Sound to consult only where `mono_proofs` holds
-    // (peak memory non-decreasing in `inflight`), and only committed
-    // between in-flight levels by `frontiers_batch` so results never
-    // depend on thread interleaving.
-    oom_floors: Mutex<HashMap<(TapeKey, u32), u32>>,
-    // Floors observed during the current in-flight level, merged into
-    // `oom_floors` by `commit_floors` (min-merge: order-independent).
-    pending_floors: Mutex<Vec<((TapeKey, u32), u32)>>,
-    // Per-tapes monotonicity verdict: whether both memory roots of both
-    // the full stage program and the two-root `mem_pair` are provably
-    // non-decreasing in `inflight` over the sweep domain. Keyed by the
-    // `StageTapes` address — tape Arcs live in `tape_cache` for the
-    // tuner's lifetime, so addresses are stable.
-    mono_proofs: Mutex<HashMap<usize, bool>>,
     // Interval-proven peak-memory upper bound per (tapes address,
     // inflight) — the `BudgetProof::StaticFit` derivation, cached
-    // because candidates recur across frontier keys.
+    // because candidates recur across frontier keys. Tape Arcs live in
+    // `tape_cache` for the tuner's lifetime, so addresses are stable.
     mem_hi_cache: Mutex<HashMap<(usize, u32), f64>>,
     // The exact symbol ranges this tuner's space sweeps — the domain of
-    // the monotonicity and interval analyses.
+    // the interval analysis.
     domains: DomainMap,
     // Per-instance telemetry counter (not the global registry): cache-hit
     // semantics are part of this type's contract and tests compare exact
@@ -338,10 +315,6 @@ impl<'a> IntraStageTuner<'a> {
             seed: None,
             budget_proofs: Mutex::new(HashMap::new()),
             seeded: mist_telemetry::Counter::new(),
-            mono_prune: true,
-            oom_floors: Mutex::new(HashMap::new()),
-            pending_floors: Mutex::new(Vec::new()),
-            mono_proofs: Mutex::new(HashMap::new()),
             mem_hi_cache: Mutex::new(HashMap::new()),
             domains: space.symbol_domains(model),
             configs_evaluated: mist_telemetry::Counter::new(),
@@ -355,15 +328,6 @@ impl<'a> IntraStageTuner<'a> {
     /// Overrides the per-GPU memory budget (tests, what-if studies).
     pub fn with_budget(mut self, budget: f64) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Enables or disables proof-licensed monotone pruning (default on).
-    /// Pruning never changes any frontier — it only skips evaluating
-    /// rows proven out-of-memory — so this toggle exists for A/B
-    /// studies and the byte-identity tests.
-    pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
-        self.mono_prune = enabled;
         self
     }
 
@@ -419,89 +383,6 @@ impl<'a> IntraStageTuner<'a> {
         self.budget
     }
 
-    /// Computes the frontier families of several keys at once, returning
-    /// results in input order.
-    ///
-    /// This is the entry point that activates monotone pruning across
-    /// keys: keys are grouped by in-flight count and the levels are
-    /// processed in ascending order, committing the all-OOM floors each
-    /// level discovered before the next level starts. A later level may
-    /// then skip `(candidate, layer-count)` groups whose rows are proven
-    /// out-of-memory — peak memory is non-decreasing in `inflight`
-    /// (checked per tapes by the monotonicity analysis, never assumed)
-    /// and every row already OOMed at a smaller in-flight count.
-    /// Because floors only ever cover all-OOM groups, the returned
-    /// frontiers are byte-identical to pruning disabled; only the
-    /// number of evaluated rows changes. Level-sequential commits make
-    /// that count deterministic at any thread count. With pruning
-    /// disabled, sweeps neither record nor read floors and the same
-    /// level loop just evaluates every key.
-    pub fn frontiers_batch(
-        &self,
-        keys: &[FrontierKey],
-        max_layers: u32,
-    ) -> Vec<Arc<Vec<Vec<ParetoPoint>>>> {
-        // Group by in-flight level, ascending; first-seen order within a
-        // level preserves the caller's submission order.
-        let mut levels: Vec<(u32, Vec<usize>)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match levels
-                .iter_mut()
-                .find(|(inflight, _)| *inflight == key.inflight)
-            {
-                Some((_, idxs)) => idxs.push(i),
-                None => levels.push((key.inflight, vec![i])),
-            }
-        }
-        levels.sort_by_key(|&(inflight, _)| inflight);
-        let mut results: Vec<Option<Arc<Vec<Vec<ParetoPoint>>>>> = vec![None; keys.len()];
-        for (_, idxs) in levels {
-            let level_keys: Vec<FrontierKey> = idxs.iter().map(|&i| keys[i]).collect();
-            let outs = self
-                .pool
-                .map_ordered(level_keys, |k| self.frontiers(k, max_layers));
-            for (i, out) in idxs.into_iter().zip(outs) {
-                results[i] = Some(out);
-            }
-            self.commit_floors();
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every key belongs to exactly one level"))
-            .collect()
-    }
-
-    /// Merges the floors the current level recorded into the committed
-    /// memo. Min-merge per `(tape key, layer count)`: commit order never
-    /// affects the surviving floor.
-    fn commit_floors(&self) {
-        let pending: Vec<((TapeKey, u32), u32)> = std::mem::take(&mut *self.pending_floors.lock());
-        let mut floors = self.oom_floors.lock();
-        for (key, inflight) in pending {
-            let entry = floors.entry(key).or_insert(inflight);
-            *entry = (*entry).min(inflight);
-        }
-    }
-
-    /// Whether both memory roots of both stage programs are provably
-    /// non-decreasing in `inflight` over the whole sweep domain — the
-    /// license for extrapolating an all-OOM outcome to larger in-flight
-    /// counts. Derived by the monotonicity analysis, cached per tapes.
-    fn mono_licensed(&self, tapes: &StageTapes) -> bool {
-        let ptr = tapes as *const StageTapes as usize;
-        if let Some(&hit) = self.mono_proofs.lock().get(&ptr) {
-            return hit;
-        }
-        let non_decreasing = |program| {
-            let report = monotonicity(program, &self.domains);
-            report.verdict("mem_fwd", "inflight").non_decreasing()
-                && report.verdict("mem_bwd", "inflight").non_decreasing()
-        };
-        let proven = non_decreasing(&tapes.program) && non_decreasing(&tapes.mem_pair);
-        self.mono_proofs.lock().insert(ptr, proven);
-        proven
-    }
-
     /// Interval-proven upper bound (bytes) on one candidate's peak
     /// memory over the whole sweep domain at a fixed in-flight count;
     /// `+∞` when the analysis cannot bound it. Cached per
@@ -532,10 +413,6 @@ impl<'a> IntraStageTuner<'a> {
 
     /// Returns `frontiers[l − 1]` = sampled Pareto points for a stage of
     /// `l` layers, for `l ∈ 1..=max_layers`. Results are cached per key.
-    ///
-    /// Single-key entry point: records pending all-OOM floors but never
-    /// commits them — only [`Self::frontiers_batch`] commits, between
-    /// in-flight levels, so pruning stays deterministic.
     pub fn frontiers(&self, key: FrontierKey, max_layers: u32) -> Arc<Vec<Vec<ParetoPoint>>> {
         if let Some(hit) = self.frontier_cache.lock().get(&key) {
             if hit.len() >= max_layers as usize {
@@ -675,15 +552,13 @@ impl<'a> IntraStageTuner<'a> {
 
     fn tapes(&self, cand: &StageCandidate) -> Arc<StageTapes> {
         let key: TapeKey = (cand.mesh, cand.dp, cand.tp, cand.micro_batch, cand.role);
-        if let Some(hit) = self.tape_cache.lock().get(&key) {
-            return hit.clone();
-        }
-        mist_telemetry::counter_add("intra.tape_compiles", 1);
-        let analyzer = StageAnalyzer::new(self.model, self.cluster, self.db);
-        let tapes = Arc::new(analyzer.analyze(cand));
-        // Two tasks can race to compile the same key; the first insert
-        // wins so every caller shares one allocation (`Arc::ptr_eq`).
-        self.tape_cache.lock().entry(key).or_insert(tapes).clone()
+        let cell = Arc::clone(self.tape_cache.lock().entry(key).or_default());
+        let tapes = cell.get_or_init(|| {
+            mist_telemetry::counter_add("intra.tape_compiles", 1);
+            let analyzer = StageAnalyzer::new(self.model, self.cluster, self.db);
+            Arc::new(analyzer.analyze(cand))
+        });
+        Arc::clone(tapes)
     }
 
     /// The valid `(dp, tp, b)` parallelism candidates of a mesh under
@@ -753,7 +628,7 @@ impl<'a> IntraStageTuner<'a> {
             .sum();
         debug_assert_eq!(
             tally.enumerated,
-            tally.oom + tally.nonfinite + feasible + tally.mono_pruned,
+            tally.oom + tally.nonfinite + feasible,
             "every enumerated row must be attributed to exactly one outcome"
         );
 
@@ -808,7 +683,6 @@ impl<'a> IntraStageTuner<'a> {
         self.rejections.oom.add(tally.oom);
         self.rejections.nonfinite.add(tally.nonfinite);
         self.rejections.dominated.add(dominated);
-        self.rejections.mono_pruned.add(tally.mono_pruned);
         self.frontier_size
             .set_max(sizes.iter().copied().max().unwrap_or(0) as f64);
         mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::FrontierSummary {
@@ -824,7 +698,6 @@ impl<'a> IntraStageTuner<'a> {
             feasible,
             survived,
             dominated,
-            mono_pruned: tally.mono_pruned,
             sizes: sizes.clone(),
         });
         clock.lap(phase::PARETO);
@@ -837,7 +710,7 @@ impl<'a> IntraStageTuner<'a> {
     ///
     /// Rows are group-major and layer-minor: `(zero, offload)` groups in
     /// ZeRO-outer/offload-inner order, and within a group one row per
-    /// retained layer count. Walking rows in that order appends feasible
+    /// layer count. Walking rows in that order appends feasible
     /// rows to each layer count's list in exactly the order a row-by-row
     /// `(l, zero, offload)` sweep produced, so downstream Pareto
     /// reduction sees a byte-identical input sequence.
@@ -870,58 +743,16 @@ impl<'a> IntraStageTuner<'a> {
                 ..SweepTally::default()
             },
         };
+        clock.lap(phase::ANALYSES);
         let tally = &mut sweep.tally;
         let combos = self.space.offload_combos();
         let zeros = self.space.zero_levels();
         let groups = zeros.len() * combos.len();
-        tally.enumerated += (nl * groups) as u64;
-
-        // Proof-licensed monotone pruning: a layer count whose rows
-        // *all* ran out of memory at a smaller in-flight count is
-        // skipped outright when the monotonicity analysis proved peak
-        // memory non-decreasing in `inflight` — the rows would OOM
-        // again and contribute nothing. The frontier is unchanged by
-        // construction; only the evaluated-row count shrinks.
-        let tape_key: TapeKey = (cand.mesh, cand.dp, cand.tp, cand.micro_batch, cand.role);
-        let licensed = self.mono_prune && groups > 0 && self.mono_licensed(&tapes);
-        let mut retained: Vec<u32> = Vec::with_capacity(nl);
-        let mut skipped: Vec<u32> = Vec::new();
-        let mut skip_floor = 0u32;
-        if licensed {
-            let floors = self.oom_floors.lock();
-            for l in 1..=max_layers {
-                match floors.get(&(tape_key, l)) {
-                    Some(&fl) if fl < key.inflight => {
-                        skipped.push(l);
-                        skip_floor = skip_floor.max(fl);
-                    }
-                    _ => retained.push(l),
-                }
-            }
-        } else {
-            retained.extend(1..=max_layers);
-        }
-        clock.lap(phase::ANALYSES);
-        if !skipped.is_empty() {
-            let rows = (skipped.len() * groups) as u64;
-            tally.mono_pruned += rows;
-            // Extrapolated OOMs: the budget shaped the sweep outcome.
-            tally.budget_bound = true;
-            mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::MonotonePrune {
-                mesh_nodes: key.mesh.nodes,
-                mesh_gpus: key.mesh.gpus_per_node,
-                role: format!("{:?}", key.role),
-                inflight: key.inflight,
-                floor: skip_floor,
-                layers: skipped.clone(),
-                rows,
-            });
-        }
-        if retained.is_empty() || groups == 0 {
+        let n = groups * nl;
+        tally.enumerated += n as u64;
+        if n == 0 {
             return sweep;
         }
-        let nr = retained.len();
-        let n = groups * nr;
         self.configs_evaluated.add(n as u64);
 
         // The candidate's rows as columns, group-major and layer-minor.
@@ -930,7 +761,7 @@ impl<'a> IntraStageTuner<'a> {
         let mut off_cols: [Vec<f64>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
         for &z in zeros {
             for off in &combos {
-                for &l in &retained {
+                for l in 1..=max_layers {
                     l_col.push(f64::from(l));
                     zero_col.push(f64::from(z));
                     for (col, &v) in off_cols.iter_mut().zip(off) {
@@ -982,7 +813,7 @@ impl<'a> IntraStageTuner<'a> {
                 let m1 = peaks_at(vec![1.0; n]);
                 let ml = peaks_at(l_col.clone());
                 (0..n)
-                    .map(|r| minimal_ckpt(m0[r], m1[r], ml[r], retained[r % nr], self.budget))
+                    .map(|r| minimal_ckpt(m0[r], m1[r], ml[r], (r % nl) as u32 + 1, self.budget))
                     .collect()
             }
         };
@@ -1021,16 +852,7 @@ impl<'a> IntraStageTuner<'a> {
             .collect();
         clock.lap(phase::INTERFERENCE);
 
-        // Classify every survivor in sweep order. Per retained layer count:
-        // whether any row was feasible or non-finite, and whether any
-        // OOM came from a budget recheck rather than the analytic
-        // `ckpt = ∞` path. An all-OOM layer count becomes a floor for
-        // larger in-flight counts — except under tuned checkpointing
-        // with a recheck OOM, where the resolved `ckpt` changes with
-        // `inflight` and the outcome is not directly extrapolatable.
-        let mut any_feasible = vec![false; nr];
-        let mut any_nonfinite = vec![false; nr];
-        let mut recheck_oom = vec![false; nr];
+        // Classify every survivor in sweep order.
         let (mem_fwd, mem_bwd) = if survivors.is_empty() {
             (&[][..], &[][..])
         } else {
@@ -1041,29 +863,25 @@ impl<'a> IntraStageTuner<'a> {
         };
         tally.oom += (n - survivors.len()) as u64; // No feasible checkpoint count.
         for (j, &r) in survivors.iter().enumerate() {
-            let i = r % nr;
             let mem_peak = mem_fwd[j].max(mem_bwd[j]);
             if mem_peak > self.budget {
                 tally.oom += 1;
-                recheck_oom[i] = true;
                 continue; // Conservative re-check of the linear solve.
             }
             let (t, d) = td[j];
             if !t.is_finite() {
                 tally.nonfinite += 1;
-                any_nonfinite[i] = true;
                 continue;
             }
-            any_feasible[i] = true;
-            let group = r / nr;
+            let group = r / nl;
             let off = combos[group % combos.len()];
-            let l = retained[i];
-            sweep.per_l[(l - 1) as usize].push(FeasibleRow {
+            let l = r % nl + 1;
+            sweep.per_l[l - 1].push(FeasibleRow {
                 t,
                 d,
                 mem_peak,
                 config: StageConfigValues {
-                    layers: l,
+                    layers: l as u32,
                     ckpt: ckpt_col[r] as u32,
                     zero: zeros[group / combos.len()],
                     wo: off[0],
@@ -1075,23 +893,10 @@ impl<'a> IntraStageTuner<'a> {
                 surv: j as u32,
             });
         }
-        if any_feasible.iter().any(|&f| f) {
+        if sweep.per_l.iter().any(|rows| !rows.is_empty()) {
             sweep.outputs = (0..stage_roots::COUNT)
                 .map(|root| ws.stage.output(root).to_vec())
                 .collect();
-        }
-
-        // Record new all-OOM floors for larger in-flight counts. Only
-        // pending here — `frontiers_batch` commits between levels so
-        // concurrent sweeps of the same level never observe each other.
-        if licensed {
-            let mut pending = self.pending_floors.lock();
-            for (i, &l) in retained.iter().enumerate() {
-                let extrapolatable = self.space.ckpt != CkptMode::Tuned || !recheck_oom[i];
-                if !any_feasible[i] && !any_nonfinite[i] && extrapolatable {
-                    pending.push(((tape_key, l), key.inflight));
-                }
-            }
         }
         clock.lap(phase::WALK);
         sweep
@@ -1278,8 +1083,8 @@ mod tests {
             let cache = tuner.tape_cache.lock();
             let mut v: Vec<(TapeKey, usize, usize)> = cache
                 .iter()
-                .map(|(key, t)| {
-                    let (stage, mem) = t.compiled();
+                .map(|(key, cell)| {
+                    let (stage, mem) = cell.get().expect("analyzed tapes").compiled();
                     (*key, stage as *const _ as usize, mem as *const _ as usize)
                 })
                 .collect();
@@ -1312,9 +1117,9 @@ mod tests {
     /// probes at `ckpt ∈ {0, 1, L}`, every feasible row becomes a full
     /// `ParetoPoint`, and each layer count is reduced with
     /// `pareto_frontier` + `sample_frontier`. No batched checkpoint
-    /// resolution, no survivor compaction, no monotone pruning. Also
-    /// returns whether the budget shaped some row: an OOM, or a nonzero
-    /// tuned checkpoint count.
+    /// resolution and no survivor compaction. Also returns whether the
+    /// budget shaped some row: an OOM, or a nonzero tuned checkpoint
+    /// count.
     fn oracle_frontiers(
         tuner: &IntraStageTuner<'_>,
         key: FrontierKey,
@@ -1408,11 +1213,9 @@ mod tests {
     /// exactly: byte-identical serialized frontiers, every enumerated
     /// row in the same outcome bucket, and each key's budget proof
     /// `Sensitive` exactly when the budget shaped some reference row.
-    /// Monotone pruning skips rows the reference evaluates, so its rows
-    /// must all be reference OOMs. Covers tuned (`mist`, `aceso` with its serial predictor),
-    /// full (`megatron`) and disabled checkpointing, tight to default
-    /// budgets, two in-flight levels (so pruning floors commit between
-    /// them) and 1 and 2 pool threads.
+    /// Covers tuned (`mist`, `aceso` with its serial predictor), full
+    /// (`megatron`) and disabled checkpointing, tight to default
+    /// budgets, two in-flight levels and 1 and 2 pool threads.
     #[test]
     fn columnar_sweep_matches_scalar_oracle() {
         let c = ctx();
@@ -1437,7 +1240,6 @@ mod tests {
                 grad_accum: 4,
             })
             .collect();
-        let mut pruned_somewhere = false;
         let mut oom_somewhere = false;
         for space in &spaces {
             // Which proof classes (budget-free, budget-shaped) the space saw.
@@ -1458,7 +1260,10 @@ mod tests {
                     .unzip();
                 for threads in [1, 2] {
                     let tuner = mk().with_pool(Arc::new(ThreadPool::new(threads)));
-                    let got = tuner.frontiers_batch(&keys, max_layers);
+                    let got: Vec<_> = keys
+                        .iter()
+                        .map(|&k| tuner.frontiers(k, max_layers))
+                        .collect();
                     let ctx = format!("space {} budget {budget:e} threads {threads}", space.name);
                     for (g, w) in got.iter().zip(&want_frontiers) {
                         assert_eq!(&serde_json::to_string(g.as_ref()).unwrap(), w, "{ctx}");
@@ -1474,12 +1279,10 @@ mod tests {
                         classes[usize::from(shaped)] = true;
                     }
                     let rej = tuner.rejections();
-                    let pruned = rej.mono_pruned.value();
-                    assert_eq!(tuner.configs_evaluated() + pruned, want.enumerated, "{ctx}");
-                    assert_eq!(rej.oom.value() + pruned, want.oom, "{ctx}");
+                    assert_eq!(tuner.configs_evaluated(), want.enumerated, "{ctx}");
+                    assert_eq!(rej.oom.value(), want.oom, "{ctx}");
                     assert_eq!(rej.nonfinite.value(), want.nonfinite, "{ctx}");
                     assert_eq!(rej.dominated.value(), want.dominated, "{ctx}");
-                    pruned_somewhere |= pruned > 0;
                     oom_somewhere |= rej.oom.value() > 0;
                 }
             }
@@ -1490,10 +1293,6 @@ mod tests {
             );
         }
         assert!(oom_somewhere, "some budget must reject rows as OOM");
-        assert!(
-            pruned_somewhere,
-            "some budget must exercise monotone pruning"
-        );
     }
 
     #[test]

@@ -46,9 +46,11 @@
 #      the hit and warm responses must be byte-identical to
 #      the cold one once the run-variable `work` subtree is stripped
 #      (scripts/golden_diff.py), the warm query must evaluate strictly
-#      fewer configs; two hostile queries (a GPU count past 2^31 and a
-#      sequence length that overflows tracing) must each get exactly one
-#      response within 10 s and the daemon must still answer `ping`;
+#      fewer configs; a 3 GiB-budget query must be byte-identical with
+#      and without the cache; three hostile queries (a GPU count past
+#      2^31, a sequence length that overflows tracing and a grad-accum
+#      cap past MAX_GRAD_ACCUM) must each get exactly one response
+#      within 10 s and the daemon must still answer `ping`;
 #      and the daemon must shut down cleanly (the EXIT trap kills it if
 #      the stage fails first); responses and daemon logs land in
 #      artifacts/daemon/
@@ -215,13 +217,20 @@ daemon_query cold16.json 16
 daemon_query hit16.json 16
 daemon_query warm32.json 32
 daemon_query cold32.json 32 --no-cache
+# A budget-bound answer: most rows OOM at 3 GiB, so the frontiers carry
+# budget proofs. Queried last so the cache counters checked below stay
+# those of the four queries above.
+daemon_query budget3.json 16 --budget-gib 3
+daemon_query budget3_nocache.json 16 --budget-gib 3 --no-cache
 cp "$tmpdir/daemon/"*.json artifacts/daemon/
 
 # Byte-identity once the run-variable `work` subtree is stripped: the
-# exact hit must reproduce the cold answer, and the warm-started tune
-# must reproduce an independent cold tune.
+# exact hit must reproduce the cold answer, the warm-started tune must
+# reproduce an independent cold tune, and the cached path must answer
+# the 3 GiB query exactly as a fresh tune does.
 python3 scripts/golden_diff.py "$tmpdir/daemon/cold16.json" "$tmpdir/daemon/hit16.json"
 python3 scripts/golden_diff.py "$tmpdir/daemon/cold32.json" "$tmpdir/daemon/warm32.json"
+python3 scripts/golden_diff.py "$tmpdir/daemon/budget3_nocache.json" "$tmpdir/daemon/budget3.json"
 
 # Provenance and work accounting: sources, strictly fewer configs on
 # the warm path, and the daemon's own cache counters. The daemon and
@@ -269,11 +278,14 @@ print(
 PY
 
 # Hostile queries: a GPU count past 2^31 (doubling the TP degree used
-# to wrap and spin forever) and a sequence length whose token count
+# to wrap and spin forever), a sequence length whose token count
 # overflows while tracing (used to panic the handler and drop the
-# connection). Each must get exactly one JSON response within 10 s —
-# `feasible:false` and `ok:false` respectively — and the daemon must
-# still answer `ping` afterwards.
+# connection) and a grad-accum cap past MAX_GRAD_ACCUM with a batch
+# near 2^62 (its divisor scan used to take ~17 s). Each must get
+# exactly one JSON response within 10 s — `feasible:false`, `ok:false`
+# and `ok:false` respectively — and the daemon must still answer
+# `ping` afterwards. `mist-cli query` refuses that cap itself, so the
+# third query goes to the socket as a raw request line.
 hostile_query() { # hostile_query <outfile> [extra flags...]
     local out="$1" rc=0
     shift
@@ -289,6 +301,22 @@ hostile_query() { # hostile_query <outfile> [extra flags...]
 }
 hostile_query hostile_gpus.json --gpus 4294967288
 hostile_query hostile_seq.json --gpus 8 --seq 4611686018427387904
+timeout 10 python3 - "$DAEMON_SOCK" > "$tmpdir/daemon/hostile_grad_accum.json" <<'PY' \
+    || { echo "hostile query hostile_grad_accum.json: no response within 10 s" >&2; exit 1; }
+import socket, sys
+
+with socket.socket(socket.AF_UNIX) as s:
+    s.connect(sys.argv[1])
+    s.sendall(b'{"model":"gpt3-6.7b","platform":"l4","gpus":8,'
+              b'"batch":4611686018427387904,"max_grad_accum":4294967295}\n')
+    response = b""
+    while not response.endswith(b"\n"):
+        chunk = s.recv(4096)
+        if not chunk:
+            break
+        response += chunk
+sys.stdout.write(response.decode())
+PY
 timeout 10 target/release/mist-cli query --connect "$DAEMON_SOCK" --ping \
     > "$tmpdir/daemon/ping_after_hostile.json"
 cp "$tmpdir/daemon/"hostile_*.json artifacts/daemon/
@@ -306,6 +334,8 @@ gpus = answer("hostile_gpus")
 assert gpus["ok"] is True and gpus["result"]["feasible"] is False, gpus
 seq = answer("hostile_seq")
 assert seq["ok"] is False and "sequence length" in seq["error"], seq
+grad_accum = answer("hostile_grad_accum")
+assert grad_accum["ok"] is False and "max_grad_accum" in grad_accum["error"], grad_accum
 assert answer("ping_after_hostile")["pong"] is True
 print("    hostile queries answered once each; daemon still answers ping")
 PY

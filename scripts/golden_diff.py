@@ -23,9 +23,10 @@ cold query on the GPT-3 6.7B workload — the whole point of
 warm-starting is doing less work, so a warm query that is not faster
 is a regression even if its result is byte-identical. When a committed
 history file is also given, the candidate's `tune_gpt3_6_7b_configs`
-must not exceed the last committed entry's: monotonicity-licensed
-pruning and warm-starting only ever shrink the enumerated space, so a
-configs-evaluated count that grows is a pruning regression. The
+must not exceed the last committed entry's: the tune's row count
+moves only when its search space or a sweep-skipping optimization
+changes, and those may only shrink it, so a configs-evaluated count
+that grows is a regression. The
 candidate's `stage_rows_per_sec` must also stay within 10% of the
 last committed entry's (skipped when the committed entry lacks the
 field).
