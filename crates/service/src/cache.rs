@@ -146,19 +146,17 @@ impl PlanCache {
             .collect()
     }
 
-    /// Builds the warm-start seed for a query: the union of all family
-    /// donors' frontier records, first donor wins on duplicate record
-    /// identity. Returns `None` when there are no donors or no records.
-    pub fn warm_seed(&self, family: &str, exact: &str) -> Option<FrontierExport> {
+    /// Builds the warm-start seed for a query under `budget`: the union
+    /// of all family donors' frontier records that are reusable under
+    /// that budget, first donor wins on duplicate record identity.
+    /// Returns `None` when there are no donors or no such records.
+    pub fn warm_seed(&self, family: &str, exact: &str, budget: f64) -> Option<FrontierExport> {
         let mut records: Vec<FrontierRecord> = Vec::new();
         for donor in self.family(family, exact) {
             for record in &donor.export.records {
-                if !records.iter().any(|r| {
-                    r.mesh == record.mesh
-                        && r.role == record.role
-                        && r.inflight == record.inflight
-                        && r.candidates == record.candidates
-                }) {
+                if record.reusable_under(budget)
+                    && !records.iter().any(|r| r.identity() == record.identity())
+                {
                     records.push(record.clone());
                 }
             }
@@ -231,7 +229,7 @@ fn jsonl(entries: &[CacheEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mist_tuner::SeedCandidate;
+    use mist_tuner::{BudgetProof, SeedCandidate};
 
     fn entry(exact: &str, family: &str, records: Vec<FrontierRecord>) -> CacheEntry {
         CacheEntry {
@@ -275,7 +273,7 @@ mod tests {
                 micro_batch: 4,
             }],
             budget: 22.0e9,
-            proof: mist_tuner::BudgetProof::Witness,
+            proof: BudgetProof::Fit { mem_hi: 20.0e9 },
             per_l: vec![Vec::new(); 4],
         }
     }
@@ -296,12 +294,34 @@ mod tests {
         cache.insert(entry("a", "f", vec![record(1), record(2)]));
         cache.insert(entry("b", "f", vec![record(2), record(4)])); // dup dp=2
         cache.insert(entry("c", "other", vec![record(8)]));
-        let seed = cache.warm_seed("f", "none").unwrap();
+        let seed = cache.warm_seed("f", "none", 22.0e9).unwrap();
         let dps: Vec<u32> = seed.records.iter().map(|r| r.candidates[0].dp).collect();
         assert_eq!(dps, vec![1, 2, 4], "first-donor-wins union, in order");
         // The querying entry itself is never its own donor.
-        assert!(cache.warm_seed("other", "c").is_none());
-        assert!(cache.warm_seed("unknown", "x").is_none());
+        assert!(cache.warm_seed("other", "c", 22.0e9).is_none());
+        assert!(cache.warm_seed("unknown", "x", 22.0e9).is_none());
+        // No record is reusable below its `Fit` bound.
+        assert!(cache.warm_seed("f", "none", 10.0e9).is_none());
+    }
+
+    /// A donor record the query's budget cannot reuse must not hide a
+    /// later donor's reusable record of the same identity.
+    #[test]
+    fn warm_seed_skips_records_the_budget_cannot_reuse() {
+        let mut cache = PlanCache::in_memory();
+        let tight = FrontierRecord {
+            budget: 3.0e9,
+            proof: BudgetProof::Sensitive,
+            ..record(2)
+        };
+        let exact = FrontierRecord {
+            proof: BudgetProof::Sensitive,
+            ..record(2)
+        };
+        cache.insert(entry("a", "f", vec![tight]));
+        cache.insert(entry("b", "f", vec![exact.clone()]));
+        let seed = cache.warm_seed("f", "none", exact.budget).unwrap();
+        assert_eq!(seed.records, vec![exact]);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl PlannerService {
         } else {
             self.cache
                 .lock()
-                .warm_seed(&resolved.family, &resolved.exact)
+                .warm_seed(&resolved.family, &resolved.exact, resolved.budget)
         };
         let db = OpCostDb::new(resolved.cluster.gpu.clone());
         let mut tuner = Tuner::new(
@@ -489,6 +489,20 @@ mod tests {
             configs(&warm32),
             configs(&cold32)
         );
+        assert!(work_str(&warm32, "seeded_frontiers").as_i64().unwrap() > 0);
+    }
+
+    /// A tight-budget donor queried first must not hide the records of
+    /// a default-budget donor from a later batch delta.
+    #[test]
+    fn tight_budget_donor_does_not_block_warm_start() {
+        let planner = PlannerService::new(PlanCache::in_memory());
+        let mut tight = req(16);
+        tight.budget_gib = Some(3.0);
+        planner.plan(&tight);
+        planner.plan(&req(16));
+        let warm32 = planner.plan(&req(32));
+        assert_eq!(work_str(&warm32, "source"), &Value::Str("warm".into()));
         assert!(work_str(&warm32, "seeded_frontiers").as_i64().unwrap() > 0);
     }
 

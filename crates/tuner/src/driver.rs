@@ -470,7 +470,7 @@ impl<'a> Tuner<'a> {
             global_batch,
         };
         debug_assert_eq!(plan.validate(), Ok(()));
-        let stage_points: Vec<StagePoint> = points.iter().map(|p| p.point).collect();
+        let stage_points: Vec<StagePoint> = points.iter().map(|p| intra.stage_point(p)).collect();
         // Certify the winner through the independent interval-framework
         // path; a failure here is a tuner bug, not an input error.
         let cert = crate::certify_plan(
@@ -516,7 +516,7 @@ impl<'a> Tuner<'a> {
         }
         let l = l_total / s;
         let mut best: Option<InterStageSolution> = None;
-        for (dp, tp, b) in intra.parallelism_candidates(mesh, g) {
+        for c in intra.parallelism_candidates(mesh, g) {
             for &zero in self.space.zero_levels() {
                 for off in self.space.offload_combos() {
                     // Uniform checkpoint count: smallest that fits every
@@ -532,9 +532,9 @@ impl<'a> Tuner<'a> {
                         for i in 0..s {
                             let cand = StageCandidate {
                                 mesh,
-                                dp,
-                                tp,
-                                micro_batch: b,
+                                dp: c.dp,
+                                tp: c.tp,
+                                micro_batch: c.micro_batch,
                                 role: StageRole::of(i, s),
                             };
                             let cfg = StageConfigValues {
@@ -583,6 +583,7 @@ impl<'a> Tuner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BudgetProof;
     use mist_hardware::{GpuSpec, Platform};
     use mist_models::{gpt3, AttentionImpl, ModelSize};
 
@@ -593,6 +594,17 @@ mod tests {
             OpCostDb::new(GpuSpec::l4()),
             InterferenceModel::pcie_defaults(),
         )
+    }
+
+    /// What an outcome answers, serialized: plan, stage points, predicted
+    /// iteration time (shortest round-trip, so bit for bit) and
+    /// certificate. Warm and cold tunes must agree on all of it.
+    fn answer(o: &TuneOutcome) -> String {
+        let answer = (
+            (&o.plan, &o.stage_points),
+            (o.predicted_iteration, &o.certificate),
+        );
+        serde_json::to_string(&answer).unwrap()
     }
 
     #[test]
@@ -713,18 +725,7 @@ mod tests {
             .tune(16)
             .expect("warm tune at B=16");
 
-        let plan_json = |o: &TuneOutcome| serde_json::to_string(&o.plan).unwrap();
-        let points_json = |o: &TuneOutcome| serde_json::to_string(&o.stage_points).unwrap();
-        assert_eq!(plan_json(&cold), plan_json(&warm));
-        assert_eq!(points_json(&cold), points_json(&warm));
-        assert_eq!(
-            cold.predicted_iteration.to_bits(),
-            warm.predicted_iteration.to_bits()
-        );
-        assert_eq!(
-            cold.predicted_throughput.to_bits(),
-            warm.predicted_throughput.to_bits()
-        );
+        assert_eq!(answer(&cold), answer(&warm));
         assert!(
             warm.stats.configs_evaluated < cold.stats.configs_evaluated,
             "warm {} must evaluate strictly fewer configs than cold {}",
@@ -762,10 +763,44 @@ mod tests {
             warm.stats.configs_evaluated, 0,
             "same-query warm start must not evaluate anything"
         );
-        assert_eq!(
-            serde_json::to_string(&cold.plan).unwrap(),
-            serde_json::to_string(&warm.plan).unwrap()
+        assert_eq!(answer(&cold), answer(&warm));
+    }
+
+    /// Downward budget reuse: a tune at the largest `Fit` bound of an
+    /// export, below the default budget, reuses every `Fit` family and
+    /// answers exactly as a cold tune at that budget.
+    #[test]
+    fn fit_bounds_license_downward_budget_reuse() {
+        let (model, cluster, db, intf) = setup(4);
+        let space = SearchSpace::mist();
+        let tuner = || Tuner::new(&model, &cluster, &db, &space, &intf);
+        let (_, export) = tuner().tune_with_export(8).expect("cold tune");
+        let bounds: Vec<f64> = export
+            .records
+            .iter()
+            .filter_map(|r| match r.proof {
+                BudgetProof::Fit { mem_hi } => Some(mem_hi),
+                BudgetProof::Sensitive => None,
+            })
+            .collect();
+        let budget = bounds.iter().copied().fold(0.0, f64::max);
+        assert!(
+            budget < cluster.gpu.memory_bytes,
+            "{budget} must sit below the default"
         );
+
+        let cold = tuner().with_budget(budget).tune(8).expect("cold tune");
+        let warm = tuner()
+            .with_budget(budget)
+            .with_frontier_seed(std::sync::Arc::new(export))
+            .tune(8)
+            .expect("warm tune at the bound");
+        assert_eq!(
+            warm.telemetry.counter("tuner.seeded_frontiers"),
+            bounds.len() as u64,
+            "every `Fit` family must be reused"
+        );
+        assert_eq!(answer(&cold), answer(&warm));
     }
 
     #[test]

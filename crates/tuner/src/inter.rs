@@ -373,7 +373,7 @@ pub fn enumerate_inter_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mist_graph::{StageCandidate, StageConfigValues, StagePoint, StageRole};
+    use mist_graph::{StageCandidate, StageConfigValues, StageRole};
     use mist_hardware::DeviceMesh;
 
     fn mk_point(l: u32, t: f64, d: f64) -> ParetoPoint {
@@ -389,18 +389,6 @@ mod tests {
                 role: StageRole::Middle,
             },
             config: StageConfigValues::plain(l, 1),
-            point: StagePoint {
-                mem_fwd: 1.0,
-                mem_bwd: 1.0,
-                mem_resident: 0.0,
-                mem_act_per_mb: 0.0,
-                mem_transient_fwd: 0.0,
-                mem_transient_bwd: 0.0,
-                fwd: [t / 3.0, 0.0, 0.0, 0.0],
-                bwd: [2.0 * t / 3.0, 0.0, 0.0, 0.0],
-                first_extra: [d, 0.0, 0.0, 0.0],
-                last_extra: [0.0; 4],
-            },
         }
     }
 

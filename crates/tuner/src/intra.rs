@@ -31,9 +31,8 @@
 //! each layer count's list reproduces the order of a row-by-row sweep
 //! over `(zero, offload)` groups exactly — Pareto reduction, and with it
 //! every sampled frontier, sees a byte-identical input sequence. The
-//! sweep keeps only a small `FeasibleRow` per feasible row plus the
-//! survivors' output columns; Pareto reduction runs on the `(t, d)`
-//! columns and materializes a [`ParetoPoint`] only for sampled rows.
+//! sweep keeps one small [`ParetoPoint`] per feasible row, and Pareto
+//! reduction runs on their `(t, d)` values.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -44,7 +43,6 @@ use mist_graph::{
 };
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
-use mist_irlint::{root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
 use mist_schedule::stage_times;
@@ -58,7 +56,8 @@ use crate::seed::{role_rank, BudgetProof, FrontierExport, FrontierRecord, SeedCa
 use crate::space::{CkptMode, SearchSpace};
 
 /// One sampled point of an intra-stage Pareto frontier: the `(t, d)`
-/// value plus everything needed to reconstruct and execute the plan.
+/// value plus the candidate and configuration that rebuild it
+/// ([`IntraStageTuner::stage_point`] re-evaluates its streams).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParetoPoint {
     /// Stable microbatch time (seconds).
@@ -71,8 +70,6 @@ pub struct ParetoPoint {
     pub candidate: StageCandidate,
     /// The full optimization configuration (including `layers`).
     pub config: StageConfigValues,
-    /// Evaluated stream/memory decomposition (for simulation lowering).
-    pub point: StagePoint,
 }
 
 /// Cache key of one frontier family.
@@ -94,9 +91,8 @@ type TapeKey = (DeviceMesh, u32, u32, u64, StageRole);
 /// `intra.phase_secs.<name>` gauges when the telemetry collector is on.
 /// They tile every `intra.frontier` span (each lap charges the time
 /// since the previous one), so they sum to the sweep's wall time.
-pub const SWEEP_PHASES: [&str; 7] = [
+pub const SWEEP_PHASES: [&str; 6] = [
     "tapes",
-    "analyses",
     "ckpt_resolve",
     "full_eval",
     "interference",
@@ -107,12 +103,11 @@ pub const SWEEP_PHASES: [&str; 7] = [
 /// Lap indices into [`SWEEP_PHASES`].
 mod phase {
     pub const TAPES: usize = 0;
-    pub const ANALYSES: usize = 1;
-    pub const CKPT_RESOLVE: usize = 2;
-    pub const FULL_EVAL: usize = 3;
-    pub const INTERFERENCE: usize = 4;
-    pub const WALK: usize = 5;
-    pub const PARETO: usize = 6;
+    pub const CKPT_RESOLVE: usize = 1;
+    pub const FULL_EVAL: usize = 2;
+    pub const INTERFERENCE: usize = 3;
+    pub const WALK: usize = 4;
+    pub const PARETO: usize = 5;
 }
 
 type SweepClock = PhaseClock<{ SWEEP_PHASES.len() }>;
@@ -121,43 +116,11 @@ type SweepClock = PhaseClock<{ SWEEP_PHASES.len() }>;
 /// element order.
 const OFFLOAD_SYMS: [&str; 4] = ["wo", "go", "oo", "ao"];
 
-/// One feasible sweep row, kept small until Pareto reduction decides
-/// whether it becomes a [`ParetoPoint`].
-#[derive(Debug, Clone, Copy)]
-struct FeasibleRow {
-    t: f64,
-    d: f64,
-    mem_peak: f64,
-    config: StageConfigValues,
-    /// Column of this row in its candidate's survivor outputs.
-    surv: u32,
-}
-
 /// The sweep of one `(dp, tp, b)` candidate: feasible rows per layer
-/// count (in `per_l` append order) and the 22 stage-root output columns
-/// of the rows checkpoint resolution kept, which [`FeasibleRow::surv`]
-/// indexes.
+/// count, in `per_l` append order.
 struct CandidateSweep {
-    candidate: StageCandidate,
-    per_l: Vec<Vec<FeasibleRow>>,
-    outputs: Vec<Vec<f64>>,
+    per_l: Vec<Vec<ParetoPoint>>,
     tally: SweepTally,
-}
-
-impl CandidateSweep {
-    /// Materializes feasible row `row` of layer count index `l`.
-    fn point(&self, l: usize, row: usize) -> ParetoPoint {
-        let r = &self.per_l[l][row];
-        let j = r.surv as usize;
-        ParetoPoint {
-            t: r.t,
-            d: r.d,
-            mem_peak: r.mem_peak,
-            candidate: self.candidate,
-            config: r.config,
-            point: StagePoint::from_roots(|root| self.outputs[root][j]),
-        }
-    }
 }
 
 /// One evaluation workspace per compiled program, so alternating
@@ -172,7 +135,7 @@ struct SweepWorkspaces {
 /// evaluated and merged across candidates. Plain sums (and an
 /// order-independent max for `mem_hi`), so merging is order-independent
 /// and the totals are deterministic at any thread count.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SweepTally {
     /// `(layers, zero, offload)` rows enumerated.
     pub enumerated: u64,
@@ -186,22 +149,10 @@ pub(crate) struct SweepTally {
     /// checkpointing, 0 otherwise; the `∞` OOM marker included). Drives
     /// [`BudgetProof::Sensitive`] for warm-start reuse.
     pub budget_bound: bool,
-    /// Interval-proven upper bound on peak memory across all candidates
-    /// of the sweep (`-∞` before any candidate merges in). When finite
-    /// and at most the budget, licenses [`BudgetProof::StaticFit`].
+    /// Largest peak memory `max(mem_fwd, mem_bwd)` of any row the
+    /// 22-root program evaluated (0 before any): the bound of
+    /// [`BudgetProof::Fit`].
     pub mem_hi: f64,
-}
-
-impl Default for SweepTally {
-    fn default() -> Self {
-        SweepTally {
-            enumerated: 0,
-            oom: 0,
-            nonfinite: 0,
-            budget_bound: false,
-            mem_hi: f64::NEG_INFINITY,
-        }
-    }
 }
 
 impl SweepTally {
@@ -264,14 +215,6 @@ pub struct IntraStageTuner<'a> {
     budget_proofs: Mutex<HashMap<FrontierKey, BudgetProof>>,
     // Frontier families taken from the seed instead of being swept.
     seeded: mist_telemetry::Counter,
-    // Interval-proven peak-memory upper bound per (tapes address,
-    // inflight) — the `BudgetProof::StaticFit` derivation, cached
-    // because candidates recur across frontier keys. Tape Arcs live in
-    // `tape_cache` for the tuner's lifetime, so addresses are stable.
-    mem_hi_cache: Mutex<HashMap<(usize, u32), f64>>,
-    // The exact symbol ranges this tuner's space sweeps — the domain of
-    // the interval analysis.
-    domains: DomainMap,
     // Per-instance telemetry counter (not the global registry): cache-hit
     // semantics are part of this type's contract and tests compare exact
     // counts, so the count must not leak across tuner instances.
@@ -315,8 +258,6 @@ impl<'a> IntraStageTuner<'a> {
             seed: None,
             budget_proofs: Mutex::new(HashMap::new()),
             seeded: mist_telemetry::Counter::new(),
-            mem_hi_cache: Mutex::new(HashMap::new()),
-            domains: space.symbol_domains(model),
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
             frontier_size: mist_telemetry::Gauge::new(),
@@ -383,34 +324,6 @@ impl<'a> IntraStageTuner<'a> {
         self.budget
     }
 
-    /// Interval-proven upper bound (bytes) on one candidate's peak
-    /// memory over the whole sweep domain at a fixed in-flight count;
-    /// `+∞` when the analysis cannot bound it. Cached per
-    /// `(tapes, inflight)` — candidates recur across frontier keys.
-    fn static_mem_hi(&self, tapes: &StageTapes, inflight: u32) -> f64 {
-        let ptr = tapes as *const StageTapes as usize;
-        if let Some(&hit) = self.mem_hi_cache.lock().get(&(ptr, inflight)) {
-            return hit;
-        }
-        let domains = self
-            .domains
-            .clone()
-            .declare("inflight", SymbolDomain::point(f64::from(inflight), true));
-        let mem_hi = root_intervals(&tapes.program, &domains)
-            .iter()
-            .filter(|rb| rb.label == "mem_fwd" || rb.label == "mem_bwd")
-            .map(|rb| {
-                if rb.may_nonfinite {
-                    f64::INFINITY
-                } else {
-                    rb.hi
-                }
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
-        self.mem_hi_cache.lock().insert((ptr, inflight), mem_hi);
-        mem_hi
-    }
-
     /// Returns `frontiers[l − 1]` = sampled Pareto points for a stage of
     /// `l` layers, for `l ∈ 1..=max_layers`. Results are cached per key.
     pub fn frontiers(&self, key: FrontierKey, max_layers: u32) -> Arc<Vec<Vec<ParetoPoint>>> {
@@ -437,28 +350,18 @@ impl<'a> IntraStageTuner<'a> {
     /// selection sees byte-identical input.
     fn seeded_frontier(&self, key: FrontierKey, max_layers: u32) -> Option<Vec<Vec<ParetoPoint>>> {
         let seed = self.seed.as_ref()?;
-        let cands: Vec<SeedCandidate> = self
-            .parallelism_candidates(key.mesh, key.grad_accum)
-            .into_iter()
-            .map(|(dp, tp, b)| SeedCandidate {
-                dp,
-                tp,
-                micro_batch: b,
-            })
-            .collect();
         let record = seed.lookup(
             key.mesh,
             key.role,
             key.inflight,
-            &cands,
+            &self.parallelism_candidates(key.mesh, key.grad_accum),
             self.budget,
             max_layers,
         )?;
         self.seeded.inc();
-        // The proof that licensed reuse keeps holding for the reused
-        // family: a `StaticFit` bound is budget-independent, and a
-        // `Witness` reused upward stays a witness under the larger
-        // budget; at equal budgets the proof carries over verbatim.
+        // The reused family's proof is the one a sweep under this budget
+        // would record: a `Fit` bound does not depend on the budget, and
+        // a `Sensitive` record is only reused at its own budget.
         self.budget_proofs.lock().insert(key, record.proof);
         Some(record.per_l[..max_layers as usize].to_vec())
     }
@@ -483,21 +386,11 @@ impl<'a> IntraStageTuner<'a> {
         let mut records: Vec<FrontierRecord> = Vec::new();
         for key in keys {
             let per_l = &cache[&key];
-            let candidates: Vec<SeedCandidate> = self
-                .parallelism_candidates(key.mesh, key.grad_accum)
-                .into_iter()
-                .map(|(dp, tp, b)| SeedCandidate {
-                    dp,
-                    tp,
-                    micro_batch: b,
-                })
-                .collect();
-            if records.iter().any(|r| {
-                r.mesh == key.mesh
-                    && r.role == key.role
-                    && r.inflight == key.inflight
-                    && r.candidates == candidates
-            }) {
+            let candidates = self.parallelism_candidates(key.mesh, key.grad_accum);
+            if records
+                .iter()
+                .any(|r| r.identity() == (key.mesh, key.role, key.inflight, &candidates[..]))
+            {
                 continue;
             }
             records.push(FrontierRecord {
@@ -521,8 +414,7 @@ impl<'a> IntraStageTuner<'a> {
     /// No feasibility filtering — inspect `mem_peak` yourself.
     pub fn evaluate_config(&self, cand: &StageCandidate, cfg: &StageConfigValues) -> ParetoPoint {
         self.configs_evaluated.inc();
-        let tapes = self.tapes(cand);
-        let point = tapes.eval_point(cfg);
+        let point = self.tapes(cand).eval_point(cfg);
         let (t, d) = self.stage_td(&point);
         ParetoPoint {
             t,
@@ -530,8 +422,14 @@ impl<'a> IntraStageTuner<'a> {
             mem_peak: point.mem_peak(),
             candidate: *cand,
             config: *cfg,
-            point,
         }
+    }
+
+    /// The stream/memory decomposition of a frontier point, evaluated
+    /// through the scalar reference path on its cached tapes — the same
+    /// bits the sweep's compiled rows held.
+    pub fn stage_point(&self, p: &ParetoPoint) -> StagePoint {
+        self.tapes(&p.candidate).eval_point(&p.config)
     }
 
     /// The stable microbatch time `t` and first/last delta `d` of one
@@ -562,16 +460,17 @@ impl<'a> IntraStageTuner<'a> {
     }
 
     /// The valid `(dp, tp, b)` parallelism candidates of a mesh under
-    /// gradient accumulation `g`.
-    pub fn parallelism_candidates(&self, mesh: DeviceMesh, g: u32) -> Vec<(u32, u32, u64)> {
+    /// gradient accumulation `g` — also the candidate list of a frontier
+    /// family's seed identity.
+    pub fn parallelism_candidates(&self, mesh: DeviceMesh, g: u32) -> Vec<SeedCandidate> {
         let mut out = Vec::new();
         for (dp, tp) in mesh.dp_tp_choices() {
             let denom = dp as u64 * g as u64;
             if !self.global_batch.is_multiple_of(denom) {
                 continue;
             }
-            let b = self.global_batch / denom;
-            if b == 0 || b > 512 {
+            let micro_batch = self.global_batch / denom;
+            if micro_batch == 0 || micro_batch > 512 {
                 continue;
             }
             if !self.model.heads.is_multiple_of(tp as u64)
@@ -579,7 +478,11 @@ impl<'a> IntraStageTuner<'a> {
             {
                 continue;
             }
-            out.push((dp, tp, b));
+            out.push(SeedCandidate {
+                dp,
+                tp,
+                micro_batch,
+            });
         }
         out
     }
@@ -595,11 +498,11 @@ impl<'a> IntraStageTuner<'a> {
         let cands: Vec<StageCandidate> = self
             .parallelism_candidates(key.mesh, key.grad_accum)
             .into_iter()
-            .map(|(dp, tp, b)| StageCandidate {
+            .map(|c| StageCandidate {
                 mesh: key.mesh,
-                dp,
-                tp,
-                micro_batch: b,
+                dp: c.dp,
+                tp: c.tp,
+                micro_batch: c.micro_batch,
                 role: key.role,
             })
             .collect();
@@ -632,32 +535,19 @@ impl<'a> IntraStageTuner<'a> {
             "every enumerated row must be attributed to exactly one outcome"
         );
 
-        // Pareto-reduce and sample each layer count in `(t, d)` column
-        // space; only sampled rows become `ParetoPoint`s.
+        // Pareto-reduce and sample each layer count on `(t, d)` alone.
         let mut td: Vec<(f64, f64)> = Vec::new();
-        let mut src: Vec<(usize, usize)> = Vec::new();
         let per_l: Vec<Vec<ParetoPoint>> = (0..max_layers as usize)
             .map(|l| {
-                td.clear();
-                src.clear();
-                for (c, sweep) in sweeps.iter().enumerate() {
-                    for (row, r) in sweep.per_l[l].iter().enumerate() {
-                        td.push((r.t, r.d));
-                        src.push((c, row));
-                    }
-                }
-                if td.is_empty() {
+                let rows: Vec<&ParetoPoint> = sweeps.iter().flat_map(|s| &s.per_l[l]).collect();
+                if rows.is_empty() {
                     return Vec::new();
                 }
+                td.clear();
+                td.extend(rows.iter().map(|p| (p.t, p.d)));
                 let frontier = pareto_frontier(&td);
                 let sampled = sample_frontier(&frontier, self.space.pareto_samples);
-                let mut kept: Vec<ParetoPoint> = sampled
-                    .iter()
-                    .map(|&i| {
-                        let (c, row) = src[i];
-                        sweeps[c].point(l, row)
-                    })
-                    .collect();
+                let mut kept: Vec<ParetoPoint> = sampled.iter().map(|&i| rows[i].clone()).collect();
                 kept.sort_by(|a, b| a.t.total_cmp(&b.t));
                 kept
             })
@@ -667,17 +557,12 @@ impl<'a> IntraStageTuner<'a> {
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
         let survived: u64 = sizes.iter().map(|&s| s as u64).sum();
         let dominated = feasible - survived;
-        // Strongest proof first: a static interval bound beats the
-        // sweep's own witness because it licenses downward budget reuse
-        // (and, unlike the witness, is derived rather than observed).
         let proof = if tally.budget_bound {
             BudgetProof::Sensitive
-        } else if tally.mem_hi.is_finite() && tally.mem_hi <= self.budget {
-            BudgetProof::StaticFit {
+        } else {
+            BudgetProof::Fit {
                 mem_hi: tally.mem_hi,
             }
-        } else {
-            BudgetProof::Witness
         };
         self.budget_proofs.lock().insert(key, proof);
         self.rejections.oom.add(tally.oom);
@@ -735,15 +620,9 @@ impl<'a> IntraStageTuner<'a> {
         clock.lap(phase::TAPES);
 
         let mut sweep = CandidateSweep {
-            candidate: cand,
             per_l: vec![Vec::new(); nl],
-            outputs: Vec::new(),
-            tally: SweepTally {
-                mem_hi: self.static_mem_hi(&tapes, key.inflight),
-                ..SweepTally::default()
-            },
+            tally: SweepTally::default(),
         };
-        clock.lap(phase::ANALYSES);
         let tally = &mut sweep.tally;
         let combos = self.space.offload_combos();
         let zeros = self.space.zero_levels();
@@ -832,16 +711,16 @@ impl<'a> IntraStageTuner<'a> {
         // One 22-root pass over the survivors, compacted in row order.
         if !survivors.is_empty() {
             let gather = |col: &[f64]| survivors.iter().map(|&r| col[r]).collect::<Vec<f64>>();
-            let mut surv = BatchBindings::new(survivors.len());
-            surv.set_values("L", gather(&l_col));
-            surv.set_values("ckpt", gather(&ckpt_col));
-            surv.set_values("zero", gather(&zero_col));
+            let mut compact = BatchBindings::new(survivors.len());
+            compact.set_values("L", gather(&l_col));
+            compact.set_values("ckpt", gather(&ckpt_col));
+            compact.set_values("zero", gather(&zero_col));
             for (name, col) in OFFLOAD_SYMS.iter().zip(&off_cols) {
-                surv.set_values(name, gather(col));
+                compact.set_values(name, gather(col));
             }
-            surv.set_scalar("inflight", f64::from(key.inflight));
+            compact.set_scalar("inflight", f64::from(key.inflight));
             stage
-                .eval_batch(&surv, &mut ws.stage)
+                .eval_batch(&compact, &mut ws.stage)
                 .expect("compiled stage program");
         }
         clock.lap(phase::FULL_EVAL);
@@ -864,6 +743,7 @@ impl<'a> IntraStageTuner<'a> {
         tally.oom += (n - survivors.len()) as u64; // No feasible checkpoint count.
         for (j, &r) in survivors.iter().enumerate() {
             let mem_peak = mem_fwd[j].max(mem_bwd[j]);
+            tally.mem_hi = tally.mem_hi.max(mem_peak);
             if mem_peak > self.budget {
                 tally.oom += 1;
                 continue; // Conservative re-check of the linear solve.
@@ -876,10 +756,11 @@ impl<'a> IntraStageTuner<'a> {
             let group = r / nl;
             let off = combos[group % combos.len()];
             let l = r % nl + 1;
-            sweep.per_l[l - 1].push(FeasibleRow {
+            sweep.per_l[l - 1].push(ParetoPoint {
                 t,
                 d,
                 mem_peak,
+                candidate: cand,
                 config: StageConfigValues {
                     layers: l as u32,
                     ckpt: ckpt_col[r] as u32,
@@ -890,13 +771,7 @@ impl<'a> IntraStageTuner<'a> {
                     ao: off[3],
                     inflight: key.inflight,
                 },
-                surv: j as u32,
             });
-        }
-        if sweep.per_l.iter().any(|rows| !rows.is_empty()) {
-            sweep.outputs = (0..stage_roots::COUNT)
-                .map(|root| ws.stage.output(root).to_vec())
-                .collect();
         }
         clock.lap(phase::WALK);
         sweep
@@ -1048,9 +923,8 @@ mod tests {
     }
 
     /// End-to-end exactness of the columnar sweep: every frontier
-    /// point's evaluated [`StagePoint`] must be bit-identical
-    /// to re-evaluating its configuration through the *original* fused
-    /// program's scalar path.
+    /// point must be bit-identical to re-evaluating its configuration
+    /// through the *original* fused program's scalar path.
     #[test]
     fn specialized_sweep_matches_scalar_reference_exactly() {
         let c = ctx();
@@ -1061,8 +935,13 @@ mod tests {
             let mut checked = 0usize;
             for per_l in fr.iter() {
                 for p in per_l {
-                    let reference = tuner.tapes(&p.candidate).eval_point(&p.config);
-                    assert_eq!(p.point, reference, "space {}: {:?}", space.name, p.config);
+                    let reference = tuner.evaluate_config(&p.candidate, &p.config);
+                    assert_eq!(
+                        format!("{p:?}"),
+                        format!("{reference:?}"),
+                        "space {}",
+                        space.name
+                    );
                     checked += 1;
                 }
             }
@@ -1117,25 +996,27 @@ mod tests {
     /// probes at `ckpt ∈ {0, 1, L}`, every feasible row becomes a full
     /// `ParetoPoint`, and each layer count is reduced with
     /// `pareto_frontier` + `sample_frontier`. No batched checkpoint
-    /// resolution and no survivor compaction. Also returns whether the
-    /// budget shaped some row: an OOM, or a nonzero tuned checkpoint
-    /// count.
+    /// resolution and no survivor compaction. Also returns the key's
+    /// budget proof: `Sensitive` when the budget shaped some row (an
+    /// OOM, or a nonzero tuned checkpoint count), otherwise `Fit` with
+    /// the largest peak memory of the non-OOM rows.
     fn oracle_frontiers(
         tuner: &IntraStageTuner<'_>,
         key: FrontierKey,
         max_layers: u32,
         tally: &mut OracleTally,
-    ) -> (Vec<Vec<ParetoPoint>>, bool) {
+    ) -> (Vec<Vec<ParetoPoint>>, BudgetProof) {
         let space = tuner.space;
         let budget = tuner.budget();
         let mut shaped = false;
+        let mut mem_hi = 0.0f64;
         let mut per_l: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
-        for (dp, tp, b) in tuner.parallelism_candidates(key.mesh, key.grad_accum) {
+        for c in tuner.parallelism_candidates(key.mesh, key.grad_accum) {
             let cand = StageCandidate {
                 mesh: key.mesh,
-                dp,
-                tp,
-                micro_batch: b,
+                dp: c.dp,
+                tp: c.tp,
+                micro_batch: c.micro_batch,
                 role: key.role,
             };
             let tapes = tuner.tapes(&cand);
@@ -1172,6 +1053,7 @@ mod tests {
                             shaped = true;
                             continue;
                         }
+                        mem_hi = mem_hi.max(point.mem_peak());
                         let (t, d) = if space.overlap_aware {
                             let st = stage_times(&point, tuner.interference);
                             (st.t, st.d)
@@ -1192,7 +1074,6 @@ mod tests {
                             mem_peak: point.mem_peak(),
                             candidate: cand,
                             config,
-                            point,
                         });
                     }
                 }
@@ -1206,13 +1087,20 @@ mod tests {
             tally.dominated += (points.len() - kept.len()) as u64;
             *points = kept;
         }
-        (per_l, shaped)
+        let proof = if shaped {
+            BudgetProof::Sensitive
+        } else {
+            BudgetProof::Fit { mem_hi }
+        };
+        (per_l, proof)
     }
 
     /// The columnar sweep must reproduce the scalar reference sweep
     /// exactly: byte-identical serialized frontiers, every enumerated
     /// row in the same outcome bucket, and each key's budget proof
-    /// `Sensitive` exactly when the budget shaped some reference row.
+    /// bitwise equal to the reference's: `Sensitive` exactly when the
+    /// budget shaped some reference row, `Fit` with the reference's
+    /// largest non-OOM peak otherwise.
     /// Covers tuned (`mist`, `aceso` with its serial predictor), full
     /// (`megatron`) and disabled checkpointing, tight to default
     /// budgets, two in-flight levels and 1 and 2 pool threads.
@@ -1251,11 +1139,11 @@ mod tests {
                 };
                 let reference = mk();
                 let mut want = OracleTally::default();
-                let (want_frontiers, want_shaped): (Vec<String>, Vec<bool>) = keys
+                let (want_frontiers, want_proofs): (Vec<String>, Vec<BudgetProof>) = keys
                     .iter()
                     .map(|&k| {
-                        let (f, shaped) = oracle_frontiers(&reference, k, max_layers, &mut want);
-                        (serde_json::to_string(&f).unwrap(), shaped)
+                        let (f, proof) = oracle_frontiers(&reference, k, max_layers, &mut want);
+                        (serde_json::to_string(&f).unwrap(), proof)
                     })
                     .unzip();
                 for threads in [1, 2] {
@@ -1268,15 +1156,15 @@ mod tests {
                     for (g, w) in got.iter().zip(&want_frontiers) {
                         assert_eq!(&serde_json::to_string(g.as_ref()).unwrap(), w, "{ctx}");
                     }
-                    for (k, &shaped) in keys.iter().zip(&want_shaped) {
+                    for (k, want_proof) in keys.iter().zip(&want_proofs) {
                         let proof = tuner.budget_proofs.lock()[k];
-                        let sensitive = proof == BudgetProof::Sensitive;
                         assert_eq!(
-                            sensitive, shaped,
-                            "{ctx} inflight {}: {proof:?}",
+                            format!("{proof:?}"),
+                            format!("{want_proof:?}"),
+                            "{ctx} inflight {}",
                             k.inflight
                         );
-                        classes[usize::from(shaped)] = true;
+                        classes[usize::from(proof == BudgetProof::Sensitive)] = true;
                     }
                     let rej = tuner.rejections();
                     assert_eq!(tuner.configs_evaluated(), want.enumerated, "{ctx}");
@@ -1303,9 +1191,9 @@ mod tests {
         // B=6, mesh 4 GPUs: dp=4 needs 6 % (4·G) == 0 — fails for G=1; dp=2
         // works (b=3); dp=1 works (b=6).
         let cands = tuner.parallelism_candidates(DeviceMesh::new(1, 4), 1);
-        assert!(cands.iter().all(|&(dp, _, b)| dp as u64 * b == 6));
-        assert!(cands.iter().any(|&(dp, _, _)| dp == 2));
-        assert!(!cands.iter().any(|&(dp, _, _)| dp == 4));
+        assert!(cands.iter().all(|c| c.dp as u64 * c.micro_batch == 6));
+        assert!(cands.iter().any(|c| c.dp == 2));
+        assert!(!cands.iter().any(|c| c.dp == 4));
     }
 
     #[test]
@@ -1375,12 +1263,12 @@ mod pruning_tests {
                 continue;
             };
             let mut best_exhaustive = f64::INFINITY;
-            for (dp, tp, b) in tuner.parallelism_candidates(mesh, 4) {
+            for c in tuner.parallelism_candidates(mesh, 4) {
                 let cand = StageCandidate {
                     mesh,
-                    dp,
-                    tp,
-                    micro_batch: b,
+                    dp: c.dp,
+                    tp: c.tp,
+                    micro_batch: c.micro_batch,
                     role: StageRole::Only,
                 };
                 for zero in 0..=3u8 {

@@ -27,24 +27,23 @@
 //! fingerprints.
 //!
 //! Budget deltas are governed by a [`BudgetProof`] attached to each
-//! record, strongest first:
+//! record:
 //!
-//! * [`BudgetProof::StaticFit`] — interval analysis over the sweep
-//!   domain proved every candidate's peak memory is at most `mem_hi`
-//!   bytes, so memory cannot influence any row under *any* budget
-//!   `>= mem_hi`, including budgets **below** the recorded one. This
-//!   is the derived replacement for the old hand-written
-//!   `budget_sensitive` flag: the claim comes out of the
-//!   abstract-interpretation framework, not out of instrumenting the
-//!   sweep.
-//! * [`BudgetProof::Witness`] — the sweep itself observed that memory
-//!   never bit (no OOM rejection and, under tuned checkpointing, every
-//!   resolved `ckpt` equal to zero). Sound *upward* only: a smaller
-//!   budget could have rejected rows the witness run kept.
+//! * [`BudgetProof::Fit`] — memory shaped no row: every row resolved to
+//!   its mode's budget-free `ckpt` (no OOM rejection and, under tuned
+//!   checkpointing, every resolved `ckpt` zero). `mem_hi` is the largest
+//!   peak memory of any row the 22-root stage program evaluated. That
+//!   program reproduces the checkpoint probes' memory roots bit for bit,
+//!   so under any budget `>= mem_hi` — below the recorded one included —
+//!   every row resolves and classifies exactly as it did.
 //! * [`BudgetProof::Sensitive`] — memory influenced at least one row;
 //!   only the exact recorded budget reproduces the sweep.
 //!
 //! [`FrontierRecord::reusable_under`] applies the rule.
+//!
+//! Frontier points carry `(t, d, mem_peak)` and the configuration that
+//! rebuilds them, not their evaluated [`mist_graph::StagePoint`]s: the
+//! driver re-evaluates the winning plan's few points on demand.
 
 use mist_graph::StageRole;
 use mist_hardware::DeviceMesh;
@@ -54,21 +53,16 @@ use crate::intra::ParetoPoint;
 
 /// Why (and under which budgets) a cached frontier record reproduces
 /// the sweep that produced it. See the module docs for the soundness
-/// argument behind each variant.
+/// argument.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BudgetProof {
-    /// Interval analysis bounded every candidate's peak memory by
-    /// `mem_hi` bytes over the whole sweep domain: the rows are
-    /// budget-independent under any budget `>= mem_hi`, even below
-    /// the recorded one.
-    StaticFit {
-        /// Proven upper bound on peak memory (bytes) across all
-        /// enumerated candidates and sweep points.
+    /// Memory shaped no row: the rows are budget-independent under any
+    /// budget `>= mem_hi`, even below the recorded one.
+    Fit {
+        /// Largest peak memory (bytes) of any row the stage program
+        /// evaluated; 0 for a sweep without such rows.
         mem_hi: f64,
     },
-    /// The sweep observed that memory never influenced a row; sound
-    /// for budgets at or above the recorded one only.
-    Witness,
     /// Memory influenced at least one row (OOM rejection or a nonzero
     /// tuned checkpoint count); exact budget match required.
     Sensitive,
@@ -109,15 +103,17 @@ pub struct FrontierRecord {
 }
 
 impl FrontierRecord {
+    /// The seed identity `(mesh, role, inflight, candidates)`: two
+    /// records with equal identities describe the same sweep rows.
+    pub fn identity(&self) -> (DeviceMesh, StageRole, u32, &[SeedCandidate]) {
+        (self.mesh, self.role, self.inflight, &self.candidates)
+    }
+
     /// Whether this record's frontiers are exactly what a sweep under
     /// `budget` would produce.
     pub fn reusable_under(&self, budget: f64) -> bool {
         budget == self.budget
-            || match self.proof {
-                BudgetProof::Sensitive => false,
-                BudgetProof::Witness => budget >= self.budget,
-                BudgetProof::StaticFit { mem_hi } => budget >= mem_hi,
-            }
+            || matches!(self.proof, BudgetProof::Fit { mem_hi } if budget >= mem_hi)
     }
 }
 
@@ -160,10 +156,7 @@ impl FrontierExport {
         max_layers: u32,
     ) -> Option<&FrontierRecord> {
         self.records.iter().find(|r| {
-            r.mesh == mesh
-                && r.role == role
-                && r.inflight == inflight
-                && r.candidates == candidates
+            r.identity() == (mesh, role, inflight, candidates)
                 && r.per_l.len() >= max_layers as usize
                 && r.reusable_under(budget)
         })
@@ -192,27 +185,20 @@ mod tests {
 
     #[test]
     fn budget_reuse_rules() {
-        let witness = record(10.0, BudgetProof::Witness);
-        assert!(witness.reusable_under(10.0));
-        assert!(witness.reusable_under(20.0), "upward reuse is sound");
-        assert!(!witness.reusable_under(5.0), "downward reuse is not");
         let sensitive = record(10.0, BudgetProof::Sensitive);
         assert!(sensitive.reusable_under(10.0), "exact budget always ok");
         assert!(!sensitive.reusable_under(20.0));
         assert!(!sensitive.reusable_under(5.0));
-        let proven = record(10.0, BudgetProof::StaticFit { mem_hi: 4.0 });
-        assert!(proven.reusable_under(10.0));
-        assert!(proven.reusable_under(20.0));
-        assert!(
-            proven.reusable_under(5.0),
-            "static fit licenses downward reuse to mem_hi"
-        );
-        assert!(!proven.reusable_under(3.0), "but never below the bound");
+        let fit = record(10.0, BudgetProof::Fit { mem_hi: 4.0 });
+        assert!(fit.reusable_under(10.0));
+        assert!(fit.reusable_under(20.0), "upward reuse is sound");
+        assert!(fit.reusable_under(4.0), "and downward reuse to mem_hi");
+        assert!(!fit.reusable_under(3.0), "but never below the bound");
     }
 
     #[test]
     fn lookup_requires_exact_candidates_and_length() {
-        let rec = record(10.0, BudgetProof::Witness);
+        let rec = record(10.0, BudgetProof::Fit { mem_hi: 4.0 });
         let export = FrontierExport {
             records: vec![rec.clone()],
         };

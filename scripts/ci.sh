@@ -46,10 +46,12 @@
 #      the hit and warm responses must be byte-identical to
 #      the cold one once the run-variable `work` subtree is stripped
 #      (scripts/golden_diff.py), the warm query must evaluate strictly
-#      fewer configs; a 3 GiB-budget query must be byte-identical with
-#      and without the cache; three hostile queries (a GPU count past
-#      2^31, a sequence length that overflows tracing and a grad-accum
-#      cap past MAX_GRAD_ACCUM) must each get exactly one response
+#      fewer configs; a 3 GiB-budget query and a 20 GiB-budget query
+#      (below the default, so only budget-proof-licensed families are
+#      reused) must each be byte-identical with and without the cache;
+#      three hostile queries (a GPU count past 2^31, a sequence length
+#      that overflows tracing and a grad-accum cap past MAX_GRAD_ACCUM)
+#      must each get exactly one response
 #      within 10 s and the daemon must still answer `ping`;
 #      and the daemon must shut down cleanly (the EXIT trap kills it if
 #      the stage fails first); responses and daemon logs land in
@@ -222,15 +224,20 @@ daemon_query cold32.json 32 --no-cache
 # those of the four queries above.
 daemon_query budget3.json 16 --budget-gib 3
 daemon_query budget3_nocache.json 16 --budget-gib 3 --no-cache
+# Downward budget reuse: 20 GiB sits below the default budget, so only
+# families whose `Fit` bound is at most 20 GiB may come from the cache.
+daemon_query budget20.json 16 --budget-gib 20
+daemon_query budget20_nocache.json 16 --budget-gib 20 --no-cache
 cp "$tmpdir/daemon/"*.json artifacts/daemon/
 
 # Byte-identity once the run-variable `work` subtree is stripped: the
 # exact hit must reproduce the cold answer, the warm-started tune must
 # reproduce an independent cold tune, and the cached path must answer
-# the 3 GiB query exactly as a fresh tune does.
+# the 3 GiB and 20 GiB queries exactly as a fresh tune does.
 python3 scripts/golden_diff.py "$tmpdir/daemon/cold16.json" "$tmpdir/daemon/hit16.json"
 python3 scripts/golden_diff.py "$tmpdir/daemon/cold32.json" "$tmpdir/daemon/warm32.json"
 python3 scripts/golden_diff.py "$tmpdir/daemon/budget3_nocache.json" "$tmpdir/daemon/budget3.json"
+python3 scripts/golden_diff.py "$tmpdir/daemon/budget20_nocache.json" "$tmpdir/daemon/budget20.json"
 
 # Provenance and work accounting: sources, strictly fewer configs on
 # the warm path, and the daemon's own cache counters. The daemon and

@@ -59,7 +59,6 @@ TIMING_FIELDS = {
     # The intra-stage sweep's phase split (recorded only while the
     # telemetry collector is on).
     "intra.phase_secs.tapes",
-    "intra.phase_secs.analyses",
     "intra.phase_secs.ckpt_resolve",
     "intra.phase_secs.full_eval",
     "intra.phase_secs.interference",

@@ -230,8 +230,8 @@ fn saved_cache_with_a_real_entry_reopens_and_round_trips() {
     let cache_path = dir.join("plans.jsonl");
     let req = PlanRequest {
         model: "gpt3-2.6b".to_owned(),
-        gpus: 4,
-        batch: 16,
+        gpus: 8,
+        batch: 32,
         max_grad_accum: 8,
         ..PlanRequest::default()
     };
