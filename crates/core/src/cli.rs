@@ -167,6 +167,14 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// A per-GPU memory budget in GiB whose byte count is positive and
+    /// finite ([`mist_hardware::budget_bytes`]).
+    fn budget_gib(&mut self, flag: &str) -> Result<f64, String> {
+        let gib = self.parse(flag)?;
+        mist_hardware::budget_bytes(gib).map_err(|e| format!("{flag} {e}"))?;
+        Ok(gib)
+    }
+
     /// A gradient-accumulation cap: positive and at most
     /// [`mist_tuner::MAX_GRAD_ACCUM`].
     fn grad_accum_cap(&mut self, flag: &str) -> Result<u32, String> {
@@ -657,7 +665,7 @@ fn parse_verify_args(argv: &[String]) -> Result<VerifyArgs, String> {
             "--space" => args.space = space_preset(&flags.value(arg)?)?,
             "--seq" => args.seq = Some(flags.positive(arg)?),
             "--no-flash" => args.attention = AttentionImpl::Standard,
-            "--budget-gib" => args.budget_gib = Some(flags.positive(arg)?),
+            "--budget-gib" => args.budget_gib = Some(flags.budget_gib(arg)?),
             "--max-grad-accum" => args.max_grad_accum = flags.grad_accum_cap(arg)?,
             "--max-outer-candidates" => args.max_outer = Some(flags.positive(arg)?),
             "--threads" => args.threads = Some(flags.positive(arg)?),
@@ -679,9 +687,10 @@ fn run_verify_plan(args: VerifyArgs) -> Result<bool, String> {
     let seq = args.seq.unwrap_or(args.platform.default_seq());
     let models = model_presets(args.model.as_deref(), seq, args.attention)?;
     let cluster = ClusterSpec::for_gpu_count(args.platform, args.gpus);
-    let budget = args
-        .budget_gib
-        .map_or(cluster.gpu.memory_bytes, |gib| gib * GIB);
+    let budget = match args.budget_gib {
+        Some(gib) => mist_hardware::budget_bytes(gib).map_err(|e| format!("--budget-gib {e}"))?,
+        None => cluster.gpu.memory_bytes,
+    };
     // One calibration for the whole sweep.
     let interference = mist_sim::calibrate(args.platform, mist_sim::DEFAULT_SEED);
     let db = OpCostDb::new(cluster.gpu.clone());
@@ -855,7 +864,7 @@ fn parse_query_args(argv: &[String]) -> Result<QueryArgs, String> {
                     "--batch" => req.batch = flags.parse(arg)?,
                     "--space" => req.space = flags.value(arg)?,
                     "--seq" => req.seq = Some(flags.parse(arg)?),
-                    "--budget-gib" => req.budget_gib = Some(flags.positive(arg)?),
+                    "--budget-gib" => req.budget_gib = Some(flags.budget_gib(arg)?),
                     "--qos" => req.qos = mist_service::Qos::parse(&flags.value(arg)?)?,
                     "--no-cache" => req.no_cache = true,
                     "--no-flash" => req.flash = false,
@@ -1096,7 +1105,12 @@ mod tests {
         assert_eq!(a.gpus, 8);
         assert_eq!(a.max_outer, Some(4));
         assert!(a.json);
-        assert!(parse_verify_args(&sv(&["--budget-gib", "0"])).is_err());
+        for budget in ["0", "1e300", "inf"] {
+            assert!(
+                parse_verify_args(&sv(&["--budget-gib", budget])).is_err(),
+                "--budget-gib {budget}"
+            );
+        }
         assert!(parse_verify_args(&sv(&["--bogus"])).is_err());
         // Out-of-range integers are errors, never truncations.
         for flag in ["--gpus", "--max-grad-accum", "--max-outer-candidates"] {
@@ -1154,6 +1168,25 @@ mod tests {
             .is_err(),
             "--gpus out of u32 range must not truncate"
         );
+
+        for budget in ["1e300", "inf"] {
+            assert!(
+                parse_query_args(&sv(&[
+                    "--connect",
+                    "x:1",
+                    "--model",
+                    "gpt3-1.3b",
+                    "--gpus",
+                    "2",
+                    "--batch",
+                    "8",
+                    "--budget-gib",
+                    budget,
+                ]))
+                .is_err(),
+                "--budget-gib {budget} has no finite byte count"
+            );
+        }
 
         let ping = parse_query_args(&sv(&["--connect", "x:1", "--ping"])).unwrap();
         assert_eq!(ping.line, "{\"cmd\": \"ping\"}");

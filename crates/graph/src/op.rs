@@ -41,10 +41,3 @@ pub struct TracedOp {
     /// Bytes stashed for the backward pass.
     pub saved_bytes: f64,
 }
-
-impl TracedOp {
-    /// True if this op launches a compute kernel.
-    pub fn is_compute(&self) -> bool {
-        matches!(self.kind, TracedOpKind::Compute { .. })
-    }
-}

@@ -28,3 +28,17 @@ pub use opcost::{OpCostDb, OpKind, OpQuery};
 
 /// Bytes per GiB, used throughout memory accounting.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+
+/// A per-GPU memory budget given in GiB, in bytes. The byte count must
+/// be positive and finite: `1e300` GiB overflows to `+∞` bytes, which
+/// no JSON writer can record.
+pub fn budget_bytes(gib: f64) -> Result<f64, String> {
+    let bytes = gib * GIB;
+    if gib > 0.0 && bytes.is_finite() {
+        Ok(bytes)
+    } else {
+        Err(format!(
+            "must be a positive number of GiB with a finite byte count, got {gib:?}"
+        ))
+    }
+}

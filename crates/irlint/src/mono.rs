@@ -77,12 +77,6 @@ impl Mono {
     pub fn non_decreasing(self) -> bool {
         matches!(self, Mono::Constant | Mono::Increasing)
     }
-
-    /// Whether the value provably never increases as the symbol
-    /// increases (`Constant` or `Decreasing`).
-    pub fn non_increasing(self) -> bool {
-        matches!(self, Mono::Constant | Mono::Decreasing)
-    }
 }
 
 impl fmt::Display for Mono {

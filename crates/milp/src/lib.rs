@@ -1,26 +1,8 @@
-//! A small Mixed-Integer Linear Programming toolkit.
+//! Empty on purpose.
 //!
-//! The paper reformulates inter-stage tuning (Eq. 2) as an MILP and hands
-//! it to the off-the-shelf CBC solver [28]. CBC does not exist in this
-//! offline Rust environment, so this crate is the substitute substrate:
-//!
-//! * [`Lp`] / [`solve_lp`] — dense two-phase primal simplex with Bland's
-//!   anti-cycling rule, variable bounds, and ≤/≥/= constraints.
-//! * [`Milp`] / [`solve_milp`] — best-first branch-and-bound on the LP
-//!   relaxation with most-fractional branching and incumbent pruning.
-//! * [`partition_min_max`] — an exact dynamic program for the ordered
-//!   partition structure of pipeline-stage problems, used by the tuner as
-//!   an independent cross-check of the MILP solutions.
-//!
-//! Problem sizes in Mist are modest (thousands of binaries, dozens of
-//! rows), well within reach of a textbook implementation.
-
-mod branch_bound;
-mod dp;
-mod lp;
-mod simplex;
-
-pub use branch_bound::{solve_milp, solve_milp_on, Milp, MilpOptions, MilpOutcome};
-pub use dp::partition_min_max;
-pub use lp::{Constraint, ConstraintOp, Lp, LpOutcome};
-pub use simplex::solve_lp;
+//! The inter-stage tuner solves Eq. 2 with an exact dynamic program
+//! (`mist_tuner::solve_inter_stage`), so this package holds no code. It
+//! stays, with its dependency edges, only because `perfbench/Cargo.lock`
+//! records them: without the package, the benchmark's unlocked build
+//! would rewrite that lock file. The benchmark change that refreshes the
+//! lock removes this package.

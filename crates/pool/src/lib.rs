@@ -1,20 +1,19 @@
 //! A small work-stealing thread pool with deterministic ordered joins.
 //!
 //! The tuner's hot loop — the intra-stage frontier sweep — decomposes
-//! into coarse independent tasks (as does `mist-milp`'s branch-and-bound).
-//! This crate runs them on `std::thread` workers with per-worker deques
-//! and a global injector, exposing two primitives:
+//! into coarse independent tasks. This crate runs them on `std::thread`
+//! workers with per-worker deques and a global injector, exposing one
+//! primitive, [`ThreadPool::map_ordered`], the deterministic join: each
+//! item carries its submission index and results are merged back in
+//! submission order, so the output is byte-identical regardless of
+//! thread count or steal interleaving.
 //!
-//! - [`ThreadPool::scope`], a structured-concurrency scope in the style
-//!   of `std::thread::scope`: tasks may borrow from the caller's stack,
-//!   and the scope does not return until every spawned task finished.
-//!   The scope owner *helps* execute tasks while waiting, so nested
-//!   scopes (a pool task opening its own scope) cannot deadlock and a
-//!   1-thread pool degenerates to plain sequential execution.
-//! - [`ThreadPool::map_ordered`], the deterministic join: each item
-//!   carries its submission index and results are merged back in
-//!   submission order, so the output is byte-identical regardless of
-//!   thread count or steal interleaving.
+//! Internally each join is a structured-concurrency scope in the style
+//! of `std::thread::scope`: tasks may borrow from the caller's stack,
+//! and the scope does not return until every spawned task finished.
+//! The scope owner *helps* execute tasks while waiting, so nested joins
+//! (a pool task fanning out its own items) cannot deadlock and a
+//! 1-thread pool degenerates to plain sequential execution.
 //!
 //! Scheduling: a task spawned from a worker goes to that worker's own
 //! deque (popped LIFO for locality); tasks from outside go to the global
@@ -173,7 +172,7 @@ impl ScopeState {
 /// Spawn handle passed to the closure of [`ThreadPool::scope`]. Mirrors
 /// `std::thread::Scope`: spawned tasks may borrow anything that outlives
 /// the scope.
-pub struct Scope<'scope, 'env: 'scope> {
+pub(crate) struct Scope<'scope, 'env: 'scope> {
     pool: &'env ThreadPool,
     state: Arc<ScopeState>,
     /// Invariance over 'scope, exactly as in `std::thread::Scope`.
@@ -184,7 +183,7 @@ pub struct Scope<'scope, 'env: 'scope> {
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Submits `f` to the pool. The task starts at the scheduler's
     /// discretion and is guaranteed to finish before `scope` returns.
-    pub fn spawn<F>(&'scope self, f: F)
+    pub(crate) fn spawn<F>(&'scope self, f: F)
     where
         F: FnOnce() + Send + 'scope,
     {
@@ -279,7 +278,7 @@ impl ThreadPool {
     /// spawned task completed. Panics from tasks are captured and
     /// re-thrown here (the first one wins); the scope still waits for all
     /// remaining tasks first.
-    pub fn scope<'env, F, R>(&'env self, f: F) -> R
+    pub(crate) fn scope<'env, F, R>(&'env self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {

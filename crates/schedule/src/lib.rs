@@ -8,7 +8,8 @@
 //!   configuration (the tuner's output, the executor's input).
 //! * [`stage_times`] — folds a stage's per-stream totals through the
 //!   interference model `I` into the stable microbatch time `t` and the
-//!   first/last-microbatch delta `d` (Eq. 5/6).
+//!   first/last-microbatch delta `d` (Eq. 5/6); [`stage_streams`] picks
+//!   it or the serial stream sums by the search space's overlap switch.
 //! * [`mist_objective`] — the imbalance-aware pipeline iteration time
 //!   (Eq. 1), plus the naive variants existing systems use
 //!   ([`averaged_objective`], [`stable_only_objective`]) for the
@@ -23,7 +24,7 @@ mod pipeline;
 mod plan;
 mod template;
 
-pub use phases::{stage_times, StageStreams};
+pub use phases::{stage_streams, stage_times, StageStreams};
 pub use pipeline::{averaged_objective, mist_objective, stable_only_objective};
 pub use plan::{IterationSchedule, StageMemory, StagePlan, StageTask, StreamSeconds, TrainingPlan};
 pub use template::{overlap_template, OverlapSlot, SlotOp, TemplatePhase};

@@ -29,6 +29,24 @@ pub fn stage_times(point: &StagePoint, model: &InterferenceModel) -> StageStream
     StageStreams { t, d }
 }
 
+/// A stage's `(t, d)` as a search space costs it: through the
+/// interference model ([`stage_times`]) when `overlap_aware`, otherwise
+/// as serial stream sums (the overlap-unaware baselines, shortcoming #1).
+pub fn stage_streams(
+    point: &StagePoint,
+    model: &InterferenceModel,
+    overlap_aware: bool,
+) -> StageStreams {
+    if overlap_aware {
+        return stage_times(point, model);
+    }
+    let sum = |s: [f64; 4]| s.iter().sum::<f64>();
+    StageStreams {
+        t: sum(point.fwd) + sum(point.bwd),
+        d: sum(point.first_extra) + sum(point.last_extra),
+    }
+}
+
 fn add(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
     [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
 }

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mist_hardware::{ClusterSpec, OpCostDb, Platform, GIB};
+use mist_hardware::{budget_bytes, ClusterSpec, OpCostDb, Platform};
 use mist_interference::InterferenceModel;
 use mist_models::{AttentionImpl, ModelSpec};
 use mist_tuner::{SearchSpace, TuneOutcome, Tuner};
@@ -352,9 +352,10 @@ impl PlannerService {
         let model = mist_models::preset(&req.model, seq, attention)?;
         let cluster = ClusterSpec::for_gpu_count(platform, req.gpus);
         let space = req.qos.restrict(&mist_baselines::space_preset(&req.space)?);
-        let budget = req
-            .budget_gib
-            .map_or(cluster.gpu.memory_bytes, |gib| gib * GIB);
+        let budget = match req.budget_gib {
+            Some(gib) => budget_bytes(gib).map_err(|e| format!("budget_gib {e}"))?,
+            None => cluster.gpu.memory_bytes,
+        };
 
         let arch = serde_json::to_value(&model).map_err(|e| e.to_string())?;
         let space_value = serde_json::to_value(&space).map_err(|e| e.to_string())?;

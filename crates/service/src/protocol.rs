@@ -145,12 +145,9 @@ impl PlanRequest {
                 "seq" => req.seq = Some(want_u64(value, key)?),
                 "flash" => req.flash = want_bool(value, key)?,
                 "budget_gib" => {
-                    req.budget_gib = Some(
-                        value
-                            .as_f64()
-                            .filter(|b| *b > 0.0)
-                            .ok_or("`budget_gib` must be a positive number")?,
-                    )
+                    let gib = value.as_f64().ok_or("`budget_gib` must be a number")?;
+                    mist_hardware::budget_bytes(gib).map_err(|e| format!("`budget_gib` {e}"))?;
+                    req.budget_gib = Some(gib);
                 }
                 "qos" => req.qos = Qos::parse(&want_str(value, key)?)?,
                 "no_cache" => req.no_cache = want_bool(value, key)?,
@@ -268,6 +265,7 @@ mod tests {
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "wat": 1}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "qos": "fast"}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "budget_gib": -1}"#,
+            r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "budget_gib": 1e300}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 4294967298, "batch": 8}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "max_grad_accum": 4294967304}"#,
             r#"{"model": "gpt3-1.3b", "gpus": 2, "batch": 8, "max_grad_accum": 65537}"#,

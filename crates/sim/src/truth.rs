@@ -59,12 +59,6 @@ impl GroundTruth {
         gt
     }
 
-    /// The hidden interference model (exposed for tests only; the tuner
-    /// must never consult it directly).
-    pub fn hidden_model(&self) -> &InterferenceModel {
-        &self.model
-    }
-
     /// Executes one task: resolves the four stream busy-times
     /// `[compute, nccl, d2h, h2d]` into wall-clock seconds, with
     /// deterministic jitter keyed by `(stage, microbatch, phase)`.

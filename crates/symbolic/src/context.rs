@@ -144,11 +144,6 @@ impl Context {
         Expr { ctx: self, id }
     }
 
-    /// Returns the name of a symbol id.
-    pub fn symbol_name(&self, sid: SymbolId) -> String {
-        self.inner.borrow().symbols[sid.0 as usize].clone()
-    }
-
     /// Interns a finite constant.
     ///
     /// # Panics

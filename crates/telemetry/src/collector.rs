@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
+use crate::metrics::{Counter, Gauge, MetricsSnapshot};
 
 /// A span argument value, converted from common scalar types by the
 /// `span!` macro.
@@ -182,14 +182,13 @@ pub fn parent_scope(parent: u64) -> ParentGuard {
     }
 }
 
-/// Span recorder plus named counter/gauge/histogram registry.
+/// Span recorder plus named counter/gauge registry.
 pub struct Collector {
     enabled: AtomicBool,
     epoch: Instant,
     spans: Mutex<Vec<SpanRecord>>,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Collector {
@@ -201,7 +200,6 @@ impl Collector {
             spans: Mutex::new(Vec::new()),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -265,15 +263,6 @@ impl Collector {
             .clone()
     }
 
-    /// Registers (or fetches) a histogram handle by name.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histograms
-            .lock()
-            .entry(name.to_owned())
-            .or_default()
-            .clone()
-    }
-
     /// Adds `n` to the named counter; no-op (flag check only) when
     /// disabled.
     pub fn counter_add(&self, name: &str, n: u64) {
@@ -294,14 +283,6 @@ impl Collector {
     pub fn gauge_max(&self, name: &str, v: f64) {
         if self.is_enabled() {
             self.gauge(name).set_max(v);
-        }
-    }
-
-    /// Records into the named histogram; no-op (flag check only) when
-    /// disabled.
-    pub fn histogram_record(&self, name: &str, v: f64) {
-        if self.is_enabled() {
-            self.histogram(name).record(v);
         }
     }
 
@@ -330,33 +311,15 @@ impl Collector {
                 .iter()
                 .map(|(k, g)| (k.clone(), g.value()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, h)| (k.clone(), h.summary()))
-                .collect(),
         }
     }
 
-    /// Snapshot relative to `baseline`: counters and histogram
-    /// count/sum subtract the baseline; gauges and histogram min/max
-    /// keep their current value (they are not cumulative).
+    /// Snapshot relative to `baseline`: counters subtract the baseline;
+    /// gauges keep their current value (they are not cumulative).
     pub fn snapshot_delta(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut snap = self.snapshot();
         for (name, v) in &mut snap.counters {
             *v = v.saturating_sub(baseline.counter(name));
-        }
-        for (name, h) in &mut snap.histograms {
-            if let Some(base) = baseline.histograms.get(name) {
-                h.count = h.count.saturating_sub(base.count);
-                h.sum -= base.sum;
-                h.mean = if h.count == 0 {
-                    0.0
-                } else {
-                    h.sum / h.count as f64
-                };
-            }
         }
         snap
     }
@@ -370,9 +333,6 @@ impl Collector {
         }
         for g in self.gauges.lock().values() {
             g.reset();
-        }
-        for h in self.histograms.lock().values() {
-            h.reset();
         }
     }
 }
@@ -403,12 +363,6 @@ pub fn gauge_set(name: &str, v: f64) {
 /// when disabled).
 pub fn gauge_max(name: &str, v: f64) {
     global().gauge_max(name, v);
-}
-
-/// Records into a named histogram on the global collector (no-op when
-/// disabled).
-pub fn histogram_record(name: &str, v: f64) {
-    global().histogram_record(name, v);
 }
 
 /// Opens a RAII span on the global collector.
@@ -444,7 +398,6 @@ mod tests {
         }
         c.counter_add("n", 5);
         c.gauge_set("g", 1.0);
-        c.histogram_record("h", 1.0);
         assert!(c.spans().is_empty());
         assert!(c.snapshot().is_empty());
     }
@@ -461,7 +414,6 @@ mod tests {
         c.counter_add("n", 3);
         c.gauge_max("g", 2.0);
         c.gauge_max("g", 1.0);
-        c.histogram_record("h", 4.0);
 
         let spans = c.spans();
         assert_eq!(spans.len(), 2);
@@ -475,7 +427,6 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.counter("n"), 5);
         assert_eq!(snap.gauge("g"), 2.0);
-        assert_eq!(snap.histograms["h"].count, 1);
     }
 
     #[test]
@@ -494,14 +445,10 @@ mod tests {
         let c = Collector::new();
         c.enable();
         c.counter_add("n", 10);
-        c.histogram_record("h", 1.0);
         let base = c.snapshot();
         c.counter_add("n", 7);
-        c.histogram_record("h", 3.0);
         let delta = c.snapshot_delta(&base);
         assert_eq!(delta.counter("n"), 7);
-        assert_eq!(delta.histograms["h"].count, 1);
-        assert_eq!(delta.histograms["h"].sum, 3.0);
     }
 
     #[test]
@@ -528,17 +475,6 @@ mod tests {
         let again = c.snapshot_delta(&base1);
         assert_eq!(again.gauge("level"), 3.0);
         assert_eq!(again.counter("work"), 0);
-
-        // Histogram min/max are instantaneous like gauges; only
-        // count/sum subtract.
-        c.histogram_record("h", 2.0);
-        let base2 = c.snapshot();
-        c.histogram_record("h", 8.0);
-        let d2 = c.snapshot_delta(&base2);
-        assert_eq!(d2.histograms["h"].count, 1);
-        assert_eq!(d2.histograms["h"].sum, 8.0);
-        assert_eq!(d2.histograms["h"].min, 2.0);
-        assert_eq!(d2.histograms["h"].max, 8.0);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! - A process-global [`Collector`] (see [`global`]) with RAII span
 //!   guards via the [`span!`] macro, monotonic-clock timestamps, and
-//!   named counter/gauge/histogram registration. The collector starts
+//!   named counter/gauge registration. The collector starts
 //!   **disabled**; every disabled entry point costs a single relaxed
 //!   atomic-flag load — no locks, no allocation, no clock reads — so
 //!   instrumentation can live in library hot paths.
-//! - Detached metric handles ([`Counter`], [`Gauge`], [`Histogram`])
+//! - Detached metric handles ([`Counter`], [`Gauge`])
 //!   for code that must count unconditionally (the tuner's `TuneStats`
 //!   sources), plus a serializable [`MetricsSnapshot`].
 //! - [`TraceBuilder`], which lowers spans and externally produced
@@ -46,11 +46,11 @@ mod phase;
 
 pub use chrome::TraceBuilder;
 pub use collector::{
-    counter_add, current_span_id, gauge_max, gauge_set, global, histogram_record, parent_scope,
-    ArgValue, Collector, ParentGuard, SpanGuard, SpanRecord,
+    counter_add, current_span_id, gauge_max, gauge_set, global, parent_scope, ArgValue, Collector,
+    ParentGuard, SpanGuard, SpanRecord,
 };
 pub use journal::{
     global_journal, journal_event, Journal, JournalEvent, JournalRecord, OuterOutcome,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsSnapshot};
 pub use phase::{PhaseClock, PhaseTotals};

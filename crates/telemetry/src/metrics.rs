@@ -1,16 +1,13 @@
-//! Counter / gauge / histogram handles and the serializable snapshot.
+//! Counter / gauge handles and the serializable snapshot.
 //!
 //! Handles are cheap `Arc`-backed clones: the collector hands out one
 //! handle per registered name, and every clone updates the same cell.
-//! Counters and gauges are lock-free atomics; histograms take a
-//! `parking_lot::Mutex` only on `record`, which is off the hot path
-//! (callers go through the collector's flag-gated free functions).
+//! Both are lock-free atomics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Monotonically increasing `u64` metric.
@@ -110,89 +107,6 @@ impl Default for Gauge {
     }
 }
 
-#[derive(Debug, Default)]
-struct HistogramState {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// Streaming summary histogram (count / sum / min / max).
-///
-/// Mist's workloads need distribution *summaries* (fit residuals, span
-/// durations), not bucketed percentiles, so the state is four scalars
-/// behind a mutex rather than a bucket array.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    state: Arc<Mutex<HistogramState>>,
-}
-
-impl Histogram {
-    /// Creates a detached, empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            state: Arc::new(Mutex::new(HistogramState::default())),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&self, v: f64) {
-        let mut s = self.state.lock();
-        if s.count == 0 {
-            s.min = v;
-            s.max = v;
-        } else {
-            s.min = s.min.min(v);
-            s.max = s.max.max(v);
-        }
-        s.count += 1;
-        s.sum += v;
-    }
-
-    /// Current summary.
-    pub fn summary(&self) -> HistogramSummary {
-        let s = self.state.lock();
-        HistogramSummary {
-            count: s.count,
-            sum: s.sum,
-            min: if s.count == 0 { 0.0 } else { s.min },
-            max: if s.count == 0 { 0.0 } else { s.max },
-            mean: if s.count == 0 {
-                0.0
-            } else {
-                s.sum / s.count as f64
-            },
-        }
-    }
-
-    /// Clears all recorded observations.
-    pub fn reset(&self) {
-        *self.state.lock() = HistogramState::default();
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Serializable summary of one histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation (0.0 when empty).
-    pub min: f64,
-    /// Largest observation (0.0 when empty).
-    pub max: f64,
-    /// Mean observation (0.0 when empty).
-    pub mean: f64,
-}
-
 /// Point-in-time copy of every registered metric, sorted by name.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -200,14 +114,12 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
 impl MetricsSnapshot {
     /// True when no metric of any kind is present.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 
     /// Counter value by name (0 when absent).
@@ -224,12 +136,7 @@ impl MetricsSnapshot {
     /// `mist-cli tune --metrics` output.
     pub fn text_table(&self) -> String {
         let mut width = 0usize;
-        for name in self
-            .counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-        {
+        for name in self.counters.keys().chain(self.gauges.keys()) {
             width = width.max(name.len());
         }
         let mut out = String::new();
@@ -238,12 +145,6 @@ impl MetricsSnapshot {
         }
         for (name, v) in &self.gauges {
             out.push_str(&format!("{name:<width$}  {v:.6}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "{name:<width$}  count={} mean={:.6} min={:.6} max={:.6}\n",
-                h.count, h.mean, h.min, h.max
-            ));
         }
         out
     }
@@ -275,34 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summary_tracks_extremes() {
-        let h = Histogram::new();
-        assert_eq!(h.summary().count, 0);
-        h.record(2.0);
-        h.record(-1.0);
-        h.record(5.0);
-        let s = h.summary();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
     fn snapshot_round_trips_through_json() {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("a".into(), 7);
         snap.gauges.insert("b".into(), 1.5);
-        snap.histograms.insert(
-            "c".into(),
-            HistogramSummary {
-                count: 1,
-                sum: 2.0,
-                min: 2.0,
-                max: 2.0,
-                mean: 2.0,
-            },
-        );
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);

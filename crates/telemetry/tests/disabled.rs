@@ -1,7 +1,6 @@
 //! The disabled path must be a true no-op: a counting global allocator
-//! proves that spans, counter adds, gauge sets, histogram records and
-//! phase-clock laps neither allocate nor record anything while the
-//! collector is off.
+//! proves that spans, counter adds, gauge sets and phase-clock laps
+//! neither allocate nor record anything while the collector is off.
 //!
 //! This lives in its own integration-test binary so the allocator and
 //! the global collector's state are not shared with other tests.
@@ -55,7 +54,6 @@ fn disabled_path_allocates_and_records_nothing() {
         mist_telemetry::counter_add("disabled.counter", i);
         mist_telemetry::gauge_set("disabled.gauge", i as f64);
         mist_telemetry::gauge_max("disabled.gauge_max", i as f64);
-        mist_telemetry::histogram_record("disabled.hist", i as f64);
         mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::FrontierSummary {
             mesh_nodes: 1,
             mesh_gpus: 4,

@@ -27,7 +27,6 @@ fn concurrent_spans_and_counters_lose_nothing() {
                     shared.inc();
                     mist_telemetry::counter_add("stress.registry", 1);
                     mist_telemetry::gauge_max("stress.high_water", (t as f64) * 1e4 + i as f64);
-                    mist_telemetry::histogram_record("stress.obs", i as f64);
                 }
             });
         }
@@ -44,9 +43,6 @@ fn concurrent_spans_and_counters_lose_nothing() {
         snap.gauge("stress.high_water"),
         (THREADS as f64 - 1.0) * 1e4 + (ITERS as f64 - 1.0)
     );
-    assert_eq!(snap.histograms["stress.obs"].count, expected);
-    assert_eq!(snap.histograms["stress.obs"].min, 0.0);
-    assert_eq!(snap.histograms["stress.obs"].max, ITERS as f64 - 1.0);
 
     let spans = collector.take_spans();
     assert_eq!(spans.len(), (THREADS * ITERS as usize));

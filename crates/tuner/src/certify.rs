@@ -28,7 +28,7 @@ use mist_hardware::{ClusterSpec, OpCostDb};
 use mist_interference::InterferenceModel;
 use mist_irlint::{root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
-use mist_schedule::{mist_objective, stage_times, StageStreams, TrainingPlan};
+use mist_schedule::{mist_objective, stage_streams, StageStreams, TrainingPlan};
 use serde::{Deserialize, Serialize};
 
 /// Relative tolerance for containment and objective agreement. The
@@ -118,11 +118,11 @@ fn point_values(p: &StagePoint) -> [f64; stage_roots::COUNT] {
 
 /// Independently re-derives and checks a plan's certificate.
 ///
-/// `overlap_aware` must match the search space the plan came from:
-/// overlap-aware spaces fold stage points through the interference
-/// model ([`stage_times`]), restricted baselines (Aceso) cost their
-/// streams serially. `phase` tags the emitted `CertCheck` journal
-/// event: `"tune"`, `"serve"` or `"verify"`.
+/// `overlap_aware` must match the search space the plan came from: it
+/// selects how [`stage_streams`] folds the stage points (interference
+/// model, or the serial sums of restricted baselines such as Aceso).
+/// `phase` tags the emitted `CertCheck` journal event: `"tune"`,
+/// `"serve"` or `"verify"`.
 #[allow(clippy::too_many_arguments)]
 pub fn certify_plan(
     model: &ModelSpec,
@@ -222,19 +222,7 @@ pub fn certify_plan(
     } else {
         let streams: Vec<StageStreams> = stage_points
             .iter()
-            .map(|p| {
-                if overlap_aware {
-                    stage_times(p, interference)
-                } else {
-                    // Restricted overlap-unaware spaces cost the four
-                    // streams serially (see `IntraStageTuner`).
-                    let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-                    StageStreams {
-                        t: sum(p.fwd) + sum(p.bwd),
-                        d: sum(p.first_extra) + sum(p.last_extra),
-                    }
-                }
-            })
+            .map(|p| stage_streams(p, interference, overlap_aware))
             .collect();
         let obj = mist_objective(&streams, plan.grad_accum.max(1));
         if !contains(obj, obj, predicted_iteration) {

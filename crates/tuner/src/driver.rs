@@ -67,7 +67,7 @@ pub struct TuneOutcome {
     pub stats: TuneStats,
     /// Telemetry accumulated during this tune: the tuner's own counters
     /// plus, when the global collector is enabled, everything the
-    /// instrumented library layers recorded (DP states, cache hits,
+    /// instrumented library layers recorded (DP states, tape compiles,
     /// symbolic program sizes, ...).
     pub telemetry: MetricsSnapshot,
     /// Independently re-derived proof (through the `mist-irlint`
@@ -266,10 +266,10 @@ impl<'a> Tuner<'a> {
                         })
                         .collect();
                     // Dedupe before fanning out (first-seen order): stages
-                    // often share a key, and two concurrent computations of
-                    // the same frontier would bypass the cache — each
-                    // unique key is computed exactly once, matching the
-                    // sequential cache behavior at any thread count.
+                    // often share a key, and each unique key is computed
+                    // exactly once. Keys never repeat across outer
+                    // candidates (the mesh follows from `s`, and `g` is
+                    // part of the key), so nothing is computed twice.
                     let mut unique: Vec<FrontierKey> = Vec::new();
                     for &k in &keys {
                         if !unique.contains(&k) {
@@ -296,7 +296,7 @@ impl<'a> Tuner<'a> {
                         })
                         .collect();
                     let refs: Vec<&Vec<Vec<ParetoPoint>>> =
-                        frontier_handles.iter().map(|h| h.as_ref()).collect();
+                        frontier_handles.iter().map(|h| &h.per_l).collect();
                     stats.milp_solves += 1;
                     let cutoff = best
                         .as_ref()

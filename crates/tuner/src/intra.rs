@@ -45,7 +45,7 @@ use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
-use mist_schedule::stage_times;
+use mist_schedule::{stage_streams, StageStreams};
 use mist_symbolic::{BatchBindings, CompiledWorkspace};
 use mist_telemetry::{PhaseClock, PhaseTotals};
 use parking_lot::Mutex;
@@ -188,11 +188,13 @@ impl RejectionCounters {
     }
 }
 
-/// Intra-stage tuner with tape and frontier caches.
+/// Intra-stage tuner with a tape cache and the store of the frontier
+/// families it produced.
 ///
 /// The type is `Sync`: frontier computations fan out over the pool, so
-/// caches sit behind mutexes, shared compiled artifacts are `Arc`s, and
-/// evaluation scratch lives in a pool of per-worker workspaces.
+/// shared state sits behind mutexes, shared compiled artifacts are
+/// `Arc`s, and evaluation scratch lives in a pool of per-worker
+/// workspaces.
 pub struct IntraStageTuner<'a> {
     model: &'a ModelSpec,
     cluster: &'a ClusterSpec,
@@ -206,18 +208,18 @@ pub struct IntraStageTuner<'a> {
     // candidate (same role, different in-flight count) wait for one
     // analysis instead of each running their own.
     tape_cache: Mutex<HashMap<TapeKey, Arc<OnceLock<Arc<StageTapes>>>>>,
-    frontier_cache: Mutex<HashMap<FrontierKey, Arc<Vec<Vec<ParetoPoint>>>>>,
+    // Every frontier family this tuner swept or seeded, with its budget
+    // proof: the store `export_frontiers` serializes. Write-only during a
+    // tune — a tune never asks for one key twice.
+    records: Mutex<HashMap<FrontierKey, Arc<FrontierRecord>>>,
     // Warm-start seed: frontiers exported by an earlier, provably
-    // compatible tune. Consulted on frontier-cache misses only.
+    // compatible tune.
     seed: Option<Arc<FrontierExport>>,
-    // Per-key budget proof of the sweep that produced (or seeded) each
-    // cached frontier — exported for warm-start reuse decisions.
-    budget_proofs: Mutex<HashMap<FrontierKey, BudgetProof>>,
     // Frontier families taken from the seed instead of being swept.
     seeded: mist_telemetry::Counter,
-    // Per-instance telemetry counter (not the global registry): cache-hit
-    // semantics are part of this type's contract and tests compare exact
-    // counts, so the count must not leak across tuner instances.
+    // Per-instance telemetry counter (not the global registry): tests
+    // compare exact counts, so the count must not leak across tuner
+    // instances.
     configs_evaluated: mist_telemetry::Counter,
     // Rejection attribution for `TuneOutcome.telemetry` (same
     // per-instance rationale).
@@ -254,9 +256,8 @@ impl<'a> IntraStageTuner<'a> {
             budget: cluster.gpu.memory_bytes,
             pool: mist_pool::global(),
             tape_cache: Mutex::new(HashMap::new()),
-            frontier_cache: Mutex::new(HashMap::new()),
+            records: Mutex::new(HashMap::new()),
             seed: None,
-            budget_proofs: Mutex::new(HashMap::new()),
             seeded: mist_telemetry::Counter::new(),
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
@@ -324,23 +325,19 @@ impl<'a> IntraStageTuner<'a> {
         self.budget
     }
 
-    /// Returns `frontiers[l − 1]` = sampled Pareto points for a stage of
-    /// `l` layers, for `l ∈ 1..=max_layers`. Results are cached per key.
-    pub fn frontiers(&self, key: FrontierKey, max_layers: u32) -> Arc<Vec<Vec<ParetoPoint>>> {
-        if let Some(hit) = self.frontier_cache.lock().get(&key) {
-            if hit.len() >= max_layers as usize {
-                mist_telemetry::counter_add("intra.frontier_cache_hits", 1);
-                return hit.clone();
-            }
-        }
-        if let Some(seeded) = self.seeded_frontier(key, max_layers) {
-            let arc = Arc::new(seeded);
-            self.frontier_cache.lock().insert(key, arc.clone());
-            return arc;
-        }
-        let computed = Arc::new(self.compute_frontiers(key, max_layers));
-        self.frontier_cache.lock().insert(key, computed.clone());
-        computed
+    /// The frontier family of `key`: `per_l[l − 1]` = sampled Pareto
+    /// points for a stage of `l` layers, for `l ∈ 1..=max_layers`, plus
+    /// the budget proof of the sweep. Taken from the warm-start seed when
+    /// a compatible record exists, swept otherwise; either way stored for
+    /// [`Self::export_frontiers`].
+    pub fn frontiers(&self, key: FrontierKey, max_layers: u32) -> Arc<FrontierRecord> {
+        let candidates = self.parallelism_candidates(key.mesh, key.grad_accum);
+        let record = Arc::new(match self.seeded_frontier(key, &candidates, max_layers) {
+            Some(seeded) => seeded,
+            None => self.compute_frontiers(key, candidates, max_layers),
+        });
+        self.records.lock().insert(key, Arc::clone(&record));
+        record
     }
 
     /// Consults the warm-start seed for a frontier family whose sweep
@@ -348,32 +345,44 @@ impl<'a> IntraStageTuner<'a> {
     /// record is truncated to exactly `max_layers` families — the same
     /// shape a cold sweep would produce — so downstream inter-stage
     /// selection sees byte-identical input.
-    fn seeded_frontier(&self, key: FrontierKey, max_layers: u32) -> Option<Vec<Vec<ParetoPoint>>> {
+    fn seeded_frontier(
+        &self,
+        key: FrontierKey,
+        candidates: &[SeedCandidate],
+        max_layers: u32,
+    ) -> Option<FrontierRecord> {
         let seed = self.seed.as_ref()?;
         let record = seed.lookup(
             key.mesh,
             key.role,
             key.inflight,
-            &self.parallelism_candidates(key.mesh, key.grad_accum),
+            candidates,
             self.budget,
             max_layers,
         )?;
         self.seeded.inc();
-        // The reused family's proof is the one a sweep under this budget
-        // would record: a `Fit` bound does not depend on the budget, and
-        // a `Sensitive` record is only reused at its own budget.
-        self.budget_proofs.lock().insert(key, record.proof);
-        Some(record.per_l[..max_layers as usize].to_vec())
+        Some(FrontierRecord {
+            mesh: key.mesh,
+            role: key.role,
+            inflight: key.inflight,
+            candidates: candidates.to_vec(),
+            budget: self.budget,
+            // The reused family's proof is the one a sweep under this
+            // budget would record: a `Fit` bound does not depend on the
+            // budget, and a `Sensitive` record is only reused at its own
+            // budget.
+            proof: record.proof,
+            per_l: record.per_l[..max_layers as usize].to_vec(),
+        })
     }
 
-    /// Exports every cached frontier family as a [`FrontierExport`]:
+    /// Exports every stored frontier family as a [`FrontierExport`]:
     /// canonically sorted, deduplicated on the seed identity
     /// `(mesh, role, inflight, candidates)` (two grad-accum steps that
     /// enumerate the same candidate list share one record).
     pub fn export_frontiers(&self) -> FrontierExport {
-        let cache = self.frontier_cache.lock();
-        let proofs = self.budget_proofs.lock();
-        let mut keys: Vec<FrontierKey> = cache.keys().copied().collect();
+        let stored = self.records.lock();
+        let mut keys: Vec<&FrontierKey> = stored.keys().collect();
         keys.sort_by_key(|k| {
             (
                 k.mesh.nodes,
@@ -385,26 +394,10 @@ impl<'a> IntraStageTuner<'a> {
         });
         let mut records: Vec<FrontierRecord> = Vec::new();
         for key in keys {
-            let per_l = &cache[&key];
-            let candidates = self.parallelism_candidates(key.mesh, key.grad_accum);
-            if records
-                .iter()
-                .any(|r| r.identity() == (key.mesh, key.role, key.inflight, &candidates[..]))
-            {
-                continue;
+            let record = &stored[key];
+            if !records.iter().any(|r| r.identity() == record.identity()) {
+                records.push(FrontierRecord::clone(record));
             }
-            records.push(FrontierRecord {
-                mesh: key.mesh,
-                role: key.role,
-                inflight: key.inflight,
-                candidates,
-                budget: self.budget,
-                // Conservative default: a family with no recorded proof
-                // is treated as budget-sensitive. Every swept or seeded
-                // family records one, so this is a backstop only.
-                proof: proofs.get(&key).copied().unwrap_or(BudgetProof::Sensitive),
-                per_l: per_l.as_ref().clone(),
-            });
         }
         FrontierExport { records }
     }
@@ -415,10 +408,10 @@ impl<'a> IntraStageTuner<'a> {
     pub fn evaluate_config(&self, cand: &StageCandidate, cfg: &StageConfigValues) -> ParetoPoint {
         self.configs_evaluated.inc();
         let point = self.tapes(cand).eval_point(cfg);
-        let (t, d) = self.stage_td(&point);
+        let st = stage_streams(&point, self.interference, self.space.overlap_aware);
         ParetoPoint {
-            t,
-            d,
+            t: st.t,
+            d: st.d,
             mem_peak: point.mem_peak(),
             candidate: *cand,
             config: *cfg,
@@ -430,22 +423,6 @@ impl<'a> IntraStageTuner<'a> {
     /// bits the sweep's compiled rows held.
     pub fn stage_point(&self, p: &ParetoPoint) -> StagePoint {
         self.tapes(&p.candidate).eval_point(&p.config)
-    }
-
-    /// The stable microbatch time `t` and first/last delta `d` of one
-    /// evaluated point: through the interference model, or as serial
-    /// stream sums when the space is not overlap-aware (shortcoming #1).
-    fn stage_td(&self, point: &StagePoint) -> (f64, f64) {
-        if self.space.overlap_aware {
-            let st = stage_times(point, self.interference);
-            (st.t, st.d)
-        } else {
-            let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-            (
-                sum(point.fwd) + sum(point.bwd),
-                sum(point.first_extra) + sum(point.last_extra),
-            )
-        }
     }
 
     fn tapes(&self, cand: &StageCandidate) -> Arc<StageTapes> {
@@ -487,7 +464,12 @@ impl<'a> IntraStageTuner<'a> {
         out
     }
 
-    fn compute_frontiers(&self, key: FrontierKey, max_layers: u32) -> Vec<Vec<ParetoPoint>> {
+    fn compute_frontiers(
+        &self,
+        key: FrontierKey,
+        candidates: Vec<SeedCandidate>,
+        max_layers: u32,
+    ) -> FrontierRecord {
         assert!(max_layers >= 1);
         let _span = mist_telemetry::span!(
             "intra.frontier",
@@ -495,9 +477,8 @@ impl<'a> IntraStageTuner<'a> {
             inflight = key.inflight,
             grad_accum = key.grad_accum
         );
-        let cands: Vec<StageCandidate> = self
-            .parallelism_candidates(key.mesh, key.grad_accum)
-            .into_iter()
+        let cands: Vec<StageCandidate> = candidates
+            .iter()
             .map(|c| StageCandidate {
                 mesh: key.mesh,
                 dp: c.dp,
@@ -557,14 +538,6 @@ impl<'a> IntraStageTuner<'a> {
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
         let survived: u64 = sizes.iter().map(|&s| s as u64).sum();
         let dominated = feasible - survived;
-        let proof = if tally.budget_bound {
-            BudgetProof::Sensitive
-        } else {
-            BudgetProof::Fit {
-                mem_hi: tally.mem_hi,
-            }
-        };
-        self.budget_proofs.lock().insert(key, proof);
         self.rejections.oom.add(tally.oom);
         self.rejections.nonfinite.add(tally.nonfinite);
         self.rejections.dominated.add(dominated);
@@ -587,7 +560,21 @@ impl<'a> IntraStageTuner<'a> {
         });
         clock.lap(phase::PARETO);
         self.phases.add(&clock);
-        per_l
+        FrontierRecord {
+            mesh: key.mesh,
+            role: key.role,
+            inflight: key.inflight,
+            candidates,
+            budget: self.budget,
+            proof: if tally.budget_bound {
+                BudgetProof::Sensitive
+            } else {
+                BudgetProof::Fit {
+                    mem_hi: tally.mem_hi,
+                }
+            },
+            per_l,
+        }
     }
 
     /// Sweeps one `(dp, tp, b)` candidate over all layer counts, ZeRO
@@ -726,8 +713,11 @@ impl<'a> IntraStageTuner<'a> {
         clock.lap(phase::FULL_EVAL);
 
         // Time and imbalance of every survivor.
-        let td: Vec<(f64, f64)> = (0..survivors.len())
-            .map(|j| self.stage_td(&tapes.point_at_compiled(&ws.stage, j)))
+        let td: Vec<StageStreams> = (0..survivors.len())
+            .map(|j| {
+                let point = tapes.point_at_compiled(&ws.stage, j);
+                stage_streams(&point, self.interference, self.space.overlap_aware)
+            })
             .collect();
         clock.lap(phase::INTERFERENCE);
 
@@ -748,7 +738,7 @@ impl<'a> IntraStageTuner<'a> {
                 tally.oom += 1;
                 continue; // Conservative re-check of the linear solve.
             }
-            let (t, d) = td[j];
+            let StageStreams { t, d } = td[j];
             if !t.is_finite() {
                 tally.nonfinite += 1;
                 continue;
@@ -852,8 +842,8 @@ mod tests {
         let space = SearchSpace::mist();
         let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8);
         let fr = tuner.frontiers(key(DeviceMesh::new(1, 4), 4), c.model.num_layers);
-        assert_eq!(fr.len(), 32);
-        let full = &fr[31]; // All 32 layers in one stage.
+        assert_eq!(fr.per_l.len(), 32);
+        let full = &fr.per_l[31]; // All 32 layers in one stage.
         assert!(
             !full.is_empty(),
             "32-layer stage must have feasible configs"
@@ -879,7 +869,7 @@ mod tests {
         let mesh = DeviceMesh::new(1, 4);
         let fs = small.frontiers(key(mesh, 4), 32);
         let fl = large.frontiers(key(mesh, 4), 32);
-        let best = |f: &Vec<Vec<ParetoPoint>>| f[31].first().map(|p| p.t).unwrap_or(f64::INFINITY);
+        let best = |f: &FrontierRecord| f.per_l[31].first().map(|p| p.t).unwrap_or(f64::INFINITY);
         assert!(best(&fl) <= best(&fs) + 1e-12);
     }
 
@@ -901,25 +891,11 @@ mod tests {
             .with_budget(budget);
         let fb = t_bare.frontiers(key(mesh, 4), 32);
         let fm = t_mist.frontiers(key(mesh, 4), 32);
-        assert!(fb[31].is_empty(), "parallelism-only must OOM (Fig. 2a)");
-        assert!(!fm[31].is_empty(), "the co-optimized space must fit");
-    }
-
-    #[test]
-    fn frontier_cache_hits() {
-        let c = ctx();
-        let space = SearchSpace::mist();
-        let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8);
-        let k = key(DeviceMesh::new(1, 2), 2);
-        let f1 = tuner.frontiers(k, 32);
-        let evals = tuner.configs_evaluated();
-        let f2 = tuner.frontiers(k, 32);
-        assert_eq!(
-            tuner.configs_evaluated(),
-            evals,
-            "second call must hit cache"
+        assert!(
+            fb.per_l[31].is_empty(),
+            "parallelism-only must OOM (Fig. 2a)"
         );
-        assert!(Arc::ptr_eq(&f1, &f2));
+        assert!(!fm.per_l[31].is_empty(), "the co-optimized space must fit");
     }
 
     /// End-to-end exactness of the columnar sweep: every frontier
@@ -933,7 +909,7 @@ mod tests {
                 IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8);
             let fr = tuner.frontiers(key(DeviceMesh::new(1, 4), 4), c.model.num_layers);
             let mut checked = 0usize;
-            for per_l in fr.iter() {
+            for per_l in &fr.per_l {
                 for p in per_l {
                     let reference = tuner.evaluate_config(&p.candidate, &p.config);
                     assert_eq!(
@@ -1054,23 +1030,14 @@ mod tests {
                             continue;
                         }
                         mem_hi = mem_hi.max(point.mem_peak());
-                        let (t, d) = if space.overlap_aware {
-                            let st = stage_times(&point, tuner.interference);
-                            (st.t, st.d)
-                        } else {
-                            let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-                            (
-                                sum(point.fwd) + sum(point.bwd),
-                                sum(point.first_extra) + sum(point.last_extra),
-                            )
-                        };
-                        if !t.is_finite() {
+                        let st = stage_streams(&point, tuner.interference, space.overlap_aware);
+                        if !st.t.is_finite() {
                             tally.nonfinite += 1;
                             continue;
                         }
                         per_l[(l - 1) as usize].push(ParetoPoint {
-                            t,
-                            d,
+                            t: st.t,
+                            d: st.d,
                             mem_peak: point.mem_peak(),
                             candidate: cand,
                             config,
@@ -1154,10 +1121,10 @@ mod tests {
                         .collect();
                     let ctx = format!("space {} budget {budget:e} threads {threads}", space.name);
                     for (g, w) in got.iter().zip(&want_frontiers) {
-                        assert_eq!(&serde_json::to_string(g.as_ref()).unwrap(), w, "{ctx}");
+                        assert_eq!(&serde_json::to_string(&g.per_l).unwrap(), w, "{ctx}");
                     }
-                    for (k, want_proof) in keys.iter().zip(&want_proofs) {
-                        let proof = tuner.budget_proofs.lock()[k];
+                    for ((k, g), want_proof) in keys.iter().zip(&got).zip(&want_proofs) {
+                        let proof = g.proof;
                         assert_eq!(
                             format!("{proof:?}"),
                             format!("{want_proof:?}"),
@@ -1209,8 +1176,8 @@ mod tests {
         let tu = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &unaware, &c.interference, 8);
         let fa = ta.frontiers(key(mesh, 4), 32);
         let fu = tu.frontiers(key(mesh, 4), 32);
-        let best_a = fa[31].first().map(|p| p.t).unwrap();
-        let best_u = fu[31].first().map(|p| p.t).unwrap();
+        let best_a = fa.per_l[31].first().map(|p| p.t).unwrap();
+        let best_u = fu.per_l[31].first().map(|p| p.t).unwrap();
         assert!(
             best_a <= best_u + 1e-12,
             "overlap-aware t must not be worse"
@@ -1259,7 +1226,7 @@ mod pruning_tests {
 
         // Exhaustive reference over every (dp, tp, zero, ckpt).
         for l in [16u32, 32] {
-            let Some(best_pruned) = frontier[(l - 1) as usize].first() else {
+            let Some(best_pruned) = frontier.per_l[(l - 1) as usize].first() else {
                 continue;
             };
             let mut best_exhaustive = f64::INFINITY;

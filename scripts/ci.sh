@@ -7,7 +7,12 @@
 # Stages:
 #   1. cargo build --release, plus the perfbench benchmark (a separate
 #      workspace under perfbench/, so the workspace build never compiles
-#      it; building it here catches API changes that would break it)
+#      it; building it here catches API changes that would break it),
+#      once with --locked and once unlocked, as BENCHMARK.json's command
+#      builds it; the unlocked build must leave perfbench/Cargo.lock
+#      byte-identical (--locked alone accepts a lock that records
+#      packages the graph no longer has, and the unlocked build prunes
+#      them)
 #   2. cargo test -q              (workspace tests, quiet)
 #   3. cargo clippy -D warnings   (whole workspace, incl. vendor)
 #   4. cargo fmt --check          (first-party packages only; rustfmt's
@@ -49,9 +54,10 @@
 #      fewer configs; a 3 GiB-budget query and a 20 GiB-budget query
 #      (below the default, so only budget-proof-licensed families are
 #      reused) must each be byte-identical with and without the cache;
-#      three hostile queries (a GPU count past 2^31, a sequence length
-#      that overflows tracing and a grad-accum cap past MAX_GRAD_ACCUM)
-#      must each get exactly one response
+#      four hostile queries (a GPU count past 2^31, a sequence length
+#      that overflows tracing, a grad-accum cap past MAX_GRAD_ACCUM and
+#      a budget whose byte count overflows to infinity) must each get
+#      exactly one response
 #      within 10 s and the daemon must still answer `ping`;
 #      and the daemon must shut down cleanly (the EXIT trap kills it if
 #      the stage fails first); responses and daemon logs land in
@@ -81,6 +87,19 @@ FMT_PACKAGES=(
 echo "==> [1/10] cargo build --release (workspace and perfbench)"
 cargo build --release
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+unlocked_rc=0
+cargo build --release --offline --manifest-path perfbench/Cargo.toml || unlocked_rc=$?
+if ! cmp -s "$perfbench_lock" perfbench/Cargo.lock; then
+    cp "$perfbench_lock" perfbench/Cargo.lock
+    rm -f "$perfbench_lock"
+    echo "the unlocked perfbench build rewrote perfbench/Cargo.lock (restored);" >&2
+    echo "every benchmark run would edit a benchmark file" >&2
+    exit 1
+fi
+rm -f "$perfbench_lock"
+[ "$unlocked_rc" -eq 0 ] || exit "$unlocked_rc"
 
 echo "==> [2/10] cargo test -q"
 cargo test -q
@@ -288,11 +307,13 @@ PY
 # to wrap and spin forever), a sequence length whose token count
 # overflows while tracing (used to panic the handler and drop the
 # connection) and a grad-accum cap past MAX_GRAD_ACCUM with a batch
-# near 2^62 (its divisor scan used to take ~17 s). Each must get
-# exactly one JSON response within 10 s — `feasible:false`, `ok:false`
-# and `ok:false` respectively — and the daemon must still answer
-# `ping` afterwards. `mist-cli query` refuses that cap itself, so the
-# third query goes to the socket as a raw request line.
+# near 2^62 (its divisor scan used to take ~17 s) and a 1e300 GiB
+# budget (its byte count is +inf, which used to be answered and then
+# cached as `null`, so the daemon could not reopen its cache). Each
+# must get exactly one JSON response within 10 s — `feasible:false`
+# for the first, `ok:false` for the rest — and the daemon must still
+# answer `ping` afterwards. `mist-cli query` refuses the last two
+# itself, so they go to the socket as raw request lines.
 hostile_query() { # hostile_query <outfile> [extra flags...]
     local out="$1" rc=0
     shift
@@ -308,14 +329,14 @@ hostile_query() { # hostile_query <outfile> [extra flags...]
 }
 hostile_query hostile_gpus.json --gpus 4294967288
 hostile_query hostile_seq.json --gpus 8 --seq 4611686018427387904
-timeout 10 python3 - "$DAEMON_SOCK" > "$tmpdir/daemon/hostile_grad_accum.json" <<'PY' \
-    || { echo "hostile query hostile_grad_accum.json: no response within 10 s" >&2; exit 1; }
+raw_query() { # raw_query <outfile> <request line>
+    timeout 10 python3 - "$DAEMON_SOCK" "$2" > "$tmpdir/daemon/$1" <<'PY' \
+        || { echo "hostile query $1: no response within 10 s" >&2; exit 1; }
 import socket, sys
 
 with socket.socket(socket.AF_UNIX) as s:
     s.connect(sys.argv[1])
-    s.sendall(b'{"model":"gpt3-6.7b","platform":"l4","gpus":8,'
-              b'"batch":4611686018427387904,"max_grad_accum":4294967295}\n')
+    s.sendall(sys.argv[2].encode() + b"\n")
     response = b""
     while not response.endswith(b"\n"):
         chunk = s.recv(4096)
@@ -324,6 +345,11 @@ with socket.socket(socket.AF_UNIX) as s:
         response += chunk
 sys.stdout.write(response.decode())
 PY
+}
+raw_query hostile_grad_accum.json \
+    '{"model":"gpt3-6.7b","platform":"l4","gpus":8,"batch":4611686018427387904,"max_grad_accum":4294967295}'
+raw_query hostile_budget.json \
+    '{"model":"gpt3-6.7b","gpus":8,"batch":16,"budget_gib":1e300}'
 timeout 10 target/release/mist-cli query --connect "$DAEMON_SOCK" --ping \
     > "$tmpdir/daemon/ping_after_hostile.json"
 cp "$tmpdir/daemon/"hostile_*.json artifacts/daemon/
@@ -343,6 +369,8 @@ seq = answer("hostile_seq")
 assert seq["ok"] is False and "sequence length" in seq["error"], seq
 grad_accum = answer("hostile_grad_accum")
 assert grad_accum["ok"] is False and "max_grad_accum" in grad_accum["error"], grad_accum
+budget = answer("hostile_budget")
+assert budget["ok"] is False and "budget_gib" in budget["error"], budget
 assert answer("ping_after_hostile")["pong"] is True
 print("    hostile queries answered once each; daemon still answers ping")
 PY
