@@ -55,7 +55,7 @@ OPTIONS:
     --seed <N>     seed for the interference-calibration benchmarks
                    (default: {:#X}; changes the fitted model, not the
                    search itself)
-    --threads <N>  worker threads for the tuner's parallel phases
+    --threads <N>  threads for the tuner's parallel phases, at most 1024
                    (default: the machine's available parallelism; results
                    are byte-identical at any value, only wall-clock
                    changes)
@@ -175,6 +175,15 @@ impl<'a> Flags<'a> {
         Ok(gib)
     }
 
+    /// A thread count: positive and at most [`mist_pool::MAX_THREADS`].
+    fn threads(&mut self, flag: &str) -> Result<usize, String> {
+        let n = self.positive(flag)?;
+        if n > mist_pool::MAX_THREADS {
+            return Err(format!("{flag} must be at most {}", mist_pool::MAX_THREADS));
+        }
+        Ok(n)
+    }
+
     /// A gradient-accumulation cap: positive and at most
     /// [`mist_tuner::MAX_GRAD_ACCUM`].
     fn grad_accum_cap(&mut self, flag: &str) -> Result<u32, String> {
@@ -248,7 +257,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--space" => args.space = space_preset(&flags.value(arg)?)?,
             "--seq" => args.seq = Some(flags.positive(arg)?),
             "--seed" => args.seed = Some(flags.parse(arg)?),
-            "--threads" => args.threads = Some(flags.positive(arg)?),
+            "--threads" => args.threads = Some(flags.threads(arg)?),
             "--no-flash" => args.attention = AttentionImpl::Standard,
             "--execute" => args.execute = true,
             "--trace" => args.trace = Some(flags.value(arg)?),
@@ -668,7 +677,7 @@ fn parse_verify_args(argv: &[String]) -> Result<VerifyArgs, String> {
             "--budget-gib" => args.budget_gib = Some(flags.budget_gib(arg)?),
             "--max-grad-accum" => args.max_grad_accum = flags.grad_accum_cap(arg)?,
             "--max-outer-candidates" => args.max_outer = Some(flags.positive(arg)?),
-            "--threads" => args.threads = Some(flags.positive(arg)?),
+            "--threads" => args.threads = Some(flags.threads(arg)?),
             "--json" => args.json = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -810,7 +819,7 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
         match arg {
             "--listen" => args.listen = flags.value(arg)?,
             "--cache" => args.cache = Some(flags.value(arg)?),
-            "--threads" => args.threads = Some(flags.positive(arg)?),
+            "--threads" => args.threads = Some(flags.threads(arg)?),
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -1017,6 +1026,31 @@ mod tests {
             "0",
         ]))
         .is_err());
+        // Every parser that sizes the pool caps `--threads` at
+        // `MAX_THREADS`, before any pool is built.
+        let threads = |n: &str| {
+            [
+                parse_args(&sv(&[
+                    "--model",
+                    "gpt3-1.3b",
+                    "--gpus",
+                    "2",
+                    "--batch",
+                    "8",
+                    "--threads",
+                    n,
+                ]))
+                .map(|a| a.threads),
+                parse_verify_args(&sv(&["--threads", n])).map(|a| a.threads),
+                parse_serve_args(&sv(&["--listen", "127.0.0.1:0", "--threads", n]))
+                    .map(|a| a.threads),
+            ]
+        };
+        assert!(threads("1024").iter().all(|r| *r == Ok(Some(1024))));
+        for r in threads("1025") {
+            let err = r.unwrap_err();
+            assert!(err.contains("--threads"), "{err}");
+        }
     }
 
     #[test]

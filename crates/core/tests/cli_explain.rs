@@ -217,6 +217,65 @@ fn explain_splits_intra_frontier_into_sweep_phases() {
     assert!(without_timing.iter().all(|v| !v.contains("phase.")));
 }
 
+/// At `--threads 2` every span nests on its own lane: a span that opens
+/// while another is open on the same `tid` is that span's child. A
+/// thread waiting for its own fan-out must not run other work inside
+/// the span it holds open (that time would count twice in the self-time
+/// tree), and the pool's helpers share one lane besides the caller's.
+#[test]
+fn spans_nest_on_their_lane_at_two_threads() {
+    let journal_path =
+        std::env::temp_dir().join(format!("mist_cli_nesting_{}.jsonl", std::process::id()));
+    let mut args = tune_args(Some(&journal_path));
+    let threads = args.iter().position(|a| a == "--threads").unwrap() + 1;
+    args[threads] = "2".into();
+    run_cli(&args);
+    let journal = std::fs::read_to_string(&journal_path).expect("read journal");
+    std::fs::remove_file(&journal_path).ok();
+
+    // (tid, start, end, id, parent) of every span.
+    let mut spans: Vec<(u64, f64, f64, u64, u64)> = journal
+        .lines()
+        .filter_map(|line| {
+            let record: Value = serde_json::from_str(line).expect("journal line is JSON");
+            let span = get(&record, "span")?;
+            let start = f64_of(span, "start_us");
+            Some((
+                u64_of(span, "tid"),
+                start,
+                start + f64_of(span, "dur_us"),
+                u64_of(span, "id"),
+                u64_of(span, "parent"),
+            ))
+        })
+        .collect();
+    assert!(!spans.is_empty(), "journal has no spans");
+    spans.sort_by(|a, b| (a.0, a.1, a.3).partial_cmp(&(b.0, b.1, b.3)).unwrap());
+    let mut tids: Vec<u64> = spans.iter().map(|s| s.0).collect();
+    tids.dedup();
+    assert!(tids.len() <= 2, "{} span lanes at --threads 2", tids.len());
+
+    let mut violations = Vec::new();
+    // Spans still open on the current lane, innermost last.
+    let mut open: Vec<(u64, f64, f64, u64, u64)> = Vec::new();
+    for span in spans {
+        // A span ending within 10 ns of this start closed before it.
+        open.retain(|o| o.0 == span.0 && o.2 > span.1 + 0.01);
+        if let Some(enclosing) = open.last() {
+            if enclosing.3 != span.4 {
+                violations.push((span.3, span.4, enclosing.3));
+            }
+        }
+        open.push(span);
+    }
+    assert!(
+        violations.is_empty(),
+        "{} spans open inside a span that is not their parent, e.g. (id, parent, enclosing) {:?}",
+        violations.len(),
+        &violations[..violations.len().min(5)]
+    );
+}
+
 #[test]
 fn journal_does_not_perturb_the_tune_outcome() {
     let journal_path =

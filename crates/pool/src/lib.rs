@@ -1,368 +1,159 @@
-//! A small work-stealing thread pool with deterministic ordered joins.
+//! Deterministic ordered fan-out for the Mist tuner.
 //!
-//! The tuner's hot loop — the intra-stage frontier sweep — decomposes
-//! into coarse independent tasks. This crate runs them on `std::thread`
-//! workers with per-worker deques and a global injector, exposing one
-//! primitive, [`ThreadPool::map_ordered`], the deterministic join: each
-//! item carries its submission index and results are merged back in
-//! submission order, so the output is byte-identical regardless of
-//! thread count or steal interleaving.
+//! The crate exposes one primitive, [`ThreadPool::map_ordered`]: it maps
+//! a closure over a vector and returns the results in input order, so
+//! the output is byte-identical at any thread count.
 //!
-//! Internally each join is a structured-concurrency scope in the style
-//! of `std::thread::scope`: tasks may borrow from the caller's stack,
-//! and the scope does not return until every spawned task finished.
-//! The scope owner *helps* execute tasks while waiting, so nested joins
-//! (a pool task fanning out its own items) cannot deadlock and a
-//! 1-thread pool degenerates to plain sequential execution.
+//! Each call runs inside `std::thread::scope`. The caller and its
+//! helpers claim item indices from one atomic counter and write each
+//! result into that item's own slot. A helper is a scoped thread,
+//! started only while one of the pool's `threads − 1` permits is free
+//! and more than one item is still unclaimed; it runs items of this call
+//! alone and hands its permit back when none are left. A caller that
+//! runs out of items waits for its helpers and never runs another call's
+//! items, so a span open on a thread always encloses only work of the
+//! item that thread runs. A nested call is just a thread running an item:
+//! it takes helpers from the same permits, so at most `threads` items of
+//! one call tree are in flight. The scope joins every helper before it
+//! returns, which is what lets items borrow the caller's stack in safe
+//! code.
 //!
-//! Scheduling: a task spawned from a worker goes to that worker's own
-//! deque (popped LIFO for locality); tasks from outside go to the global
-//! injector (FIFO). Idle workers drain the injector, then steal the
-//! oldest task from a sibling's deque. Steals and executions are counted
-//! through `mist-telemetry` (`pool.tasks_stolen`, `pool.tasks_executed`,
-//! `pool.workers`) when the global collector is enabled.
+//! Each permit carries a telemetry span lane that the pool reserves up
+//! front ([`mist_telemetry::lane_scope`]): a helper records its spans on
+//! its permit's lane, so a tune draws at most `threads` lanes (the
+//! caller's own plus one per permit) however many helpers it starts.
 //!
 //! The process-global pool ([`global`]) defaults to
 //! `std::thread::available_parallelism` threads and is reconfigured by
 //! [`set_global_threads`] (the CLI's `--threads N`).
 
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::Scope;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
-/// A lifetime-erased unit of work. Only constructed by [`Scope::spawn`],
-/// whose scope guarantees the erased borrows outlive execution.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// The largest thread count a pool accepts; [`ThreadPool::new`] clamps
+/// to it and the CLI rejects larger `--threads` values.
+pub const MAX_THREADS: usize = 1024;
 
-thread_local! {
-    /// `(pool id, worker index)` of the worker owning this thread.
-    static WORKER: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-}
-
-fn next_pool_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-struct Shared {
-    id: u64,
-    injector: Mutex<VecDeque<Task>>,
-    /// One deque per worker; any thread may steal from the front.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Count of queued (not yet popped) tasks — a cheap "is there work"
-    /// hint for sleepers.
-    queued: AtomicUsize,
-    sleep: Mutex<()>,
-    work_cv: Condvar,
-    shutdown: AtomicBool,
-    tasks_stolen: AtomicU64,
-    tasks_executed: AtomicU64,
-}
-
-impl Shared {
-    fn push(&self, task: Task) {
-        let worker = WORKER.with(|w| w.get());
-        match worker {
-            Some((pool, idx)) if pool == self.id => self.deques[idx].lock().push_back(task),
-            _ => self.injector.lock().push_back(task),
-        }
-        self.queued.fetch_add(1, Ordering::Release);
-        self.work_cv.notify_one();
-    }
-
-    /// Finds a task: own deque first (LIFO), then the injector (FIFO),
-    /// then steals the oldest task from a sibling deque.
-    fn find_task(&self) -> Option<Task> {
-        if self.queued.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let me = WORKER.with(|w| w.get()).and_then(
-            |(pool, idx)| {
-                if pool == self.id {
-                    Some(idx)
-                } else {
-                    None
-                }
-            },
-        );
-        if let Some(idx) = me {
-            if let Some(t) = self.deques[idx].lock().pop_back() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some(t);
-            }
-        }
-        if let Some(t) = self.injector.lock().pop_front() {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            return Some(t);
-        }
-        for (i, deque) in self.deques.iter().enumerate() {
-            if Some(i) == me {
-                continue;
-            }
-            if let Some(t) = deque.lock().pop_front() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                mist_telemetry::counter_add("pool.tasks_stolen", 1);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn execute(&self, task: Task) {
-        self.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        task();
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            if let Some(task) = self.find_task() {
-                self.execute(task);
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let guard = self.sleep.lock();
-            // Re-check under the lock: a push between our failed find and
-            // this lock would otherwise be missed. The timeout is a
-            // belt-and-braces bound on any remaining race.
-            if self.queued.load(Ordering::Acquire) == 0 && !self.shutdown.load(Ordering::Acquire) {
-                let _ = self.work_cv.wait_timeout(guard, Duration::from_millis(2));
-            }
-        }
-    }
-}
-
-/// Completion state of one [`Scope`]. `'static` so erased tasks can hold
-/// it; the scope keeps it alive until every task finished.
-struct ScopeState {
-    pending: AtomicUsize,
-    done: Mutex<()>,
-    done_cv: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        ScopeState {
-            pending: AtomicUsize::new(0),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done.lock();
-            self.done_cv.notify_all();
-        }
-    }
-}
-
-/// Spawn handle passed to the closure of [`ThreadPool::scope`]. Mirrors
-/// `std::thread::Scope`: spawned tasks may borrow anything that outlives
-/// the scope.
-pub(crate) struct Scope<'scope, 'env: 'scope> {
-    pool: &'env ThreadPool,
-    state: Arc<ScopeState>,
-    /// Invariance over 'scope, exactly as in `std::thread::Scope`.
-    scope: PhantomData<&'scope mut &'scope ()>,
-    env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Submits `f` to the pool. The task starts at the scheduler's
-    /// discretion and is guaranteed to finish before `scope` returns.
-    pub(crate) fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::AcqRel);
-        let state = Arc::clone(&self.state);
-        // Capture the spawner's telemetry span context so spans opened
-        // inside the task parent under the spawning span instead of
-        // showing up as orphaned lanes — regardless of which thread
-        // (a worker, or a sibling caller helping in `wait_scope`)
-        // eventually executes the task.
-        let parent_span = mist_telemetry::current_span_id();
-        let wrapped = move || {
-            let _span_ctx = mist_telemetry::parent_scope(parent_span);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            state.finish_one();
-        };
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(wrapped);
-        // SAFETY: `scope` (the only constructor of `Scope`) does not
-        // return until `state.pending` hits zero, i.e. until this task
-        // has run to completion, so every borrow captured in `task`
-        // outlives its execution. Same argument as `std::thread::scope`.
-        let task: Task = unsafe { std::mem::transmute(task) };
-        self.pool.shared.push(task);
-    }
-}
-
-/// The work-stealing pool. See the crate docs for the scheduling model.
+/// A thread budget for [`ThreadPool::map_ordered`]. Holds no threads:
+/// helpers are started per call and joined before it returns.
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
+    /// Free helper permits, each a span lane reserved for helpers.
+    lanes: Mutex<Vec<u64>>,
 }
 
 impl ThreadPool {
-    /// Creates a pool with `threads` total parallelism: `threads − 1`
-    /// background workers are spawned, and the thread joining a scope
-    /// always participates as the remaining executor. `threads == 1`
-    /// therefore spawns nothing and runs every task inline on the caller.
+    /// Creates a pool of `threads` total parallelism, clamped to
+    /// `1..=MAX_THREADS`: the caller of a `map_ordered` plus up to
+    /// `threads − 1` helpers. `threads == 1` runs every item inline on
+    /// the caller.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let num_workers = threads - 1;
-        let shared = Arc::new(Shared {
-            id: next_pool_id(),
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..num_workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            queued: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            tasks_stolen: AtomicU64::new(0),
-            tasks_executed: AtomicU64::new(0),
-        });
-        let workers = (0..num_workers)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("mist-pool-{idx}"))
-                    .spawn(move || {
-                        WORKER.with(|w| w.set(Some((shared.id, idx))));
-                        shared.worker_loop();
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        mist_telemetry::gauge_set("pool.workers", num_workers as f64);
-        ThreadPool { shared, workers }
+        let threads = threads.clamp(1, MAX_THREADS);
+        mist_telemetry::gauge_set("pool.workers", (threads - 1) as f64);
+        let lanes = (1..threads).map(|_| mist_telemetry::reserve_lane());
+        ThreadPool {
+            threads,
+            lanes: Mutex::new(lanes.collect()),
+        }
     }
 
-    /// Total parallelism (background workers + the joining caller).
+    /// Total parallelism (helper permits + the calling thread).
     pub fn threads(&self) -> usize {
-        self.workers.len() + 1
+        self.threads
     }
 
-    /// Tasks taken from a sibling worker's deque so far.
-    pub fn tasks_stolen(&self) -> u64 {
-        self.shared.tasks_stolen.load(Ordering::Relaxed)
-    }
-
-    /// Tasks executed so far (all queues).
-    pub fn tasks_executed(&self) -> u64 {
-        self.shared.tasks_executed.load(Ordering::Relaxed)
-    }
-
-    /// Runs `f` with a [`Scope`] on which tasks can be spawned, then
-    /// blocks — executing queued tasks itself while waiting — until every
-    /// spawned task completed. Panics from tasks are captured and
-    /// re-thrown here (the first one wins); the scope still waits for all
-    /// remaining tasks first.
-    pub(crate) fn scope<'env, F, R>(&'env self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-    {
-        let scope = Scope {
-            pool: self,
-            state: Arc::new(ScopeState::new()),
-            scope: PhantomData,
-            env: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.wait_scope(&scope.state);
-        if let Some(payload) = scope.state.panic.lock().take() {
-            resume_unwind(payload);
-        }
-        match result {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Maps `f` over `items` on the pool and returns the results in
-    /// submission order — the deterministic join. The closure sees items
-    /// in arbitrary temporal order, but the output vector is always
-    /// `[f(items[0]), f(items[1]), …]` byte-for-byte, independent of
-    /// thread count and steal interleaving.
+    /// Maps `f` over `items` and returns `[f(items[0]), f(items[1]), …]`
+    /// whatever order the items ran in. If any call of `f` panics, every
+    /// other item still runs, then the first payload is re-thrown here.
     pub fn map_ordered<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Send + Sync,
     {
-        if self.workers.is_empty() || items.len() <= 1 {
+        if self.threads == 1 || items.len() <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        self.scope(|s| {
-            for (slot, item) in slots.iter().zip(items) {
-                let f = &f;
-                s.spawn(move || {
-                    let computed = f(item);
-                    let previous = slot.lock().replace(computed);
-                    debug_assert!(previous.is_none(), "each slot is written exactly once");
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("scope ran every task"))
-            .collect()
-    }
-
-    /// Executes tasks until `state.pending` reaches zero.
-    fn wait_scope(&self, state: &ScopeState) {
-        while state.pending.load(Ordering::Acquire) != 0 {
-            if let Some(task) = self.shared.find_task() {
-                self.shared.execute(task);
-                continue;
-            }
-            // Nothing runnable here: some of our tasks are executing on
-            // workers. Sleep until one finishes (timeout covers the
-            // notify-vs-wait race and foreign-scope wakeups).
-            let guard = state.done.lock();
-            if state.pending.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            if self.shared.queued.load(Ordering::Acquire) != 0 {
-                continue; // New work appeared while taking the lock.
-            }
-            let _ = state
-                .done_cv
-                .wait_timeout(guard, Duration::from_micros(500));
+        let job = Job {
+            pool: self,
+            f,
+            results: items.iter().map(|_| Mutex::new(None)).collect(),
+            items: items.into_iter().map(Some).map(Mutex::new).collect(),
+            next: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            parent_span: mist_telemetry::current_span_id(),
+        };
+        std::thread::scope(|s| job.run(s));
+        if let Some(payload) = job.panic.into_inner() {
+            resume_unwind(payload);
         }
+        job.results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every item ran"))
+            .collect()
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.sleep.lock();
-            self.shared.work_cv.notify_all();
+/// One `map_ordered` call: its items, their result slots and the index
+/// of the next unclaimed item.
+struct Job<'p, T, R, F> {
+    pool: &'p ThreadPool,
+    f: F,
+    items: Vec<Mutex<Option<T>>>,
+    results: Vec<Mutex<Option<R>>>,
+    next: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The caller's current span, installed on every helper so spans in
+    /// items parent the same on whichever thread runs them.
+    parent_span: u64,
+}
+
+impl<T: Send, R: Send, F: Fn(T) -> R + Sync> Job<'_, T, R, F> {
+    /// Claims and runs items until none is left, starting a helper
+    /// before each claim while a permit is free and more than one item
+    /// is unclaimed.
+    fn run<'s>(&'s self, s: &'s Scope<'s, '_>) {
+        loop {
+            let claimed = self.next.load(Ordering::Relaxed);
+            if self.items.len().saturating_sub(claimed) > 1 {
+                self.start_helper(s);
+            }
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = self.items.get(i).and_then(|slot| slot.lock().take()) else {
+                return;
+            };
+            match catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
+                Ok(result) => *self.results[i].lock() = Some(result),
+                Err(payload) => {
+                    self.panic.lock().get_or_insert(payload);
+                }
+            }
         }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+    }
+
+    /// Takes a free permit and runs [`Job::run`] on a scoped helper
+    /// thread that records spans on the permit's lane. A failed spawn
+    /// hands the permit back and leaves the work to the running threads.
+    fn start_helper<'s>(&'s self, s: &'s Scope<'s, '_>) {
+        let Some(lane) = self.pool.lanes.lock().pop() else {
+            return;
+        };
+        let helper = move || {
+            let _lane = mist_telemetry::lane_scope(lane);
+            let _parent = mist_telemetry::parent_scope(self.parent_span);
+            self.run(s);
+            self.pool.lanes.lock().push(lane);
+        };
+        let spawned = std::thread::Builder::new()
+            .name("mist-pool".into())
+            .spawn_scoped(s, helper);
+        if spawned.is_err() {
+            self.pool.lanes.lock().push(lane);
         }
     }
 }
@@ -382,18 +173,17 @@ pub fn default_threads() -> usize {
 
 /// The process-global pool. Cheap to call (one `RwLock` read + `Arc`
 /// clone); hold the returned `Arc` across a whole phase rather than
-/// re-fetching per task.
+/// re-fetching per call.
 pub fn global() -> Arc<ThreadPool> {
     global_cell().read().clone()
 }
 
 /// Replaces the global pool with a fresh one of `threads` total threads
-/// (the CLI's `--threads N`). Scopes already running on the previous
-/// pool finish undisturbed on its workers; the old pool shuts down when
-/// its last `Arc` drops.
+/// (the CLI's `--threads N`). Calls already running on the previous
+/// pool finish on its permits.
 pub fn set_global_threads(threads: usize) {
     let mut cell = global_cell().write();
-    if cell.threads() != threads.max(1) {
+    if cell.threads() != threads.clamp(1, MAX_THREADS) {
         *cell = Arc::new(ThreadPool::new(threads));
     }
 }
@@ -402,6 +192,7 @@ pub fn set_global_threads(threads: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    use std::time::Duration;
 
     #[test]
     fn map_ordered_preserves_submission_order() {
@@ -420,20 +211,6 @@ mod tests {
         let base = [10u64, 20, 30];
         let out = pool.map_ordered(vec![0usize, 1, 2], |i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
-    }
-
-    #[test]
-    fn scope_runs_every_task() {
-        let pool = ThreadPool::new(4);
-        let counter = AtomicU32::new(0);
-        pool.scope(|s| {
-            for _ in 0..100 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -459,25 +236,55 @@ mod tests {
         assert!(out.iter().all(|&id| id == main_id));
     }
 
+    /// Counts items in flight and remembers the most seen at once.
+    #[derive(Default)]
+    struct InFlight {
+        now: AtomicUsize,
+        max: AtomicUsize,
+    }
+
+    impl InFlight {
+        fn run<R>(&self, f: impl FnOnce() -> R) -> R {
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max.fetch_max(now, Ordering::SeqCst);
+            let r = f();
+            self.now.fetch_sub(1, Ordering::SeqCst);
+            r
+        }
+    }
+
+    #[test]
+    fn at_most_threads_items_are_in_flight() {
+        let pool = ThreadPool::new(3);
+        let pause = || std::thread::sleep(Duration::from_micros(300));
+        let flat = InFlight::default();
+        pool.map_ordered((0..48).collect(), |_: u32| flat.run(pause));
+        assert!(flat.max.load(Ordering::SeqCst) <= 3);
+
+        let (outer, inner) = (InFlight::default(), InFlight::default());
+        pool.map_ordered((0..8).collect(), |_: u32| {
+            outer.run(|| pool.map_ordered((0..8).collect(), |_: u32| inner.run(pause)))
+        });
+        assert!(outer.max.load(Ordering::SeqCst) <= 3);
+        assert!(inner.max.load(Ordering::SeqCst) <= 3);
+        // Every permit is back once the calls returned.
+        assert_eq!(pool.lanes.lock().len(), 2);
+    }
+
     #[test]
     fn panics_propagate_after_all_tasks_finish() {
         let pool = ThreadPool::new(4);
-        let completed = Arc::new(AtomicU32::new(0));
-        let completed2 = completed.clone();
+        let completed = AtomicU32::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..16 {
-                    let completed = completed2.clone();
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("task {i} exploded");
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    });
+            pool.map_ordered((0..16).collect(), |i: u32| {
+                if i == 3 {
+                    panic!("task {i} exploded");
                 }
-            });
+                completed.fetch_add(1, Ordering::Relaxed);
+            })
         }));
-        assert!(result.is_err(), "panic must propagate out of scope");
+        let payload = result.expect_err("panic must propagate out of map_ordered");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "task 3 exploded");
         assert_eq!(completed.load(Ordering::Relaxed), 15);
     }
 
@@ -515,37 +322,22 @@ mod tests {
         let root = c.span("root", Vec::new);
         let root_id = mist_telemetry::current_span_id();
         assert_ne!(root_id, 0);
-        pool.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|| {
-                    let _child = c.span("child", Vec::new);
-                    std::thread::sleep(Duration::from_micros(200));
-                });
-            }
+        pool.map_ordered((0..32).collect(), |_: u32| {
+            let _child = c.span("child", Vec::new);
+            std::thread::sleep(Duration::from_micros(200));
         });
         drop(root);
         let spans = c.spans();
         let children: Vec<_> = spans.iter().filter(|s| s.name == "child").collect();
         assert_eq!(children.len(), 32);
-        // Every child parents under the spawning span, no matter which
-        // worker (or the helping caller) executed it.
+        // Every child parents under the calling span, whether the caller
+        // or a helper ran it, and helpers stay on the pool's 3 lanes.
         for ch in &children {
             assert_eq!(ch.parent, root_id);
         }
-    }
-
-    #[test]
-    fn steal_counter_counts_cross_worker_traffic() {
-        let pool = ThreadPool::new(4);
-        // Tasks that spawn subtasks from worker threads exercise the
-        // per-worker deques and therefore stealing.
-        pool.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|| {
-                    std::thread::sleep(Duration::from_micros(200));
-                });
-            }
-        });
-        assert!(pool.tasks_executed() >= 32);
+        let mut lanes: Vec<u64> = spans.iter().map(|s| s.tid).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert!(lanes.len() <= 4, "{} lanes", lanes.len());
     }
 }

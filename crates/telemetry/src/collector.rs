@@ -82,7 +82,8 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Span name (static: span names are code locations, not data).
     pub name: &'static str,
-    /// Logical thread id (stable per OS thread, dense from 0).
+    /// Span lane: one per OS thread, or the lane installed by
+    /// [`lane_scope`] (pool helpers share the pool's few lanes).
     pub tid: u64,
     /// Start offset from the collector's epoch, in microseconds.
     pub start_us: f64,
@@ -133,12 +134,49 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
+static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's span lane; `u64::MAX` until its first span.
+    static LANE: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
 fn current_tid() -> u64 {
-    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    LANE.with(|lane| {
+        if lane.get() == u64::MAX {
+            lane.set(reserve_lane());
+        }
+        lane.get()
+    })
+}
+
+/// A fresh span lane: a [`SpanRecord::tid`] that no thread records on
+/// until it is handed to [`lane_scope`].
+pub fn reserve_lane() -> u64 {
+    NEXT_LANE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// RAII guard from [`lane_scope`]; restores the thread's previous lane
+/// when dropped.
+pub struct LaneGuard {
+    prev: u64,
+}
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        LANE.with(|lane| lane.set(self.prev));
     }
-    TID.with(|t| *t)
+}
+
+/// Records this thread's spans on `lane` until the returned guard
+/// drops. A thread pool whose helper threads are short-lived hands each
+/// helper one of a few lanes it reserved ([`reserve_lane`]), so a trace
+/// shows one lane per unit of parallelism rather than one per OS
+/// thread. The caller must not let two threads hold one lane at once.
+pub fn lane_scope(lane: u64) -> LaneGuard {
+    LaneGuard {
+        prev: LANE.with(|cur| cur.replace(lane)),
+    }
 }
 
 // Span ids are process-global (not per collector) so that parent links

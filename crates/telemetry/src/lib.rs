@@ -46,8 +46,8 @@ mod phase;
 
 pub use chrome::TraceBuilder;
 pub use collector::{
-    counter_add, current_span_id, gauge_max, gauge_set, global, parent_scope, ArgValue, Collector,
-    ParentGuard, SpanGuard, SpanRecord,
+    counter_add, current_span_id, gauge_max, gauge_set, global, lane_scope, parent_scope,
+    reserve_lane, ArgValue, Collector, LaneGuard, ParentGuard, SpanGuard, SpanRecord,
 };
 pub use journal::{
     global_journal, journal_event, Journal, JournalEvent, JournalRecord, OuterOutcome,

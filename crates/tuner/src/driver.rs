@@ -229,8 +229,6 @@ impl<'a> Tuner<'a> {
         let baseline = collector.snapshot();
         let _tune_span = mist_telemetry::span!("tuner.tune", global_batch = global_batch);
         let mut stats = TuneStats::default();
-        let pool_stolen0 = intra.pool().tasks_stolen();
-        let pool_executed0 = intra.pool().tasks_executed();
         let mut best: Option<(InterStageSolution, u32)> = None;
         // Outer-level rejection attribution (sequential driver loop, so
         // plain accumulators are deterministic at any thread count).
@@ -426,11 +424,9 @@ impl<'a> Tuner<'a> {
             );
         }
         // `pool.workers` is set when a pool is constructed, which can
-        // predate the collector being enabled — refresh it here. Pool
-        // stats are scheduling-dependent (like the wall-clocks above,
-        // they vary run to run and with --threads): consumers comparing
-        // outcomes for determinism must strip them alongside the timing
-        // fields.
+        // predate the collector being enabled — refresh it here. It
+        // varies with --threads, so consumers comparing outcomes across
+        // thread counts must strip it alongside the timing fields.
         gauges.push(("pool.workers".into(), intra.pool().threads() as f64));
         for &(name, value) in &counters {
             collector.counter_add(name, value);
@@ -445,16 +441,6 @@ impl<'a> Tuner<'a> {
         for (name, value) in gauges {
             telemetry.gauges.entry(name).or_insert(value);
         }
-        // The pool publishes `pool.tasks_stolen` itself as steals happen;
-        // the snapshot gets this tune's share of both task counters.
-        telemetry
-            .counters
-            .entry("pool.tasks_stolen".to_owned())
-            .or_insert(intra.pool().tasks_stolen() - pool_stolen0);
-        telemetry
-            .counters
-            .entry("pool.tasks_executed".to_owned())
-            .or_insert(intra.pool().tasks_executed() - pool_executed0);
 
         let (sol, g) = best?;
         let (predicted, points) = (sol.objective, sol.choices);

@@ -36,7 +36,7 @@ import json
 import sys
 
 # Fields whose values are wall-clock measurements (or derived from
-# them) or pool-scheduling stats. Everything else in the goldens is
+# them) or the pool's thread count. Everything else in the goldens is
 # deterministic.
 TIMING_FIELDS = {
     # The explain digest keeps every wall-clock-derived value (phase
@@ -65,8 +65,6 @@ TIMING_FIELDS = {
     "intra.phase_secs.walk",
     "intra.phase_secs.pareto",
     "pool.workers",
-    "pool.tasks_stolen",
-    "pool.tasks_executed",
     "stage_ns_per_batch",
     "stage_rows_per_sec",
     "mem_pair_ns_per_batch",

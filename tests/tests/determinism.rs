@@ -12,7 +12,7 @@ use mist::{MistSession, Platform, SearchSpace};
 use serde_json::Value;
 
 /// Fields that legitimately vary run-to-run (timing) or with the thread
-/// count (pool scheduling stats), at any depth.
+/// count (`pool.workers`), at any depth.
 const TIMING_FIELDS: &[&str] = &[
     "elapsed_secs",
     "intra_secs",
@@ -21,8 +21,6 @@ const TIMING_FIELDS: &[&str] = &[
     "tuner.intra_secs",
     "tuner.inter_secs",
     "pool.workers",
-    "pool.tasks_stolen",
-    "pool.tasks_executed",
 ];
 
 fn strip_timing(v: &mut Value) {
