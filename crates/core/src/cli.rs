@@ -282,8 +282,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn run_tune(args: Args) -> Result<(), String> {
     // Telemetry must be on before the session is built so the
-    // calibration pass (benchmark + interference fit) is captured too,
-    // and before the pool is resized so `pool.workers` is recorded.
+    // calibration pass (benchmark + interference fit) is captured too.
     let collector = mist_telemetry::global();
     let telemetry_on = args.trace.is_some() || args.metrics || args.journal.is_some();
     if telemetry_on {
@@ -365,13 +364,7 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
             "batch": args.batch,
             "seq": seq,
         });
-        crate::explain::write_journal_file(
-            path,
-            header,
-            &outcome.stats,
-            &outcome.telemetry,
-            &spans,
-        )?;
+        crate::explain::write_journal_file(path, header, &outcome.stats, &spans)?;
     }
     let metrics_snapshot = if telemetry_on {
         collector.snapshot()

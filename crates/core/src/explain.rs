@@ -7,8 +7,8 @@
 //! rejection-reason histogram, the incumbent's evolution, the top-k
 //! runner-up plans with the constraint that killed each one, per-solve
 //! DP statistics and a self-time tree reconstructed from span
-//! parentage, with the intra-stage sweep's phase split grafted under
-//! `intra.frontier`. An outcome file only carries the aggregate
+//! parentage (the intra-stage sweep's `phase.*` spans nest under
+//! `intra.frontier`). An outcome file only carries the aggregate
 //! counters, so its digest is the aggregate subset.
 //!
 //! All wall-clock-derived values live under the single `timing` key of
@@ -17,8 +17,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mist_telemetry::{JournalEvent, JournalRecord, MetricsSnapshot, OuterOutcome, SpanRecord};
-use mist_tuner::{TuneStats, SWEEP_PHASES};
+use mist_telemetry::{JournalEvent, JournalRecord, OuterOutcome, SpanRecord};
+use mist_tuner::TuneStats;
 use serde::{Deserialize as _, Serialize as _, Value};
 
 /// How many runner-up plans the digest keeps.
@@ -27,14 +27,12 @@ pub const DEFAULT_TOP_K: usize = 5;
 // --- journal file writing --------------------------------------------------
 
 /// Writes a self-contained journal file: a header line, the tuning
-/// stats, the intra-stage sweep's phase split (when the tune measured
-/// one), one line per completed span, one line per journal record and
+/// stats, one line per completed span, one line per journal record and
 /// a trailer with ring statistics. Drains the global journal.
 pub(crate) fn write_journal_file(
     path: &str,
     header: Value,
     stats: &TuneStats,
-    telemetry: &MetricsSnapshot,
     spans: &[SpanRecord],
 ) -> Result<(), String> {
     let journal = mist_telemetry::global_journal();
@@ -47,18 +45,6 @@ pub(crate) fn write_journal_file(
         &serde_json::to_string(&serde_json::json!({ "stats": stats.to_value() })).unwrap(),
     );
     out.push('\n');
-    let phases: Vec<(String, Value)> = SWEEP_PHASES
-        .iter()
-        .filter_map(|name| {
-            let secs = telemetry.gauges.get(&format!("intra.phase_secs.{name}"))?;
-            Some((name.to_string(), Value::Float(*secs)))
-        })
-        .collect();
-    if !phases.is_empty() {
-        let line = serde_json::json!({ "phases": Value::Object(phases) });
-        out.push_str(&serde_json::to_string(&line).unwrap());
-        out.push('\n');
-    }
     for s in spans {
         let line = serde_json::json!({
             "span": serde_json::json!({
@@ -123,8 +109,6 @@ struct SpanLite {
 struct JournalFile {
     header: Value,
     stats: Option<TuneStats>,
-    /// Seconds per intra-stage sweep phase, in lap order.
-    phases: Vec<(String, f64)>,
     spans: Vec<SpanLite>,
     records: Vec<JournalRecord>,
     dropped: u64,
@@ -134,7 +118,6 @@ fn parse_journal(text: &str, path: &str) -> Result<JournalFile, String> {
     let mut jf = JournalFile {
         header: Value::Null,
         stats: None,
-        phases: Vec::new(),
         spans: Vec::new(),
         records: Vec::new(),
         dropped: 0,
@@ -149,11 +132,6 @@ fn parse_journal(text: &str, path: &str) -> Result<JournalFile, String> {
             jf.header = h.clone();
         } else if let Some(s) = get(&v, "stats") {
             jf.stats = TuneStats::from_value(s).ok();
-        } else if let Some(Value::Object(p)) = get(&v, "phases") {
-            jf.phases = p
-                .iter()
-                .map(|(name, secs)| (name.clone(), secs.as_f64().unwrap_or(0.0)))
-                .collect();
         } else if let Some(s) = get(&v, "span") {
             jf.spans.push(SpanLite {
                 id: get_u64(s, "id"),
@@ -448,7 +426,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
         e.2 += (s.dur_us - child_us[i]).max(0.0);
         *span_totals.entry(s.name.clone()).or_insert(0.0) += s.dur_us / 1e6;
     }
-    graft_sweep_phases(&mut agg, &jf.phases);
     let self_time: Vec<(String, u64, f64, f64)> = agg
         .into_iter()
         .map(|(path, (count, total, selfd))| (path.join("/"), count, total / 1e6, selfd / 1e6))
@@ -469,37 +446,6 @@ fn digest_journal(jf: &JournalFile, top: usize) -> Digest {
         stats: jf.stats,
         self_time,
         span_totals,
-    }
-}
-
-/// Grafts the intra-stage sweep's phase split into the self-time tree
-/// as `phase.<name>` children of every `intra.frontier` node. The
-/// phases tile the `intra.frontier` spans, so each node receives the
-/// phase seconds in proportion to its share of all `intra.frontier`
-/// time, and its own self time shrinks by what the children take.
-fn graft_sweep_phases(agg: &mut BTreeMap<Vec<String>, (u64, f64, f64)>, phases: &[(String, f64)]) {
-    let frontier_paths: Vec<Vec<String>> = agg
-        .keys()
-        .filter(|path| path.last().is_some_and(|name| name == "intra.frontier"))
-        .cloned()
-        .collect();
-    let frontier_us: f64 = frontier_paths.iter().map(|path| agg[path].1).sum();
-    if phases.is_empty() || frontier_us <= 0.0 {
-        return;
-    }
-    for path in frontier_paths {
-        let (count, total_us, _) = agg[&path];
-        let share = total_us / frontier_us;
-        let mut charged_us = 0.0;
-        for (name, secs) in phases {
-            let us = secs * 1e6 * share;
-            let mut child = path.clone();
-            child.push(format!("phase.{name}"));
-            agg.insert(child, (count, us, us));
-            charged_us += us;
-        }
-        let node = agg.get_mut(&path).expect("frontier path exists");
-        node.2 = (node.2 - charged_us).max(0.0);
     }
 }
 
@@ -949,39 +895,6 @@ mod tests {
         let text = serde_json::to_string_pretty(&v).unwrap();
         let back: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn sweep_phases_become_children_of_intra_frontier() {
-        let text = r#"{"header":{"model":"m","space":"s"}}
-{"phases":{"tapes":0.000010,"full_eval":0.000030}}
-{"span":{"id":1,"parent":0,"name":"intra.sweep","tid":0,"start_us":0.0,"dur_us":100.0}}
-{"span":{"id":2,"parent":1,"name":"intra.frontier","tid":0,"start_us":1.0,"dur_us":30.0}}
-{"span":{"id":3,"parent":1,"name":"intra.frontier","tid":0,"start_us":40.0,"dur_us":50.0}}"#;
-        let jf = parse_journal(text, "test").unwrap();
-        let d = digest_journal(&jf, DEFAULT_TOP_K);
-        let node = |path: &str| {
-            d.self_time
-                .iter()
-                .find(|(p, ..)| p == path)
-                .unwrap_or_else(|| panic!("missing {path}: {:?}", d.self_time))
-        };
-        let frontier = node("intra.sweep/intra.frontier");
-        assert_eq!(frontier.1, 2);
-        // 80us of frontier time, 40us of it attributed to phases.
-        assert!((frontier.3 - 40e-6).abs() < 1e-12);
-        let tapes = node("intra.sweep/intra.frontier/phase.tapes");
-        assert!((tapes.2 - 10e-6).abs() < 1e-12 && (tapes.3 - 10e-6).abs() < 1e-12);
-        let full = node("intra.sweep/intra.frontier/phase.full_eval");
-        assert!((full.2 - 30e-6).abs() < 1e-12);
-        // Phases stay under the strippable `timing` key.
-        let v = digest_to_json(&d);
-        let dump = serde_json::to_string(&v).unwrap();
-        let without_timing = dump.replace(
-            &serde_json::to_string(get(&v, "timing").unwrap()).unwrap(),
-            "",
-        );
-        assert!(!without_timing.contains("phase."));
     }
 
     #[test]

@@ -54,7 +54,6 @@ impl ThreadPool {
     /// the caller.
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_THREADS);
-        mist_telemetry::gauge_set("pool.workers", (threads - 1) as f64);
         let lanes = (1..threads).map(|_| mist_telemetry::reserve_lane());
         ThreadPool {
             threads,

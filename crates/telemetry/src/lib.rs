@@ -1,7 +1,7 @@
 //! Span tracing, a metrics registry, and Chrome Trace Event export for
 //! the Mist tuner and pipeline simulator.
 //!
-//! The crate has three pieces:
+//! The crate has four pieces:
 //!
 //! - A process-global [`Collector`] (see [`global`]) with RAII span
 //!   guards via the [`span!`] macro, monotonic-clock timestamps, and
@@ -20,9 +20,6 @@
 //!   solve summaries), each stamped with the
 //!   enclosing span id. Disabled by default with the same
 //!   one-atomic-load cost model as `span!`; see [`journal_event`].
-//! - Phase accounting ([`PhaseClock`], [`PhaseTotals`]): lap timers that
-//!   split a hot loop's wall time into contiguous phases without one
-//!   span per iteration, gated by the same flag.
 //!
 //! ```
 //! let collector = mist_telemetry::global();
@@ -42,7 +39,6 @@ mod chrome;
 mod collector;
 pub mod journal;
 mod metrics;
-mod phase;
 
 pub use chrome::TraceBuilder;
 pub use collector::{
@@ -53,4 +49,3 @@ pub use journal::{
     global_journal, journal_event, Journal, JournalEvent, JournalRecord, OuterOutcome,
 };
 pub use metrics::{Counter, Gauge, MetricsSnapshot};
-pub use phase::{PhaseClock, PhaseTotals};

@@ -299,10 +299,12 @@ impl<'a> Tuner<'a> {
                     let cutoff = best
                         .as_ref()
                         .map_or(f64::INFINITY, |(b, _)| b.selector_objective);
-                    let _solve_span =
-                        mist_telemetry::span!("inter.solve", stages = s, grad_accum = g);
                     let t_inter = Instant::now();
-                    let sol = solve_inter_stage(&refs, l, g, self.space, cutoff, &mut solve_stats);
+                    let sol = {
+                        let _solve_span =
+                            mist_telemetry::span!("inter.solve", stages = s, grad_accum = g);
+                        solve_inter_stage(&refs, l, g, self.space, cutoff, &mut solve_stats)
+                    };
                     stats.inter_secs += t_inter.elapsed().as_secs_f64();
                     bound_pruned += solve_stats.bound_pruned;
                     mist_telemetry::journal_event(|| mist_telemetry::JournalEvent::DpSummary {
@@ -408,38 +410,24 @@ impl<'a> Tuner<'a> {
             ("tuner.rejections.out_of_budget", out_of_budget),
             ("tuner.rejections.bound_pruned", bound_pruned),
         ]);
-        let mut gauges: Vec<(String, f64)> = vec![
-            ("frontier.size".into(), intra.frontier_size_high_water()),
-            ("tuner.elapsed_secs".into(), stats.elapsed_secs),
-            ("tuner.intra_secs".into(), stats.intra_secs),
-            ("tuner.inter_secs".into(), stats.inter_secs),
+        // `pool.workers` varies with --threads, so consumers comparing
+        // outcomes across thread counts must strip it.
+        let gauges = [
+            ("frontier.size", intra.frontier_size_high_water()),
+            ("pool.workers", intra.pool().threads() as f64),
         ];
-        // The sweep's phase split: wall-clock like `tuner.intra_secs`,
-        // and only measured while the collector is on.
-        if collector.is_enabled() {
-            gauges.extend(
-                intra
-                    .phase_secs()
-                    .map(|(name, secs)| (format!("intra.phase_secs.{name}"), secs)),
-            );
-        }
-        // `pool.workers` is set when a pool is constructed, which can
-        // predate the collector being enabled — refresh it here. It
-        // varies with --threads, so consumers comparing outcomes across
-        // thread counts must strip it alongside the timing fields.
-        gauges.push(("pool.workers".into(), intra.pool().threads() as f64));
         for &(name, value) in &counters {
             collector.counter_add(name, value);
         }
-        for (name, value) in &gauges {
-            collector.gauge_set(name, *value);
+        for (name, value) in gauges {
+            collector.gauge_set(name, value);
         }
         let mut telemetry = collector.snapshot_delta(&baseline);
         for (name, value) in counters {
             telemetry.counters.entry(name.to_owned()).or_insert(value);
         }
         for (name, value) in gauges {
-            telemetry.gauges.entry(name).or_insert(value);
+            telemetry.gauges.entry(name.to_owned()).or_insert(value);
         }
 
         let (sol, g) = best?;

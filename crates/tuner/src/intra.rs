@@ -47,7 +47,6 @@ use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
 use mist_schedule::{stage_streams, StageStreams};
 use mist_symbolic::{BatchBindings, CompiledWorkspace};
-use mist_telemetry::{PhaseClock, PhaseTotals};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -86,31 +85,6 @@ pub struct FrontierKey {
 }
 
 type TapeKey = (DeviceMesh, u32, u32, u64, StageRole);
-
-/// The intra-stage sweep's phases, in lap order: published as
-/// `intra.phase_secs.<name>` gauges when the telemetry collector is on.
-/// They tile every `intra.frontier` span (each lap charges the time
-/// since the previous one), so they sum to the sweep's wall time.
-pub const SWEEP_PHASES: [&str; 6] = [
-    "tapes",
-    "ckpt_resolve",
-    "full_eval",
-    "interference",
-    "walk",
-    "pareto",
-];
-
-/// Lap indices into [`SWEEP_PHASES`].
-mod phase {
-    pub const TAPES: usize = 0;
-    pub const CKPT_RESOLVE: usize = 1;
-    pub const FULL_EVAL: usize = 2;
-    pub const INTERFERENCE: usize = 3;
-    pub const WALK: usize = 4;
-    pub const PARETO: usize = 5;
-}
-
-type SweepClock = PhaseClock<{ SWEEP_PHASES.len() }>;
 
 /// The four offloading-ratio symbols, in `SearchSpace::offload_combos`
 /// element order.
@@ -226,9 +200,6 @@ pub struct IntraStageTuner<'a> {
     rejections: RejectionCounters,
     // High-water sampled frontier size across all (key, layer) families.
     frontier_size: mist_telemetry::Gauge,
-    // Wall time per sweep phase, accumulated only while the telemetry
-    // collector is enabled.
-    phases: PhaseTotals<{ SWEEP_PHASES.len() }>,
     // Reused across candidates: register and output columns are
     // allocated once per concurrent evaluator and recycled for the whole
     // search. Tasks check a workspace pair out, use it, and return it.
@@ -262,7 +233,6 @@ impl<'a> IntraStageTuner<'a> {
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
             frontier_size: mist_telemetry::Gauge::new(),
-            phases: PhaseTotals::new(),
             workspaces: Mutex::new(Vec::new()),
         }
     }
@@ -307,12 +277,6 @@ impl<'a> IntraStageTuner<'a> {
     /// Rejection attribution counters (driver publication).
     pub(crate) fn rejections(&self) -> &RejectionCounters {
         &self.rejections
-    }
-
-    /// Seconds spent per sweep phase, as `(name, secs)` in lap order —
-    /// all zero unless the telemetry collector was enabled.
-    pub(crate) fn phase_secs(&self) -> impl Iterator<Item = (&'static str, f64)> {
-        SWEEP_PHASES.into_iter().zip(self.phases.secs())
     }
 
     /// Largest sampled per-layer frontier seen so far.
@@ -493,14 +457,12 @@ impl<'a> IntraStageTuner<'a> {
         // and therefore the sampled frontier — byte-identical to a
         // sequential sweep at any thread count.
         let sweeps = self.pool.map_ordered(cands, |cand| {
-            let mut clock = SweepClock::start();
             let mut ws = self.workspaces.lock().pop().unwrap_or_default();
-            let sweep = self.sweep_candidate(cand, key, max_layers, &mut ws, &mut clock);
+            let sweep = self.sweep_candidate(cand, key, max_layers, &mut ws);
             self.workspaces.lock().push(ws);
-            self.phases.add(&clock);
             sweep
         });
-        let mut clock = SweepClock::start();
+        let phase = mist_telemetry::span!("phase.pareto");
         let mut tally = SweepTally::default();
         for sweep in &sweeps {
             tally.merge(&sweep.tally);
@@ -534,6 +496,7 @@ impl<'a> IntraStageTuner<'a> {
             })
             .collect();
         drop(sweeps);
+        drop(phase);
 
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
         let survived: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -558,8 +521,6 @@ impl<'a> IntraStageTuner<'a> {
             dominated,
             sizes: sizes.clone(),
         });
-        clock.lap(phase::PARETO);
-        self.phases.add(&clock);
         FrontierRecord {
             mesh: key.mesh,
             role: key.role,
@@ -593,18 +554,23 @@ impl<'a> IntraStageTuner<'a> {
     /// stage program, which runs on the rows some `ckpt` fits,
     /// compacted in row order. The walk re-checks their peak memory
     /// once, as the safety check on the linear checkpoint solve.
+    ///
+    /// Each step runs under its own `phase.*` span, a child of the
+    /// key's `intra.frontier` span on whichever lane runs the sweep.
     fn sweep_candidate(
         &self,
         cand: StageCandidate,
         key: FrontierKey,
         max_layers: u32,
         ws: &mut SweepWorkspaces,
-        clock: &mut SweepClock,
     ) -> CandidateSweep {
         let nl = max_layers as usize;
+        let phase = mist_telemetry::span!("phase.tapes");
         let tapes = self.tapes(&cand);
         let (stage, mem) = tapes.compiled();
-        clock.lap(phase::TAPES);
+        drop(phase);
+
+        let phase = mist_telemetry::span!("phase.ckpt_resolve");
 
         let mut sweep = CandidateSweep {
             per_l: vec![Vec::new(); nl],
@@ -693,9 +659,10 @@ impl<'a> IntraStageTuner<'a> {
         // the linear solve, and those are already budget-shaped.
         tally.budget_bound |= ckpt_col != free_col;
         let survivors: Vec<usize> = (0..n).filter(|&r| !ckpt_col[r].is_infinite()).collect();
-        clock.lap(phase::CKPT_RESOLVE);
+        drop(phase);
 
         // One 22-root pass over the survivors, compacted in row order.
+        let phase = mist_telemetry::span!("phase.full_eval");
         if !survivors.is_empty() {
             let gather = |col: &[f64]| survivors.iter().map(|&r| col[r]).collect::<Vec<f64>>();
             let mut compact = BatchBindings::new(survivors.len());
@@ -710,18 +677,20 @@ impl<'a> IntraStageTuner<'a> {
                 .eval_batch(&compact, &mut ws.stage)
                 .expect("compiled stage program");
         }
-        clock.lap(phase::FULL_EVAL);
+        drop(phase);
 
         // Time and imbalance of every survivor.
+        let phase = mist_telemetry::span!("phase.interference");
         let td: Vec<StageStreams> = (0..survivors.len())
             .map(|j| {
                 let point = tapes.point_at_compiled(&ws.stage, j);
                 stage_streams(&point, self.interference, self.space.overlap_aware)
             })
             .collect();
-        clock.lap(phase::INTERFERENCE);
+        drop(phase);
 
         // Classify every survivor in sweep order.
+        let _phase = mist_telemetry::span!("phase.walk");
         let (mem_fwd, mem_bwd) = if survivors.is_empty() {
             (&[][..], &[][..])
         } else {
@@ -763,7 +732,6 @@ impl<'a> IntraStageTuner<'a> {
                 },
             });
         }
-        clock.lap(phase::WALK);
         sweep
     }
 }

@@ -32,7 +32,7 @@ mod space;
 pub use certify::{certify_plan, CertBound, CertReport, PlanCertificate, StageCert};
 pub use driver::{TuneOutcome, TuneStats, Tuner, DEFAULT_MAX_GRAD_ACCUM, MAX_GRAD_ACCUM};
 pub use inter::{enumerate_inter_stage, solve_inter_stage, InterSolveStats, InterStageSolution};
-pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint, SWEEP_PHASES};
+pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint};
 pub use pareto::{pareto_frontier, sample_frontier};
 pub use seed::{BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 pub use space::{CkptMode, SearchSpace};

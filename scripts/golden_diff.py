@@ -53,17 +53,6 @@ TIMING_FIELDS = {
     "elapsed_secs",
     "intra_secs",
     "inter_secs",
-    "tuner.elapsed_secs",
-    "tuner.intra_secs",
-    "tuner.inter_secs",
-    # The intra-stage sweep's phase split (recorded only while the
-    # telemetry collector is on).
-    "intra.phase_secs.tapes",
-    "intra.phase_secs.ckpt_resolve",
-    "intra.phase_secs.full_eval",
-    "intra.phase_secs.interference",
-    "intra.phase_secs.walk",
-    "intra.phase_secs.pareto",
     "pool.workers",
     "stage_ns_per_batch",
     "stage_rows_per_sec",

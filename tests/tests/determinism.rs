@@ -13,15 +13,7 @@ use serde_json::Value;
 
 /// Fields that legitimately vary run-to-run (timing) or with the thread
 /// count (`pool.workers`), at any depth.
-const TIMING_FIELDS: &[&str] = &[
-    "elapsed_secs",
-    "intra_secs",
-    "inter_secs",
-    "tuner.elapsed_secs",
-    "tuner.intra_secs",
-    "tuner.inter_secs",
-    "pool.workers",
-];
+const TIMING_FIELDS: &[&str] = &["elapsed_secs", "intra_secs", "inter_secs", "pool.workers"];
 
 fn strip_timing(v: &mut Value) {
     match v {
