@@ -1,4 +1,5 @@
-//! Benchmarks Algorithm 1: scalar and batched interference estimation.
+//! Benchmarks Algorithm 1: scalar, batched and columnar interference
+//! estimation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mist::InterferenceModel;
@@ -47,5 +48,23 @@ fn bench_batched(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_scalar, bench_batched);
+fn bench_columns(c: &mut Criterion) {
+    let m = InterferenceModel::pcie_defaults();
+    let mut group = c.benchmark_group("interference/columns");
+    for n in [100usize, 10000] {
+        let rows = mixes(n);
+        let cols: [Vec<f64>; 4] = std::array::from_fn(|i| rows.iter().map(|r| r[i]).collect());
+        let mut out = vec![0.0; n];
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &cols, |b, cols| {
+            b.iter(|| {
+                m.predict_columns(black_box(cols.each_ref().map(|c| &c[..])), &mut out);
+                black_box(&out);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_scalar, bench_batched, bench_columns);
 criterion_main!(benches);

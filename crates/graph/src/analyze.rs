@@ -300,10 +300,11 @@ impl StagePoint {
         self.mem_fwd.max(self.mem_bwd)
     }
 
-    /// Reorders a stream array into the interference model's
-    /// `[compute, nccl, h2d, d2h]` convention.
-    pub fn interference_tuple(streams: [f64; 4]) -> [f64; 4] {
-        [streams[0], streams[1], streams[3], streams[2]]
+    /// Reorders a stream array (of times, or of their columns) into the
+    /// interference model's `[compute, nccl, h2d, d2h]` convention.
+    pub fn interference_tuple<T>(streams: [T; 4]) -> [T; 4] {
+        let [compute, nccl, d2h, h2d] = streams;
+        [compute, nccl, h2d, d2h]
     }
 }
 
@@ -676,6 +677,10 @@ impl StageTapes {
     /// [`StagePoint`]. The compiled backend is bit-identical to
     /// [`StageTapes::eval_point`] on in-domain rows, so the assembled
     /// point is byte-for-byte the scalar one for the same row.
+    ///
+    /// The tuner's sweep builds no points: it reads the stream roots as
+    /// columns (`mist_schedule::stage_streams_columns`). Perfbench's
+    /// replay still assembles its rows here.
     ///
     /// # Panics
     ///

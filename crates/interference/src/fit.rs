@@ -24,15 +24,35 @@ pub struct FitReport {
     pub accepted_moves: usize,
 }
 
-/// Mean relative error of `model` on `(busy-times, measured)` samples.
-fn mean_rel_error(model: &InterferenceModel, samples: &[([f64; NUM_STREAMS], f64)]) -> f64 {
-    assert!(!samples.is_empty());
-    let mut acc = 0.0;
-    for (x, measured) in samples {
-        let pred = model.predict(*x);
-        acc += (pred - measured).abs() / measured.max(1e-12);
+/// `(busy-times, measured)` samples as columns, built once per [`fit`]
+/// so that every proposal predicts them in one columnar call.
+struct SampleColumns {
+    streams: [Vec<f64>; NUM_STREAMS],
+    measured: Vec<f64>,
+    /// Reused prediction buffer, one slot per sample.
+    pred: Vec<f64>,
+}
+
+impl SampleColumns {
+    fn new(samples: &[([f64; NUM_STREAMS], f64)]) -> Self {
+        assert!(!samples.is_empty());
+        SampleColumns {
+            streams: std::array::from_fn(|i| samples.iter().map(|(x, _)| x[i]).collect()),
+            measured: samples.iter().map(|(_, y)| *y).collect(),
+            pred: vec![0.0; samples.len()],
+        }
     }
-    acc / samples.len() as f64
+
+    /// Mean relative error of `model` on the samples, summed in sample
+    /// order.
+    fn mean_rel_error(&mut self, model: &InterferenceModel) -> f64 {
+        model.predict_columns(self.streams.each_ref().map(|c| &c[..]), &mut self.pred);
+        let mut acc = 0.0;
+        for (pred, measured) in self.pred.iter().zip(&self.measured) {
+            acc += (pred - measured).abs() / measured.max(1e-12);
+        }
+        acc / self.measured.len() as f64
+    }
 }
 
 /// Fits slowdown factors to measured samples, starting from `initial`.
@@ -57,7 +77,8 @@ pub fn fit(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut factors = initial.factors().to_vec();
     let mut best = initial.clone();
-    let initial_error = mean_rel_error(&best, samples);
+    let mut cols = SampleColumns::new(samples);
+    let initial_error = cols.mean_rel_error(&best);
     let mut best_err = initial_error;
     let mut accepted = 0usize;
 
@@ -86,7 +107,7 @@ pub fn fit(
         }
         factors[mask][i] = proposed;
         let candidate = InterferenceModel::from_factors(factors.clone());
-        let err = mean_rel_error(&candidate, samples);
+        let err = cols.mean_rel_error(&candidate);
         if err < best_err {
             best_err = err;
             best = candidate;
@@ -161,7 +182,7 @@ mod tests {
         assert!(report.accepted_moves > 0);
         // Fitted model generalizes to fresh samples.
         let fresh = make_samples(200, 99);
-        let err = mean_rel_error(&fitted, &fresh);
+        let err = SampleColumns::new(&fresh).mean_rel_error(&fitted);
         assert!(err < 0.08, "holdout error {err}");
     }
 
@@ -182,6 +203,6 @@ mod tests {
         let (fitted, report) = fit(&truth, &samples, 400, 9);
         // Starting at the truth, error stays ~0.
         assert!(report.final_error <= report.initial_error + 1e-12);
-        assert!(mean_rel_error(&fitted, &samples) < 1e-9);
+        assert!(SampleColumns::new(&samples).mean_rel_error(&fitted) < 1e-9);
     }
 }

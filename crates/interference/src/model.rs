@@ -37,6 +37,20 @@ impl StreamKind {
 /// exactly the streams in `mask` (a 4-bit set) are busy. Entries for masks
 /// where `i` does not participate are unused.
 ///
+/// Algorithm 1 runs in *select form*: at most `NUM_STREAMS − 1` rounds,
+/// each of which takes the live mask from compares, loads that mask's
+/// factor row and updates every live stream through selects rather than
+/// branches. That many rounds always suffice. A round with two or more
+/// live streams adds `overlap = min(x·f)` over them and sets each live
+/// stream to `(x·f − overlap).max(0) / f`; for the argmin stream `k`,
+/// `x_k·f_k − overlap` is exactly `0` (the product is finite, as
+/// [`from_factors`](Self::from_factors) admits only finite factors), so
+/// it leaves the live set. Each such round therefore drops at least one
+/// of the four streams, and after three rounds at most one is live —
+/// the point where the loop of the paper stops and adds the remaining
+/// busy times serially. Rounds that start with fewer than two live
+/// streams change nothing.
+///
 /// # Example
 ///
 /// ```
@@ -52,6 +66,9 @@ impl StreamKind {
 pub struct InterferenceModel {
     factors: Vec<[f64; NUM_STREAMS]>, // Indexed by mask, len 16.
 }
+
+/// The factor table, one row per live-stream mask.
+type Table = [[f64; NUM_STREAMS]; 1 << NUM_STREAMS];
 
 impl InterferenceModel {
     /// Builds a model from explicit pairwise factors, compounding them
@@ -77,7 +94,7 @@ impl InterferenceModel {
                 *f = acc.max(1.0);
             }
         }
-        InterferenceModel { factors }
+        Self::from_factors(factors)
     }
 
     /// Default factors for PCIe-only machines (L4): NCCL and host copies
@@ -94,14 +111,38 @@ impl InterferenceModel {
     }
 
     /// Builds a model directly from a factor table (used by fitting).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the table has one row per mask and every
+    /// participating entry (stream `i` in `mask`, with at least two
+    /// streams in `mask`) is a finite slowdown of at least 1.
     pub fn from_factors(factors: Vec<[f64; NUM_STREAMS]>) -> Self {
         assert_eq!(factors.len(), 1 << NUM_STREAMS);
+        for (mask, row) in factors.iter().enumerate() {
+            if mask.count_ones() < 2 {
+                continue;
+            }
+            for (i, f) in row.iter().enumerate() {
+                assert!(
+                    mask & (1 << i) == 0 || (f.is_finite() && *f >= 1.0),
+                    "factor of stream {i} in mask {mask:#06b} must be finite and >= 1, got {f}"
+                );
+            }
+        }
         InterferenceModel { factors }
     }
 
     /// Read access to the factor table.
     pub fn factors(&self) -> &[[f64; NUM_STREAMS]] {
         &self.factors
+    }
+
+    fn table(&self) -> &Table {
+        self.factors
+            .as_slice()
+            .try_into()
+            .expect("one factor row per mask")
     }
 
     /// Predicts wall-clock time for one 4-tuple of per-stream busy times
@@ -111,34 +152,28 @@ impl InterferenceModel {
     /// set of still-busy streams, apply its slowdown factors, consume the
     /// smallest scaled remaining time as fully-overlapped progress, and
     /// drop the exhausted stream; the final lone stream runs undisturbed.
+    /// Runs in the select form described on [`InterferenceModel`].
     pub fn predict(&self, x: [f64; NUM_STREAMS]) -> f64 {
         debug_assert!(x.iter().all(|v| v.is_finite() && *v >= 0.0));
-        let mut x = x;
-        let mut total = 0.0;
-        loop {
-            let mask = live_mask(&x);
-            if mask.count_ones() <= 1 {
-                total += x.iter().sum::<f64>();
-                return total;
-            }
-            let f = &self.factors[mask as usize];
-            // Scaled remaining times; the minimum is the overlapped chunk.
-            let mut overlap = f64::INFINITY;
-            for i in 0..NUM_STREAMS {
-                if mask & (1 << i) != 0 {
-                    overlap = overlap.min(x[i] * f[i]);
-                }
-            }
-            total += overlap;
-            for i in 0..NUM_STREAMS {
-                if mask & (1 << i) != 0 {
-                    x[i] = (x[i] * f[i] - overlap).max(0.0) / f[i];
-                    if x[i] < 1e-15 {
-                        x[i] = 0.0;
-                    }
-                }
-            }
-        }
+        predict_row(self.table(), x)
+    }
+
+    /// [`predict`](Self::predict) over columns: row `r` is
+    /// `[x[0][r], x[1][r], x[2][r], x[3][r]]` and its prediction goes to
+    /// `out[r]`, bit for bit what `predict` returns for that row.
+    ///
+    /// Runs the same per-row body as `predict` in a row loop compiled
+    /// three times — scalar, AVX2 and AVX-512 (`x86_64` only) — and picks
+    /// the best variant the running CPU supports on each call. The body
+    /// is branch-free, so the SIMD variants vectorize across rows; every
+    /// variant performs the same IEEE-754 operations in the same order,
+    /// so the variants agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column's length differs from `out.len()`.
+    pub fn predict_columns(&self, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
+        predict_columns_on(Tier::detect(), self.table(), x, out);
     }
 
     /// Batched Algorithm 1, exactly as printed in the paper: iterates
@@ -198,6 +233,173 @@ fn live_mask(x: &[f64; NUM_STREAMS]) -> u8 {
         }
     }
     mask
+}
+
+/// One row of Algorithm 1 in select form (see [`InterferenceModel`]):
+/// its `NUM_STREAMS − 1` rounds, then the serial sum of what is left.
+///
+/// The rounds are spelled out rather than looped so that the body is
+/// straight-line code, which the row loop of [`predict_rows`] can
+/// vectorize across rows (a loop over rounds stays a loop, and only an
+/// innermost loop vectorizes).
+#[inline(always)]
+fn predict_row(table: &Table, mut x: [f64; NUM_STREAMS]) -> f64 {
+    const _: () = assert!(NUM_STREAMS == 4, "one `round` call per round");
+    let mut total = 0.0;
+    round(table, &mut x, &mut total);
+    round(table, &mut x, &mut total);
+    round(table, &mut x, &mut total);
+    total + x.iter().sum::<f64>()
+}
+
+/// One round of Algorithm 1 in select form. Every operation it applies
+/// to a stream is the one the paper's loop applies, in the same order;
+/// an inactive round (fewer than two live streams) and the non-live
+/// streams keep their values through selects, and a non-live stream
+/// contributes `+∞` to the minimum, which leaves it unchanged.
+#[inline(always)]
+fn round(table: &Table, x: &mut [f64; NUM_STREAMS], total: &mut f64) {
+    let live = x.map(|v| v > 0.0);
+    let mut mask = 0usize;
+    let mut count = 0u32;
+    for (i, &l) in live.iter().enumerate() {
+        mask |= usize::from(l) << i;
+        count += u32::from(l);
+    }
+    let active = count >= 2;
+    // `mask < 16` already; the `&` lets the compiler drop the bounds
+    // check, whose panic branch would keep the row loop scalar.
+    let f = &table[mask & ((1 << NUM_STREAMS) - 1)];
+    let scaled: [f64; NUM_STREAMS] = std::array::from_fn(|i| x[i] * f[i]);
+    let mut overlap = f64::INFINITY;
+    for i in 0..NUM_STREAMS {
+        overlap = overlap.min(if live[i] { scaled[i] } else { f64::INFINITY });
+    }
+    *total = if active { *total + overlap } else { *total };
+    for i in 0..NUM_STREAMS {
+        let left = (scaled[i] - overlap).max(0.0) / f[i];
+        let left = if left < 1e-15 { 0.0 } else { left };
+        x[i] = if active && live[i] { left } else { x[i] };
+    }
+}
+
+/// [`predict_row`] over every row of the columns.
+#[inline(always)]
+fn predict_rows(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
+    let [c, n, h, d] = x;
+    let rows = c.iter().zip(n).zip(h).zip(d);
+    for (o, (((&c, &n), &h), &d)) in out.iter_mut().zip(rows) {
+        *o = predict_row(table, [c, n, h, d]);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn predict_rows_avx2(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
+    predict_rows(table, x, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn predict_rows_avx512(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
+    predict_rows(table, x, out)
+}
+
+/// Instruction-set variant of [`InterferenceModel::predict_columns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// Best variant the running CPU supports (the feature probes are
+    /// cached by `std`).
+    fn detect() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Tier::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
+        }
+        Tier::Scalar
+    }
+}
+
+fn predict_columns_on(tier: Tier, table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
+    assert!(
+        x.iter().all(|c| c.len() == out.len()),
+        "every stream column needs one value per output row"
+    );
+    debug_assert!(x
+        .iter()
+        .all(|c| c.iter().all(|v| v.is_finite() && *v >= 0.0)));
+    match tier {
+        Tier::Scalar => predict_rows(table, x, out),
+        // SAFETY: a tier other than `Scalar` comes from `Tier::detect`
+        // (or, in tests, `Tier::supported`), which checked that the CPU
+        // has the feature the variant was compiled for.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { predict_rows_avx2(table, x, out) },
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { predict_rows_avx512(table, x, out) },
+    }
+}
+
+/// The paper's loop as it was written before the select form: the
+/// reference the select form is checked against, bit for bit.
+#[cfg(test)]
+fn predict_reference(factors: &[[f64; NUM_STREAMS]], x: [f64; NUM_STREAMS]) -> f64 {
+    let mut x = x;
+    let mut total = 0.0;
+    loop {
+        let mask = live_mask(&x);
+        if mask.count_ones() <= 1 {
+            total += x.iter().sum::<f64>();
+            return total;
+        }
+        let f = &factors[mask as usize];
+        let mut overlap = f64::INFINITY;
+        for i in 0..NUM_STREAMS {
+            if mask & (1 << i) != 0 {
+                overlap = overlap.min(x[i] * f[i]);
+            }
+        }
+        total += overlap;
+        for i in 0..NUM_STREAMS {
+            if mask & (1 << i) != 0 {
+                x[i] = (x[i] * f[i] - overlap).max(0.0) / f[i];
+                if x[i] < 1e-15 {
+                    x[i] = 0.0;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Tier {
+    /// Every variant the running CPU supports.
+    fn supported() -> Vec<Tier> {
+        #[allow(unused_mut)]
+        let mut tiers = vec![Tier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        tiers
+    }
 }
 
 /// Pairwise slowdowns on PCIe machines. Indices follow [`StreamKind`].
@@ -322,6 +524,38 @@ mod tests {
             }
         }
     }
+
+    /// The default PCIe table with one participating entry replaced.
+    fn with_factor(mask: usize, i: usize, f: f64) -> InterferenceModel {
+        let mut factors = InterferenceModel::pcie_defaults().factors().to_vec();
+        factors[mask][i] = f;
+        InterferenceModel::from_factors(factors)
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and >= 1")]
+    fn from_factors_rejects_nan() {
+        with_factor(0b0011, 1, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and >= 1")]
+    fn from_factors_rejects_infinity() {
+        with_factor(0b1111, 3, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and >= 1")]
+    fn from_factors_rejects_speedups() {
+        with_factor(0b0101, 0, 0.5);
+    }
+
+    #[test]
+    fn from_factors_ignores_unused_entries() {
+        // Stream 1 is not in mask 0b0101, and mask 0b0100 has one stream.
+        with_factor(0b0101, 1, f64::NAN);
+        with_factor(0b0100, 2, 0.0);
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +588,68 @@ mod proptests {
                 [pick(a, pa), pick(b, pb), pick(c, pc), pick(d, pd)]
             })
             .boxed()
+    }
+
+    /// A factor table: one of the two defaults, the all-ones table, or
+    /// random factors in the fitted `[1, 4]` range with exact `1.0` and
+    /// `4.0` entries common.
+    fn table() -> BoxedStrategy<InterferenceModel> {
+        let factor = prop_oneof![Just(1.0), Just(4.0), 1.0f64..=4.0];
+        prop_oneof![
+            Just(InterferenceModel::pcie_defaults()),
+            Just(InterferenceModel::nvlink_defaults()),
+            Just(InterferenceModel::from_pairwise(|_, _| 1.0)),
+            prop::collection::vec((factor.clone(), factor.clone(), factor.clone(), factor), 16)
+                .prop_map(|rows| {
+                    InterferenceModel::from_factors(
+                        rows.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect(),
+                    )
+                }),
+        ]
+        .boxed()
+    }
+
+    /// Rows of small multiples of `1e-15`: under unit factors a round
+    /// leaves exactly `1e-15` behind, the flush threshold itself.
+    fn flush_row() -> BoxedStrategy<[f64; NUM_STREAMS]> {
+        let k = || (0u8..4).prop_map(|k| f64::from(k) * 1e-15);
+        (k(), k(), k(), k())
+            .prop_map(|(a, b, c, d)| [a, b, c, d])
+            .boxed()
+    }
+
+    /// Batches around the SIMD variants' vector widths and remainders.
+    fn rows() -> BoxedStrategy<Vec<[f64; NUM_STREAMS]>> {
+        let n = |len: usize| prop::collection::vec(prop_oneof![row(), flush_row()], len);
+        prop_oneof![n(0), n(1), n(255), n(256), n(257), n(1000)].boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `predict` and every `predict_columns` variant the host
+        /// supports return the paper loop's bits on every row.
+        #[test]
+        fn select_form_equals_reference_loop_bitwise(model in table(), rows in rows()) {
+            let cols: [Vec<f64>; NUM_STREAMS] =
+                std::array::from_fn(|i| rows.iter().map(|r| r[i]).collect());
+            let want: Vec<u64> = rows
+                .iter()
+                .map(|r| predict_reference(model.factors(), *r).to_bits())
+                .collect();
+            for (r, row) in rows.iter().enumerate() {
+                prop_assert_eq!(model.predict(*row).to_bits(), want[r], "row {:?}", row);
+            }
+            for tier in Tier::supported() {
+                let mut out = vec![f64::NAN; rows.len()];
+                predict_columns_on(tier, model.table(), cols.each_ref().map(|c| &c[..]), &mut out);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &want, "{:?}", tier);
+            }
+            let mut out = vec![f64::NAN; rows.len()];
+            model.predict_columns(cols.each_ref().map(|c| &c[..]), &mut out);
+            prop_assert!(out.iter().map(|v| v.to_bits()).eq(want.iter().copied()));
+        }
     }
 
     proptest! {

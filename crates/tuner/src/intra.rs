@@ -45,7 +45,7 @@ use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
-use mist_schedule::{stage_streams, StageStreams};
+use mist_schedule::{stage_streams, stage_streams_columns};
 use mist_symbolic::{BatchBindings, CompiledWorkspace};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -681,12 +681,15 @@ impl<'a> IntraStageTuner<'a> {
 
         // Time and imbalance of every survivor.
         let phase = mist_telemetry::span!("phase.interference");
-        let td: Vec<StageStreams> = (0..survivors.len())
-            .map(|j| {
-                let point = tapes.point_at_compiled(&ws.stage, j);
-                stage_streams(&point, self.interference, self.space.overlap_aware)
-            })
-            .collect();
+        let mut t_col = vec![0.0; survivors.len()];
+        let mut d_col = vec![0.0; survivors.len()];
+        stage_streams_columns(
+            &ws.stage,
+            self.interference,
+            self.space.overlap_aware,
+            &mut t_col,
+            &mut d_col,
+        );
         drop(phase);
 
         // Classify every survivor in sweep order.
@@ -707,7 +710,7 @@ impl<'a> IntraStageTuner<'a> {
                 tally.oom += 1;
                 continue; // Conservative re-check of the linear solve.
             }
-            let StageStreams { t, d } = td[j];
+            let (t, d) = (t_col[j], d_col[j]);
             if !t.is_finite() {
                 tally.nonfinite += 1;
                 continue;
