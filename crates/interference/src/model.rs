@@ -42,14 +42,15 @@ impl StreamKind {
 /// factor row and updates every live stream through selects rather than
 /// branches. That many rounds always suffice. A round with two or more
 /// live streams adds `overlap = min(x·f)` over them and sets each live
-/// stream to `(x·f − overlap).max(0) / f`; for the argmin stream `k`,
-/// `x_k·f_k − overlap` is exactly `0` (the product is finite, as
-/// [`from_factors`](Self::from_factors) admits only finite factors), so
-/// it leaves the live set. Each such round therefore drops at least one
-/// of the four streams, and after three rounds at most one is live —
-/// the point where the loop of the paper stops and adds the remaining
-/// busy times serially. Rounds that start with fewer than two live
-/// streams change nothing.
+/// stream to `(x·f − overlap).max(0) / f`. For the argmin stream `k`,
+/// `x_k·f_k − overlap` is `0`, or NaN if the product overflowed to
+/// `+∞`; `.max(0)` turns either into `0`, and `0 / f_k` is `0`, `−0` or
+/// NaN whatever the factor. None of those is `> 0`, so `k` leaves the
+/// live set. Each such round therefore drops at least one of the four
+/// streams, and after three rounds at most one is live — the point
+/// where the loop of the paper stops and adds the remaining busy times
+/// serially. Rounds that start with fewer than two live streams change
+/// nothing.
 ///
 /// # Example
 ///
@@ -116,7 +117,9 @@ impl InterferenceModel {
     ///
     /// Panics unless the table has one row per mask and every
     /// participating entry (stream `i` in `mask`, with at least two
-    /// streams in `mask`) is a finite slowdown of at least 1.
+    /// streams in `mask`) is a finite slowdown of at least 1: a factor
+    /// below 1 would be a speedup, and a NaN one turns its stream's
+    /// remaining time into NaN, which poisons the prediction.
     pub fn from_factors(factors: Vec<[f64; NUM_STREAMS]>) -> Self {
         assert_eq!(factors.len(), 1 << NUM_STREAMS);
         for (mask, row) in factors.iter().enumerate() {
@@ -163,11 +166,11 @@ impl InterferenceModel {
     /// `out[r]`, bit for bit what `predict` returns for that row.
     ///
     /// Runs the same per-row body as `predict` in a row loop compiled
-    /// three times — scalar, AVX2 and AVX-512 (`x86_64` only) — and picks
-    /// the best variant the running CPU supports on each call. The body
-    /// is branch-free, so the SIMD variants vectorize across rows; every
-    /// variant performs the same IEEE-754 operations in the same order,
-    /// so the variants agree bit for bit.
+    /// twice — plain and AVX-512 (`x86_64` only) — and picks the AVX-512
+    /// variant on each call when the running CPU supports it. The body
+    /// is branch-free, so the AVX-512 variant vectorizes across rows;
+    /// both variants perform the same IEEE-754 operations in the same
+    /// order, so they agree bit for bit.
     ///
     /// # Panics
     ///
@@ -294,12 +297,6 @@ fn predict_rows(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn predict_rows_avx2(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
-    predict_rows(table, x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn predict_rows_avx512(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64]) {
     predict_rows(table, x, out)
@@ -309,8 +306,6 @@ fn predict_rows_avx512(table: &Table, x: [&[f64]; NUM_STREAMS], out: &mut [f64])
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -323,9 +318,6 @@ impl Tier {
         {
             if is_x86_feature_detected!("avx512f") {
                 return Tier::Avx512;
-            }
-            if is_x86_feature_detected!("avx2") {
-                return Tier::Avx2;
             }
         }
         Tier::Scalar
@@ -345,8 +337,6 @@ fn predict_columns_on(tier: Tier, table: &Table, x: [&[f64]; NUM_STREAMS], out: 
         // SAFETY: a tier other than `Scalar` comes from `Tier::detect`
         // (or, in tests, `Tier::supported`), which checked that the CPU
         // has the feature the variant was compiled for.
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { predict_rows_avx2(table, x, out) },
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => unsafe { predict_rows_avx512(table, x, out) },
     }
@@ -391,9 +381,6 @@ impl Tier {
         let mut tiers = vec![Tier::Scalar];
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx2") {
-                tiers.push(Tier::Avx2);
-            }
             if is_x86_feature_detected!("avx512f") {
                 tiers.push(Tier::Avx512);
             }
@@ -618,7 +605,7 @@ mod proptests {
             .boxed()
     }
 
-    /// Batches around the SIMD variants' vector widths and remainders.
+    /// Batches around the 256-row block and the AVX-512 variant's remainders.
     fn rows() -> BoxedStrategy<Vec<[f64; NUM_STREAMS]>> {
         let n = |len: usize| prop::collection::vec(prop_oneof![row(), flush_row()], len);
         prop_oneof![n(0), n(1), n(255), n(256), n(257), n(1000)].boxed()
